@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,11 +63,28 @@ class TreeParams:
             raise ValueError("arity must be at least 2")
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        limit = _max_scale_exponent(self.arity)
+        if self.n_max + 1 > limit:
+            raise ValueError(
+                f"depth {self.n_max} is too deep for arity {self.arity}: the entropy"
+                f" scale arity ** (n + 1) must fit in a float, so n + 1 <= {limit}"
+            )
 
     def node_count(self, n: int) -> int:
         """Nodes in the depth-n initial subtree."""
         k = self.arity
         return (k ** (n + 1) - 1) // (k - 1)
+
+
+def _max_scale_exponent(arity: int) -> int:
+    """Largest e for which arity ** e converts to a finite float."""
+    e = int(math.log(sys.float_info.max, arity)) + 1
+    while True:
+        try:
+            float(arity**e)
+            return e
+        except OverflowError:
+            e -= 1
 
 
 @dataclass(frozen=True)

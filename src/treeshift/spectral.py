@@ -1,20 +1,33 @@
 """Perron data of a 0/1 transition matrix.
 
 The matrix is read as a directed graph on the symbols, with an edge
-i -> j when entry (i, j) = 1. Strong connectivity of that graph gives
-irreducibility, and the gcd of its cycle lengths gives the period. The
-spectral radius lambda with its left and right eigenvectors comes from
-power iteration; when the period exceeds 1 the iteration runs on M + I,
-which shifts the spectrum by exactly 1 and opens a spectral gap.
+i -> j when entry (i, j) = 1. Its strong components ("classes") give
+irreducibility, and the gcd of their cycle lengths gives the period. An
+irreducible matrix gets lambda and both eigenvectors from power
+iteration on the whole matrix; when the period exceeds 1 the iteration
+runs on M + I, which shifts the spectrum by exactly 1 and opens a
+spectral gap.
 
-For reducible matrices the limiting eigenvectors can have zero entries.
-Which entries vanish is a graph property: a right entry is positive iff
-its symbol can reach a basic component (one whose own spectral radius
-attains lambda), and a left entry is positive iff its symbol is
-reachable from a basic component. Those supports are computed exactly
-from the graph and the numeric iterates are clipped to them, so the
-max/min ratio of the right eigenvector degrades to +inf honestly
-instead of blowing up to an iteration-dependent garbage value.
+A reducible matrix is never iterated as a whole, since tied or periodic
+classes make that iteration stall. Each class's diagonal block is
+iterated on its own, shifted by +I so that it is primitive; lambda is
+the largest block radius. A class of radius lambda is distinguished on
+the right when no other class of radius lambda reaches it, and on the
+left when it reaches no other such class. The right eigenvector carries
+the Perron vector of each right-distinguished class on its symbols and
+is completed class by class, sinks first, by solving
+(lambda I - M_CC) x_C = M_C,rest x_rest; the left eigenvector is built
+the same way on the transposed graph. Hence a right entry is positive
+iff its symbol reaches a right-distinguished class, and a left entry is
+positive iff its symbol is reachable from a left-distinguished class
+(H. Schneider, "The influence of the marked reduced graph of a
+nonnegative matrix on the Jordan form and on related properties",
+Linear Algebra Appl. 84, 1986). Zero entries are exact, so the max/min
+ratio of the right eigenvector is +inf exactly when a symbol cannot
+reach a distinguished class. Several distinguished classes are each
+weighted by their spectral projection of the all-ones vector, which is
+where iteration from the uniform vector converges when no two classes
+of radius lambda are chained.
 
 All logarithms are natural.
 """
@@ -72,26 +85,18 @@ def analyze_matrix(M: TransitionMatrix, tol: float = 1e-12, max_iter: int = 10**
     """Full spectral analysis of a transition matrix.
 
     Raises NoConvergence when power iteration cannot reach the relative
-    tolerance within the cap, which signals a pathological (defective)
-    input rather than a tuning problem at this scale.
+    tolerance within the cap. Only irreducible matrices (shifted when
+    periodic) and shifted class blocks are iterated, all with a spectral
+    gap, so the default cap binds only for a gap far below this scale.
     """
-    succ = M.successor_table()
-    comps = strong_components(succ)
+    succ, comps, period, a, blocks = _class_blocks(M, tol, max_iter)
     irreducible = len(comps) == 1
-    period = graph_period(succ, comps)
-
-    a = np.array(M.rows, dtype=float)
-    shift = period > 1
-    b = a + np.eye(M.d) if shift else a
-    lam, right = _power_iteration(b, tol, max_iter)
-    _, left = _power_iteration(b.T, tol, max_iter)
-    if shift:
-        lam -= 1.0
-
-    if not irreducible:
-        right_support, left_support = _eigenvector_supports(a, succ, comps, tol, max_iter)
-        right[[i for i in range(M.d) if i not in right_support]] = 0.0
-        left[[i for i in range(M.d) if i not in left_support]] = 0.0
+    if irreducible:
+        lam, right = blocks[0]
+        b = a + np.eye(M.d) if period > 1 else a
+        _, left = _power_iteration(b.T, tol, max_iter)
+    else:
+        lam, right, left = _reducible_perron(a, succ, comps, blocks, tol, max_iter)
 
     right = right / right.max()
     left = left / left.sum()
@@ -131,23 +136,18 @@ def upper_bound(S: SpectralData) -> float:
 def certified_radius_lower(M: TransitionMatrix, tol: float = 1e-12, max_iter: int = 10**6) -> Fraction:
     """Exact rational lower bound on the spectral radius.
 
-    For any positive vector w, min_i (M w)_i / w_i never exceeds the
-    radius, so evaluating that minimum in exact arithmetic over a
-    converged iterate turns the float eigenvector into a certificate.
-    The bound is tight to the iteration tolerance, and exactly equal to
-    the radius for matrices with constant row sums.
+    For any positive vector w, min_i (B w)_i / w_i never exceeds the
+    radius of a nonnegative matrix B. Evaluated in exact arithmetic on
+    the diagonal block of a class of largest radius and that block's own
+    positive iterate, it bounds the block's radius, hence the matrix's,
+    and turns the float eigenvector into a certificate. The bound is
+    tight to the iteration tolerance, reducible matrices included, and
+    exactly equal to the radius when the block has constant row sums.
     """
-    succ = M.successor_table()
-    period = graph_period(succ, strong_components(succ))
-    a = np.array(M.rows, dtype=float)
-    b = a + np.eye(M.d) if period > 1 else a
-    _, x = _power_iteration(b, tol, max_iter)
-    if x.min() <= 0.0:
-        raise ValueError("certificate needs a strictly positive iterate")
-    w = [Fraction(float(v)) for v in x]
-    return min(
-        sum(w[j] for j in row) / w[i] for i, row in enumerate(succ)
-    )
+    succ, comps, _, _, blocks = _class_blocks(M, tol, max_iter)
+    top = max(range(len(comps)), key=lambda c: blocks[c][0])
+    w = {i: Fraction(float(v)) for i, v in zip(comps[top], blocks[top][1])}
+    return min(sum(w[j] for j in succ[i] if j in w) / w[i] for i in comps[top])
 
 
 def row_sum_heuristic(S: SpectralData) -> float:
@@ -250,34 +250,94 @@ def _reachable(succ, starts) -> set[int]:
     return seen
 
 
-def _eigenvector_supports(a, succ, comps, tol, max_iter):
-    """Exact positivity patterns of the Perron eigenvectors.
+# ---------------------------------------------------------------------------
+# class blocks
 
-    Basic components are those whose own spectral radius attains the
-    global one (compared with a small relative margin, safe because the
-    per-component radii are isolated numbers at this scale).
+
+def _class_blocks(M: TransitionMatrix, tol, max_iter):
+    """Classes of M and the Perron data of their diagonal blocks.
+
+    Returns (succ, comps, period, a, blocks) with comps in Tarjan's
+    sinks-first order and blocks[c] = (radius, right iterate) of class c,
+    the iterate positive and summing to 1. An irreducible matrix is its
+    own single class, iterated shifted only when periodic; the blocks of
+    a reducible matrix are always shifted by +I, which makes each one
+    primitive. A class of one symbol without a self-loop has radius 0.
     """
-    radii = [_component_radius(a, comp, tol, max_iter) for comp in comps]
+    succ = M.successor_table()
+    comps = strong_components(succ)
+    period = graph_period(succ, comps)
+    a = np.array(M.rows, dtype=float)
+    if len(comps) == 1:
+        shift = period > 1
+        lam, x = _power_iteration(a + np.eye(M.d) if shift else a, tol, max_iter)
+        return succ, comps, period, a, [(lam - 1.0 if shift else lam, x)]
+    blocks = []
+    for comp in comps:
+        if len(comp) == 1 and a[comp[0], comp[0]] == 0.0:
+            blocks.append((0.0, np.ones(1)))
+            continue
+        lam, x = _power_iteration(a[np.ix_(comp, comp)] + np.eye(len(comp)), tol, max_iter)
+        blocks.append((lam - 1.0, x))
+    return succ, comps, period, a, blocks
+
+
+def _reducible_perron(a, succ, comps, blocks, tol, max_iter):
+    """(lambda, right, left) of a reducible matrix from its class blocks.
+
+    Classes whose radius attains lambda (within a relative 1e-8, safe
+    because distinct radii are isolated numbers at this scale) are the
+    top classes. Each distinguished one seeds a right and a left solve
+    with its block's Perron vectors u and v, holding every other top
+    class at zero. Class C then weighs sum(left solve) / (v . u) in the
+    right vector and sum(right solve) / (v . u) in the left one: the
+    spectral projection of the all-ones vector when C is distinguished on
+    both sides, a fixed positive convention otherwise.
+    """
+    radii = [rad for rad, _ in blocks]
     lam = max(radii)
-    basic = [comp for comp, rad in zip(comps, radii) if rad >= lam * (1.0 - 1e-8)]
-    basic_nodes = [v for comp in basic for v in comp]
+    top = [c for c, rad in enumerate(radii) if rad >= lam * (1.0 - 1e-8)]
+    reach = {c: _reachable(succ, [comps[c][0]]) for c in top}
+    right_seeds = [c for c in top if not any(e != c and comps[c][0] in reach[e] for e in top)]
+    left_seeds = [c for c in top if not any(e != c and comps[e][0] in reach[c] for e in top)]
 
-    left_support = _reachable(succ, basic_nodes)
-    pred = [[] for _ in succ]
-    for u, out in enumerate(succ):
-        for v in out:
-            pred[v].append(u)
-    right_support = _reachable(pred, basic_nodes)
-    return right_support, left_support
+    sinks_first = range(len(comps))
+    sources_first = range(len(comps) - 1, -1, -1)
+    right = np.zeros(len(a))
+    left = np.zeros(len(a))
+    for c in sorted(set(right_seeds) | set(left_seeds)):
+        comp = comps[c]
+        u = blocks[c][1]
+        _, v = _power_iteration((a[np.ix_(comp, comp)] + np.eye(len(comp))).T, tol, max_iter)
+        x = _class_solve(a, comps, sinks_first, lam, c, u, top)
+        y = _class_solve(a.T, comps, sources_first, lam, c, v, top)
+        scale = float(v @ u)
+        if c in right_seeds:
+            right += x * (y.sum() / scale)
+        if c in left_seeds:
+            left += y * (x.sum() / scale)
+    return lam, right, left
 
 
-def _component_radius(a, comp, tol, max_iter) -> float:
-    if len(comp) == 1 and a[comp[0], comp[0]] == 0.0:
-        return 0.0
-    sub = a[np.ix_(comp, comp)]
-    # the +I shift makes the submatrix primitive, so iteration always converges
-    lam, _ = _power_iteration(sub + np.eye(len(comp)), tol, max_iter)
-    return lam - 1.0
+def _class_solve(m, comps, order, lam, seed, vector, hold):
+    """Nonnegative solution of m z = lam z carrying `vector` on class `seed`.
+
+    Classes are visited in `order`, each after every class its rows read
+    from, so each unknown block solves (lam I - m_CC) z_C = m_C,rest z.
+    Classes in `hold` other than the seed stay zero, and so does every
+    class whose right-hand side is zero; every class actually solved has
+    radius below lam, so its system is nonsingular.
+    """
+    z = np.zeros(len(m))
+    for c in order:
+        comp = comps[c]
+        if c == seed:
+            z[comp] = vector
+        elif c not in hold:
+            rhs = m[comp] @ z
+            if rhs.any():
+                z[comp] = np.linalg.solve(lam * np.eye(len(comp)) - m[np.ix_(comp, comp)], rhs)
+    return z
 
 
 # ---------------------------------------------------------------------------

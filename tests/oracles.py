@@ -43,6 +43,8 @@ def char_poly(rows) -> list[Fraction]:
     d = len(rows)
     total = [Fraction(0)] * (d + 1)
     for perm in itertools.permutations(range(d)):
+        if any(perm[i] != i and not rows[i][perm[i]] for i in range(d)):
+            continue  # the term has a zero factor
         sign = _perm_sign(perm)
         prod = [Fraction(sign)]
         for i in range(d):
@@ -55,21 +57,61 @@ def char_poly(rows) -> list[Fraction]:
     return total
 
 
-def _eval_poly(coeffs: list[Fraction], x: float) -> float:
+def _eval_poly(coeffs: list[float], x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
-        acc = acc * x + float(c)
+        acc = acc * x + c
     return acc
 
 
-def largest_real_root(coeffs: list[Fraction]) -> float:
-    """Largest real root of a monic polynomial with a simple top root.
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a divided by b (ascending coefficients, b nonzero)."""
+    a = list(a)
+    while len(a) >= len(b):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
-    Scans down from the Cauchy bound for a sign change, then bisects.
-    Good enough for Perron roots of small 0/1 matrices.
+
+def _poly_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Exact quotient of a by a divisor b."""
+    a = list(a)
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = a[shift + len(b) - 1] / b[-1]
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+    return quot
+
+
+def square_free(coeffs: list[Fraction]) -> list[Fraction]:
+    """p / gcd(p, p'), made monic: the same roots, each of them simple."""
+    a = list(coeffs)
+    b = [k * c for k, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, _poly_rem(a, b)
+    out = _poly_div(coeffs, a)
+    return [c / out[-1] for c in out]
+
+
+def largest_real_root(coeffs: list[Fraction]) -> float:
+    """Largest real root of a monic polynomial.
+
+    Repeated roots are divided out first, so the top root is simple even
+    for a defective Perron eigenvalue (where the characteristic
+    polynomial may not change sign at its top root). Then scans down
+    from the Cauchy bound for a sign change and bisects. Good enough for
+    Perron roots of small 0/1 matrices.
     """
     assert coeffs[-1] == 1
-    bound = 1.0 + max(abs(float(c)) for c in coeffs[:-1])
+    coeffs = [float(c) for c in square_free(coeffs)]
+    bound = 1.0 + max(abs(c) for c in coeffs[:-1])
     hi = bound
     step = bound / 4096.0
     lo = hi - step
@@ -153,6 +195,16 @@ def naive_enumerate(rows, arity: int, depth: int):
             counts[labels[0]] += 1
             blocks.append(bytes(labels))
     return counts, sorted(blocks)
+
+
+def valid_matrices(d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Rows of every d x d 0/1 matrix with no zero row and no zero column."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=d * d):
+        rows = tuple(bits[d * i : d * i + d] for i in range(d))
+        if all(any(row) for row in rows) and all(any(col) for col in zip(*rows)):
+            out.append(rows)
+    return out
 
 
 def permute_rows(rows, perm):

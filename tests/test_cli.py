@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import math
+import time
 
 import pytest
 
@@ -58,6 +60,26 @@ def test_analyze_reducible_skips_verdicts(capsys):
     code, out, _ = run_cli(capsys, "analyze", "-m", "110,101,001")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_analyze_tied_classes_answer_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "-m", "11,01", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    spectral = json.loads(out)["spectral"]
+    assert spectral["radius"] == 1.0
+    assert spectral["right"] == [1.0, 0.0]
+    assert spectral["left"] == [0.0, 1.0]
+    assert math.isinf(spectral["ratio"])
+
+
+def test_analyze_depth_past_float_range(capsys):
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-n", "1100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n + 1 <= 1023" in err
 
 
 def test_analyze_bad_matrix(capsys):
@@ -164,6 +186,14 @@ def test_kary_defaults(capsys):
 def test_kary_fixed_depth(capsys):
     code, out, _ = run_cli(capsys, "kary", "-k", "2,3", "-n", "6")
     assert code == 0
+
+
+def test_kary_depth_past_float_range(capsys):
+    code, out, err = run_cli(capsys, "kary", "-n", "800")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "arity 3" in err and "n + 1 <= 646" in err
 
 
 def test_kary_bad_arity_list(capsys):

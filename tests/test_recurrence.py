@@ -47,6 +47,20 @@ def test_params_validation():
     assert TreeParams(3, 3).node_count(2) == 13
 
 
+def test_params_depth_limit_keeps_scale_finite():
+    # the entropy scale k^(n+1) is a float at the deepest accepted level
+    # and overflows one level deeper
+    for k, deepest in ((2, 1022), (3, 645), (5, 440)):
+        TreeParams(k, deepest)
+        float(k ** (deepest + 1))
+        with pytest.raises(OverflowError):
+            float(k ** (deepest + 2))
+        with pytest.raises(ValueError, match=f"n \\+ 1 <= {deepest + 1}"):
+            TreeParams(k, deepest + 1)
+    series = run(GOLDEN, TreeParams(2, 1022))
+    assert abs(series.final_h() - series.h[-2]) < 1e-12
+
+
 def test_count_vector_validation():
     with pytest.raises(ValueError):
         CountVector(0)
