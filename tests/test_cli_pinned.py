@@ -1,0 +1,85 @@
+"""Every subcommand's output pinned byte for byte.
+
+`data/cli_pinned.json` holds the exit code, stdout and stderr of each
+argv in COMMANDS: every subcommand in all three formats, plus the input
+errors that exit 2. Regenerate it from the package of commit 849a54f,
+the last one whose handlers rendered their own output:
+
+    mkdir old && git archive 849a54f src | tar -x -C old
+    PYTHONPATH=old/src python tests/test_cli_pinned.py > tests/data/cli_pinned.json
+
+Argparse usage errors are left out: their line wrapping follows the
+terminal width.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from treeshift.cli import main
+
+PINNED = Path(__file__).with_name("data") / "cli_pinned.json"
+FORMATS = ("table", "csv", "json")
+ALPHA_CF = "0,3" + ",1" * 30
+
+_PER_FORMAT = [
+    ["analyze", "-m", "11,10"],
+    ["analyze", "-m", "011,111,101"],
+    ["analyze", "-m", "110,101,001"],
+    ["analyze", "-m", "11,01"],
+    ["analyze", "-m", "0001,0001,0111,1100"],
+    ["analyze", "-m", "010,001,110"],
+    ["analyze", "-m", "011,111,101", "-n", "12", "--exact"],
+    ["analyze", "-m", "11,10", "-k", "3", "-n", "7"],
+    ["table"],
+    ["table", "-n", "10"],
+    ["golden"],
+    ["golden", "-n", "6"],
+    ["kary"],
+    ["kary", "-k", "3,2", "-n", "6"],
+    ["sturmian", "-n", "8", "--blocks", "4"],
+    ["sturmian", "-n", "10"],
+    ["sturmian", "-n", "7", "--blocks", "2"],  # 255 nodes: the longest label row shown whole
+    ["sturmian", "--mode", "random", "-n", "8", "--blocks", "4", "--seed", "1,2,3"],
+    ["sturmian", "-n", "6", "--blocks", "3", "--alpha-cf", ALPHA_CF],
+]
+
+_ERRORS = [
+    ["analyze", "-m", "1x,10"],
+    ["analyze", "-m", "11,10", "-n", "21", "--exact"],
+    ["golden", "-n", "3"],
+    ["kary", "-n", "800"],
+    ["sturmian", "--blocks", "-1"],
+    ["sturmian", "-n", "6", "--alpha-cf", "0,3,1,1"],
+]
+
+COMMANDS = [argv + ["--format", fmt] for argv in _PER_FORMAT for fmt in FORMATS] + _ERRORS
+
+
+def capture(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+# read at collection; run as a script, this module writes the file instead
+ENTRIES = [] if __name__ == "__main__" else json.loads(PINNED.read_text())
+
+
+def test_pinned_file_covers_the_command_set():
+    assert [entry["argv"] for entry in ENTRIES] == COMMANDS
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"]))
+def test_output_matches_pinned_bytes(entry):
+    assert capture(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    json.dump([capture(argv) for argv in COMMANDS], sys.stdout, indent=1)
+    sys.stdout.write("\n")
