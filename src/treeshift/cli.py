@@ -2,10 +2,12 @@
 
 Subcommands: analyze (one matrix), table (the embedded benchmark
 fixture), golden (golden mean specials), kary (entropy across arities),
-sturmian (tree labelings from a Sturmian word). Exit code 0 means all
-evaluated checks passed, 1 means some numeric check failed, 2 means the
-input was unusable. All output is deterministic for fixed flags and
-seeds; --out redirects the report to a file.
+sturmian (tree labelings from a Sturmian word). Each computes its result
+once and returns a Report holding the exit status and the table, CSV and
+JSON forms; `main` renders the one that --format asks for. Exit code 0
+means all evaluated checks passed, 1 means some numeric check failed, 2
+means the input was unusable. All output is deterministic for fixed
+flags and seeds; --out redirects the report to a file.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .matrix import ParseError, RowOrColumnZero, TransitionMatrix, parse_matrix
-from .oracle import enumerate_configs
+from .oracle import LabeledTree, enumerate_configs
 from .recurrence import (
     TreeParams,
     auto_depth,
@@ -31,9 +34,9 @@ from .recurrence import (
     supergolden_root,
 )
 from .reference import (
-    ORDER_SLACK,
     PLASTIC_MATRIX,
     compute_reference_table,
+    order_checks,
     plastic_report,
 )
 from .spectral import NoConvergence, analyze_matrix, upper_bound
@@ -58,6 +61,20 @@ LABEL_PREFIX = 255
 # prefactor b of p(n) ~ b c^(2^(n+2))
 GOLDEN_C = 1.28975
 GOLDEN_B = 0.6823278
+
+_LABEL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class Report(NamedTuple):
+    """One subcommand's result: its exit status and its three forms.
+
+    `json` is the payload dict; `csv` and `table` are lists of lines.
+    """
+
+    status: int
+    json: dict
+    csv: list[str]
+    table: list[str]
 
 
 def _f(x, places: int = 6) -> str:
@@ -95,67 +112,47 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # analyze
 
 
-def cmd_analyze(args) -> tuple[str, int]:
+def cmd_analyze(args) -> Report:
     M = _load_matrix(args.matrix)
     if args.exact and args.depth > EXACT_DEPTH_LIMIT:
         raise ValueError(f"exact mode is limited to depth {EXACT_DEPTH_LIMIT}")
-    params = TreeParams(args.arity, args.depth)
+    n = args.depth
+    params = TreeParams(args.arity, n)
     spectral = analyze_matrix(M)
     series = run(M, params)
     deviation = None
     if args.exact:
         deviation = log_deviation(run(M, params, mode="exact"), series)
     bound = upper_bound(spectral)
-    s_max = max(M.row_sums())
-    window = kary_bounds(s_max, args.arity)
+    window = kary_bounds(max(M.row_sums()), args.arity)
     h_tree = series.final_h_acc()
-
-    verdicts = []
-    if spectral.irreducible:
-        verdicts.append(
-            (
-                f"base_entropy <= tree_entropy + {ORDER_SLACK}",
-                spectral.sft_entropy <= h_tree + ORDER_SLACK,
-            )
-        )
-        if not math.isinf(bound):
-            verdicts.append(
-                (
-                    f"tree_entropy <= upper_bound + {ORDER_SLACK}",
-                    h_tree <= bound + ORDER_SLACK,
-                )
-            )
+    verdicts = order_checks(spectral, h_tree, bound) if spectral.irreducible else []
     status = 0 if all(ok for _, ok in verdicts) else 1
 
-    if args.format == "csv":
-        return series.to_csv(), status
-    if args.format == "json":
-        payload = {
-            "matrix": M.to_row_string(),
-            "arity": args.arity,
-            "depth": args.depth,
-            "spectral": {
-                "radius": spectral.spectral_radius,
-                "base_entropy": spectral.sft_entropy,
-                "left": list(spectral.left),
-                "right": list(spectral.right),
-                "ratio": spectral.ratio,
-                "irreducible": spectral.irreducible,
-                "primitive": spectral.primitive,
-                "period": spectral.period,
-                "row_sums": list(spectral.row_sums),
-            },
-            "upper_bound": bound,
-            "row_sum_window": list(window),
-            "tree_entropy": h_tree,
-            "exact_log_deviation": deviation,
-            "verdicts": [{"check": name, "ok": ok} for name, ok in verdicts],
-            "series": series.as_dict(),
-        }
-        return json.dumps(payload, indent=2) + "\n", status
-
-    n = args.depth
-    lines = [
+    payload = {
+        "matrix": M.to_row_string(),
+        "arity": args.arity,
+        "depth": n,
+        "spectral": {
+            "radius": spectral.spectral_radius,
+            "base_entropy": spectral.sft_entropy,
+            "left": list(spectral.left),
+            "right": list(spectral.right),
+            "ratio": spectral.ratio,
+            "irreducible": spectral.irreducible,
+            "primitive": spectral.primitive,
+            "period": spectral.period,
+            "row_sums": list(spectral.row_sums),
+        },
+        "upper_bound": bound,
+        "row_sum_window": list(window),
+        "tree_entropy": h_tree,
+        "exact_log_deviation": deviation,
+        "verdicts": [{"check": name, "ok": ok} for name, ok in verdicts],
+        "series": series.as_dict(),
+    }
+    csv = series.to_csv().splitlines()
+    head = [
         f"matrix {M.to_row_string()}  (d={M.d}, arity {args.arity}, depth {n})",
         f"irreducible {'yes' if spectral.irreducible else 'no'}"
         f"  primitive {'yes' if spectral.primitive else 'no'}"
@@ -169,118 +166,76 @@ def cmd_analyze(args) -> tuple[str, int]:
         f"  h({n}) {_f(series.h[-1])}  h2({n}) {_f(series.h2[-1])}",
     ]
     if deviation is not None:
-        lines.append(f"exact cross-check: max log deviation {deviation:.3e}")
-    for name, ok in verdicts:
-        lines.append(f"verdict {name}: {_verdict(ok)}")
-    lines.append("")
-    return "\n".join(lines) + "\n" + series.to_csv(), status
+        head.append(f"exact cross-check: max log deviation {deviation:.3e}")
+    head += [f"verdict {name}: {_verdict(ok)}" for name, ok in verdicts]
+    return Report(status, payload, csv, head + [""] + csv)
 
 
 # ---------------------------------------------------------------------------
 # table
 
 
-def cmd_table(args) -> tuple[str, int]:
+def cmd_table(args) -> Report:
     results = compute_reference_table(args.depth)
     plastic = plastic_report(args.depth)
     rows_ok = all(r.all_ok for r in results)
     status = 0 if rows_ok and plastic["all_ok"] else 1
 
-    if args.format == "json":
-        payload = {
-            "depth": args.depth,
-            "rows": [
-                {
-                    "name": r.row.name,
-                    "matrix": r.row.matrix,
-                    "base_entropy": {
-                        "computed": r.computed_sft,
-                        "published": r.row.sft_entropy,
-                        "ok": r.sft_ok,
-                    },
-                    "tree_entropy": {
-                        "computed": r.computed_tree,
-                        "published": r.row.tree_entropy,
-                        "ok": r.tree_ok,
-                    },
-                    "upper_bound": {
-                        "computed": r.computed_upper,
-                        "published": r.row.upper,
-                        "ok": r.upper_ok,
-                    },
-                    "order_ok": r.order_ok,
-                }
-                for r in results
-            ],
-            "plastic": plastic,
-            "all_ok": status == 0,
-        }
-        return json.dumps(payload, indent=2) + "\n", status
-
-    if args.format == "csv":
-        lines = [
-            "name,matrix,htop_computed,htop_published,htop_ok,"
-            "h_computed,h_published,h_ok,upper_computed,upper_published,"
-            "upper_ok,order_ok"
-        ]
-        for r in results:
-            lines.append(
-                ",".join(
-                    [
-                        r.row.name,
-                        f'"{r.row.matrix}"',
-                        _f(r.computed_sft),
-                        _f(r.row.sft_entropy, 3),
-                        str(r.sft_ok).lower(),
-                        _f(r.computed_tree),
-                        _f(r.row.tree_entropy, 3),
-                        str(r.tree_ok).lower(),
-                        _f(r.computed_upper),
-                        _f(r.row.upper, 3),
-                        str(r.upper_ok).lower(),
-                        str(r.order_ok).lower(),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n", status
-
+    payload = {"depth": args.depth, "rows": [], "plastic": plastic, "all_ok": status == 0}
+    csv = [
+        "name,matrix,htop_computed,htop_published,htop_ok,"
+        "h_computed,h_published,h_ok,upper_computed,upper_published,"
+        "upper_ok,order_ok"
+    ]
     head = (
         f"{'name':<6} {'matrix':<12} {'htop':>9} {'pub':>6} {'ok':<4}"
         f" {'h':>9} {'pub':>6} {'ok':<4} {'U':>9} {'pub':>6} {'ok':<4} order"
     )
-    lines = [f"benchmark table at depth {args.depth}", head]
+    table = [f"benchmark table at depth {args.depth}", head]
     for r in results:
-        lines.append(
-            f"{r.row.name:<6} {r.row.matrix:<12}"
-            f" {_f(r.computed_sft):>9} {_f(r.row.sft_entropy, 3):>6} {_verdict(r.sft_ok):<4}"
-            f" {_f(r.computed_tree):>9} {_f(r.row.tree_entropy, 3):>6} {_verdict(r.tree_ok):<4}"
-            f" {_f(r.computed_upper):>9} {_f(r.row.upper, 3):>6} {_verdict(r.upper_ok):<4}"
-            f" {_verdict(r.order_ok)}"
+        columns = (
+            ("base_entropy", r.computed_sft, r.row.sft_entropy, r.sft_ok),
+            ("tree_entropy", r.computed_tree, r.row.tree_entropy, r.tree_ok),
+            ("upper_bound", r.computed_upper, r.row.upper, r.upper_ok),
         )
-    lines.append("")
-    lines.append(f"worked example {PLASTIC_MATRIX}  (radius {_f(plastic['radius'])})")
+        payload["rows"].append(
+            {
+                "name": r.row.name,
+                "matrix": r.row.matrix,
+                **{key: {"computed": c, "published": p, "ok": ok} for key, c, p, ok in columns},
+                "order_ok": r.order_ok,
+            }
+        )
+        cells = [f"{_f(c)},{_f(p, 3)},{str(ok).lower()}" for _, c, p, ok in columns]
+        csv.append(f'{r.row.name},"{r.row.matrix}",{",".join(cells)},{str(r.order_ok).lower()}')
+        table.append(
+            f"{r.row.name:<6} {r.row.matrix:<12}"
+            + "".join(f" {_f(c):>9} {_f(p, 3):>6} {_verdict(ok):<4}" for _, c, p, ok in columns)
+            + f" {_verdict(r.order_ok)}"
+        )
+    table.append("")
+    table.append(f"worked example {PLASTIC_MATRIX}  (radius {_f(plastic['radius'])})")
     for name, check in plastic["checks"].items():
-        lines.append(
+        table.append(
             f"  {name:<13} computed {_f(check['computed']):>9}"
             f"  published {_f(check['published'], 4):>7}  {_verdict(check['ok'])}"
         )
-    lines.append(
+    table.append(
         "  eigenvectors  right "
         + "/".join(_f(x, 4) for x in plastic["right_eigenvector"])
         + "  left "
         + "/".join(_f(x, 4) for x in plastic["left_eigenvector"])
         + f"  {_verdict(plastic['eigenvectors_ok'])}"
     )
-    lines.append("")
-    lines.append(f"overall: {_verdict(status == 0)}")
-    return "\n".join(lines) + "\n", status
+    table += ["", f"overall: {_verdict(status == 0)}"]
+    return Report(status, payload, csv, table)
 
 
 # ---------------------------------------------------------------------------
 # golden
 
 
-def cmd_golden(args) -> tuple[str, int]:
+def cmd_golden(args) -> Report:
     n_max = args.depth
     if n_max < 4:
         raise ValueError("golden report needs depth at least 4")
@@ -324,38 +279,31 @@ def cmd_golden(args) -> tuple[str, int]:
     ]
     status = 0 if all(ok for _, ok in checks) else 1
 
-    if args.format == "json":
-        payload = {
-            "depth": n_max,
-            "p_prefix": [str(x) for x in p[: min(n_max, 8) + 1]],
-            "q": q,
-            "supergolden_root": root,
-            "q_gap_final": abs(q[-1] - root),
-            "h_acc": h_acc,
-            "h2": h2,
-            "b_estimate": b_est,
-            "a_prefix": [str(x) for x in a_seq[:5]],
-            "power_bounds": [
-                {
-                    "n": c.level,
-                    "exponent": c.exponent,
-                    "holds": c.holds,
-                    "log_margin": c.log_margin,
-                    "precision_bits": c.precision_bits,
-                }
-                for c in bound_checks
-            ],
-            "checks": [{"check": name, "ok": ok} for name, ok in checks],
-        }
-        return json.dumps(payload, indent=2) + "\n", status
-
-    if args.format == "csv":
-        lines = ["n,q,gap_to_root"]
-        for n in range(1, n_max + 1):
-            lines.append(f"{n},{q[n]!r},{abs(q[n] - root)!r}")
-        return "\n".join(lines) + "\n", status
-
-    lines = [
+    payload = {
+        "depth": n_max,
+        "p_prefix": [str(x) for x in p[: min(n_max, 8) + 1]],
+        "q": q,
+        "supergolden_root": root,
+        "q_gap_final": abs(q[-1] - root),
+        "h_acc": h_acc,
+        "h2": h2,
+        "b_estimate": b_est,
+        "a_prefix": [str(x) for x in a_seq[:5]],
+        "power_bounds": [
+            {
+                "n": c.level,
+                "exponent": c.exponent,
+                "holds": c.holds,
+                "log_margin": c.log_margin,
+                "precision_bits": c.precision_bits,
+            }
+            for c in bound_checks
+        ],
+        "checks": [{"check": name, "ok": ok} for name, ok in checks],
+    }
+    csv = ["n,q,gap_to_root"]
+    csv += [f"{n},{q[n]!r},{abs(q[n] - root)!r}" for n in range(1, n_max + 1)]
+    table = [
         f"golden mean tree shift (matrix {GOLDEN_MATRIX}), depth {n_max}",
         "p(0..4) = " + ", ".join(str(x) for x in p[:5]),
         "A(0..4) = " + ", ".join(str(x) for x in a_seq[:5]),
@@ -364,25 +312,23 @@ def cmd_golden(args) -> tuple[str, int]:
         "",
         "n,q,gap_to_root",
     ]
-    for n in range(1, n_max + 1):
-        lines.append(f"{n},{_f(q[n], 10)},{abs(q[n] - root):.3e}")
-    lines.append("")
+    table += [f"{n},{_f(q[n], 10)},{abs(q[n] - root):.3e}" for n in range(1, n_max + 1)]
+    table.append("")
     for c in bound_checks:
-        lines.append(
+        table.append(
             f"A({c.level}) >= gamma^{c.exponent}: {_verdict(c.holds)}"
             f"  (log margin {c.log_margin:.6f}, {c.precision_bits} bits)"
         )
-    lines.append("")
-    for name, ok in checks:
-        lines.append(f"check {name}: {_verdict(ok)}")
-    return "\n".join(lines) + "\n", status
+    table.append("")
+    table += [f"check {name}: {_verdict(ok)}" for name, ok in checks]
+    return Report(status, payload, csv, table)
 
 
 # ---------------------------------------------------------------------------
 # kary
 
 
-def cmd_kary(args) -> tuple[str, int]:
+def cmd_kary(args) -> Report:
     M = _load_matrix(args.matrix)
     ks = _parse_int_list(args.arity, "--arity")
     if any(k < 2 for k in ks):
@@ -411,27 +357,27 @@ def cmd_kary(args) -> tuple[str, int]:
     )
     status = 0 if all(r["in_bounds"] for r in rows) else 1
 
-    if args.format == "json":
-        payload = {
-            "matrix": M.to_row_string(),
-            "rows": rows,
-            "monotone_increasing": monotone,
-            "sandwich_ok": status == 0,
-        }
-        return json.dumps(payload, indent=2) + "\n", status
-
-    lines = ["k,n,h_acc,lower,upper,in_bounds"]
+    payload = {
+        "matrix": M.to_row_string(),
+        "rows": rows,
+        "monotone_increasing": monotone,
+        "sandwich_ok": status == 0,
+    }
+    csv = ["k,n,h_acc,lower,upper,in_bounds"]
     for r in rows:
-        lines.append(
+        csv.append(
             f"{r['arity']},{r['depth']},{_f(r['h_acc'])},{_f(r['lower'])},"
             f"{_f(r['upper'])},{str(r['in_bounds']).lower()}"
         )
-    if args.format == "csv":
-        return "\n".join(lines) + "\n", status
-    lines.insert(0, f"arity sweep for matrix {M.to_row_string()}")
-    lines.append(f"monotone increasing in k: {'yes' if monotone else 'no'}")
-    lines.append(f"sandwich verdict: {_verdict(status == 0)}")
-    return "\n".join(lines) + "\n", status
+    table = (
+        [f"arity sweep for matrix {M.to_row_string()}"]
+        + csv
+        + [
+            f"monotone increasing in k: {'yes' if monotone else 'no'}",
+            f"sandwich verdict: {_verdict(status == 0)}",
+        ]
+    )
+    return Report(status, payload, csv, table)
 
 
 # ---------------------------------------------------------------------------
@@ -445,58 +391,69 @@ def _sturmian_params(args) -> SturmianParams:
     return SturmianParams.fibonacci()
 
 
-def cmd_sturmian(args) -> tuple[str, int]:
+def _labels(tree: LabeledTree) -> str:
+    """The 0/1 labels of a binary-alphabet tree as one string."""
+    return tree.labels.translate(_LABEL_DIGITS).decode("ascii")
+
+
+def _shown(labels: str) -> str:
+    """The table form of a label string, cut after LABEL_PREFIX symbols."""
+    return labels if len(labels) <= LABEL_PREFIX else labels[:LABEL_PREFIX] + "..."
+
+
+def cmd_sturmian(args) -> Report:
     params = _sturmian_params(args)
     depth = args.depth
     if args.blocks < 0:
         raise ValueError("--blocks must be nonnegative")
     n_blocks = min(args.blocks, depth)
     word = mechanical_word(params, WORD_PREFIX)
+    common = {
+        "mode": args.mode,
+        "depth": depth,
+        "alpha": [params.alpha.numerator, params.alpha.denominator],
+        "alpha_error": float(params.alpha_error),
+        "word_prefix": word,
+    }
+    # no "(approximate)" tag: continued-fraction slopes never carry one
+    slope_and_word = [
+        f"slope {params.alpha.numerator}/{params.alpha.denominator}"
+        f"  error <= {float(params.alpha_error):.3e}",
+        f"word s(1..{WORD_PREFIX}) {word}",
+    ]
 
     if args.mode == "lex":
         tree = label_tree_lex(params, depth)
-        labels = "".join(str(b) for b in tree.labels)
+        labels = _labels(tree)
         left = left_edge_word(tree)
         minimal = minimal_sequence(params, depth + 1)
         edge_ok = left == minimal
         p_tau = tree_complexity(tree, n_blocks)
-        status = 0 if edge_ok else 1
-        if args.format == "json":
-            payload = {
-                "mode": "lex",
-                "depth": depth,
-                "alpha": [params.alpha.numerator, params.alpha.denominator],
-                "alpha_error": float(params.alpha_error),
-                "word_prefix": word,
-                "left_edge": left,
-                "minimal_prefix": minimal,
-                "left_edge_ok": edge_ok,
-                "labels": labels,
-                "p_tau": p_tau,
-            }
-            return json.dumps(payload, indent=2) + "\n", status
-        if args.format == "csv":
-            lines = ["n,p_tau"] + [f"{n},{c}" for n, c in enumerate(p_tau)]
-            return "\n".join(lines) + "\n", status
-        shown = labels if len(labels) <= LABEL_PREFIX else labels[:LABEL_PREFIX] + "..."
-        lines = [
-            f"sturmian labeling, mode lex, depth {depth} ({tree.size} nodes)",
-            f"slope {params.alpha.numerator}/{params.alpha.denominator}"
-            f"  error <= {float(params.alpha_error):.3e}"
-            f"{'  (approximate)' if params.approximate else ''}",
-            f"word s(1..{WORD_PREFIX}) {word}",
-            f"left edge = minimal sequence prefix: {_verdict(edge_ok)}  ({left})",
-            f"labels {shown}",
-            "n,p_tau",
-        ]
-        lines += [f"{n},{c}" for n, c in enumerate(p_tau)]
-        return "\n".join(lines) + "\n", status
+        payload = {
+            **common,
+            "left_edge": left,
+            "minimal_prefix": minimal,
+            "left_edge_ok": edge_ok,
+            "labels": labels,
+            "p_tau": p_tau,
+        }
+        csv = ["n,p_tau"] + [f"{n},{c}" for n, c in enumerate(p_tau)]
+        table = (
+            [f"sturmian labeling, mode lex, depth {depth} ({tree.size} nodes)"]
+            + slope_and_word
+            + [
+                f"left edge = minimal sequence prefix: {_verdict(edge_ok)}  ({left})",
+                f"labels {_shown(labels)}",
+            ]
+            + csv
+        )
+        return Report(0 if edge_ok else 1, payload, csv, table)
 
     seeds = _parse_int_list(args.seed, "--seed")
     per_seed = []
     for seed in seeds:
         tree = label_tree_random(params, depth, seed)
-        per_seed.append((seed, tree_complexity(tree, n_blocks), tree))
+        per_seed.append((seed, tree_complexity(tree, n_blocks), _labels(tree)))
     summary = []
     for n in range(n_blocks + 1):
         values = [pt[n] for _, pt, _ in per_seed]
@@ -508,47 +465,28 @@ def cmd_sturmian(args) -> tuple[str, int]:
                 "max": max(values),
             }
         )
-    if args.format == "json":
-        payload = {
-            "mode": "random",
-            "depth": depth,
-            "alpha": [params.alpha.numerator, params.alpha.denominator],
-            "alpha_error": float(params.alpha_error),
-            "word_prefix": word,
-            "seeds": [
-                {
-                    "seed": seed,
-                    "p_tau": p_tau,
-                    "labels": "".join(str(b) for b in tree.labels),
-                }
-                for seed, p_tau, tree in per_seed
-            ],
-            "summary": summary,
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    if args.format == "csv":
-        lines = ["seed," + ",".join(f"p_tau_{n}" for n in range(n_blocks + 1))]
-        for seed, p_tau, _ in per_seed:
-            lines.append(f"{seed}," + ",".join(str(c) for c in p_tau))
-        return "\n".join(lines) + "\n", 0
-    lines = [
-        f"sturmian labeling, mode random, depth {depth}, seeds "
-        + ",".join(str(s) for s, _, _ in per_seed),
-        f"slope {params.alpha.numerator}/{params.alpha.denominator}"
-        f"  error <= {float(params.alpha_error):.3e}",
-        f"word s(1..{WORD_PREFIX}) {word}",
-        "seed," + ",".join(f"p_tau_{n}" for n in range(n_blocks + 1)),
-    ]
-    for seed, p_tau, _ in per_seed:
-        lines.append(f"{seed}," + ",".join(str(c) for c in p_tau))
-    for seed, _, tree in per_seed:
-        labels = "".join(str(b) for b in tree.labels)
-        shown = labels if len(labels) <= LABEL_PREFIX else labels[:LABEL_PREFIX] + "..."
-        lines.append(f"labels[{seed}] {shown}")
-    lines.append("n,mean,min,max")
-    for row in summary:
-        lines.append(f"{row['n']},{row['mean']:.2f},{row['min']},{row['max']}")
-    return "\n".join(lines) + "\n", 0
+    payload = {
+        **common,
+        "seeds": [
+            {"seed": seed, "p_tau": p_tau, "labels": labels}
+            for seed, p_tau, labels in per_seed
+        ],
+        "summary": summary,
+    }
+    csv = ["seed," + ",".join(f"p_tau_{n}" for n in range(n_blocks + 1))]
+    csv += [f"{seed}," + ",".join(str(c) for c in p_tau) for seed, p_tau, _ in per_seed]
+    table = (
+        [
+            f"sturmian labeling, mode random, depth {depth}, seeds "
+            + ",".join(str(s) for s in seeds)
+        ]
+        + slope_and_word
+        + csv
+        + [f"labels[{seed}] {_shown(labels)}" for seed, _, labels in per_seed]
+        + ["n,mean,min,max"]
+        + [f"{r['n']},{r['mean']:.2f},{r['min']},{r['max']}" for r in summary]
+    )
+    return Report(0, payload, csv, table)
 
 
 # ---------------------------------------------------------------------------
@@ -560,47 +498,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treeshift",
         description="Entropy of tree shifts of finite type.",
     )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the report to a file instead of stdout")
+    output.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix_help = "row string, JSON, or @file"
 
-    def add_common(p, matrix_default=None):
-        if matrix_default is None:
-            p.add_argument("-m", "--matrix", required=True, help="row string, JSON, or @file")
-        else:
-            p.add_argument("-m", "--matrix", default=matrix_default, help="row string, JSON, or @file")
-        p.add_argument("--out", help="write the report to a file instead of stdout")
-        p.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table"
-        )
-
-    p = sub.add_parser("analyze", help="spectral data and entropy series of one matrix")
-    add_common(p)
+    p = sub.add_parser(
+        "analyze", parents=[output], help="spectral data and entropy series of one matrix"
+    )
+    p.add_argument("-m", "--matrix", required=True, help=matrix_help)
     p.add_argument("-k", "--arity", type=int, default=2)
     p.add_argument("-n", "--depth", type=int, default=15)
     p.add_argument("--exact", action="store_true", help="cross-validate with exact integers")
 
-    p = sub.add_parser("table", help="computed vs published benchmark table")
+    p = sub.add_parser("table", parents=[output], help="computed vs published benchmark table")
     p.add_argument("-n", "--depth", type=int, default=15)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
-    p = sub.add_parser("golden", help="golden mean recurrences and bounds")
+    p = sub.add_parser("golden", parents=[output], help="golden mean recurrences and bounds")
     p.add_argument("-n", "--depth", type=int, default=15)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
-    p = sub.add_parser("kary", help="entropy estimates across arities")
-    add_common(p, matrix_default=GOLDEN_MATRIX)
+    p = sub.add_parser("kary", parents=[output], help="entropy estimates across arities")
+    p.add_argument("-m", "--matrix", default=GOLDEN_MATRIX, help=matrix_help)
     p.add_argument("-k", "--arity", default="2,3,4,5", help="comma-separated arities")
     p.add_argument("-n", "--depth", type=int, default=None, help="fixed depth (default: auto per arity)")
 
-    p = sub.add_parser("sturmian", help="Sturmian tree labelings and their complexity")
+    p = sub.add_parser(
+        "sturmian", parents=[output], help="Sturmian tree labelings and their complexity"
+    )
     p.add_argument("--mode", choices=("lex", "random"), default="lex")
     p.add_argument("-n", "--depth", type=int, default=15)
     p.add_argument("--seed", default="0", help="comma-separated seeds (random mode)")
     p.add_argument("--alpha-cf", help="continued-fraction terms of the slope, e.g. 0,2,1,1,1")
     p.add_argument("--blocks", type=int, default=6, help="largest block depth for p_tau")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     return parser
 
@@ -621,7 +551,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text, status = HANDLERS[args.command](args)
+        report = HANDLERS[args.command](args)
     except (
         ParseError,
         RowOrColumnZero,
@@ -633,11 +563,15 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        text = json.dumps(report.json, indent=2) + "\n"
+    else:
+        text = "\n".join(getattr(report, args.format)) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return status
+    return report.status
 
 
 if __name__ == "__main__":

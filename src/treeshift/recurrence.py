@@ -43,6 +43,7 @@ from typing import Sequence
 import mpmath
 
 from .matrix import TransitionMatrix
+from .oracle import node_count
 
 PRECISION_ENV = "TREESHIFT_PRECISION"
 
@@ -72,8 +73,7 @@ class TreeParams:
 
     def node_count(self, n: int) -> int:
         """Nodes in the depth-n initial subtree."""
-        k = self.arity
-        return (k ** (n + 1) - 1) // (k - 1)
+        return node_count(self.arity, n)
 
 
 def _max_scale_exponent(arity: int) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .matrix import TransitionMatrix, parse_matrix
 from .recurrence import TreeParams, run
-from .spectral import analyze_matrix, upper_bound
+from .spectral import SpectralData, analyze_matrix, upper_bound
 
 SFT_TOL = 0.002
 TREE_TOL = 0.005
@@ -100,16 +100,34 @@ def _close(computed: float, published: float, tol: float) -> bool:
     return abs(computed - published) <= tol
 
 
+def order_checks(
+    spectral: SpectralData, h_tree: float, bound: float
+) -> list[tuple[str, bool]]:
+    """Named checks of base entropy <= tree entropy <= upper bound.
+
+    Each side may overshoot by ORDER_SLACK; the upper check is left out
+    when the bound is infinite.
+    """
+    checks = [
+        (
+            f"base_entropy <= tree_entropy + {ORDER_SLACK}",
+            spectral.sft_entropy <= h_tree + ORDER_SLACK,
+        )
+    ]
+    if not math.isinf(bound):
+        checks.append(
+            (f"tree_entropy <= upper_bound + {ORDER_SLACK}", h_tree <= bound + ORDER_SLACK)
+        )
+    return checks
+
+
 def evaluate_row(row: ReferenceRow, n_max: int = 15) -> ReferenceResult:
     M = row.parse()
     spectral = analyze_matrix(M)
     series = run(M, TreeParams(2, n_max))
     h_tree = series.final_h_acc()
     bound = upper_bound(spectral)
-    order_ok = (
-        spectral.sft_entropy <= h_tree + ORDER_SLACK
-        and (math.isinf(bound) or h_tree <= bound + ORDER_SLACK)
-    )
+    order_ok = all(ok for _, ok in order_checks(spectral, h_tree, bound))
     return ReferenceResult(
         row,
         spectral.sft_entropy,

@@ -112,13 +112,22 @@ def test_matrix_file_missing(capsys, tmp_path):
     assert err != ""
 
 
-def test_out_writes_file(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "-m", GOLDEN, "-n", "4"),
+        ("table",),
+        ("golden",),
+        ("kary", "-k", "2,3", "-n", "6"),
+        ("sturmian", "-n", "6", "--blocks", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_writes_file(capsys, tmp_path, argv):
     target = tmp_path / "report.csv"
-    code, out, _ = run_cli(
-        capsys, "analyze", "-m", GOLDEN, "-n", "4", "--format", "csv", "--out", str(target)
-    )
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--out", str(target))
     assert code == 0
-    code2, direct, _ = run_cli(capsys, "analyze", "-m", GOLDEN, "-n", "4", "--format", "csv")
+    code2, direct, _ = run_cli(capsys, *argv, "--format", "csv")
     assert target.read_text() == direct
 
 
