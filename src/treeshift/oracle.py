@@ -15,10 +15,19 @@ emit each block exactly once. Materialization is refused above
 MATERIALIZE_CAP nodes; the counting mode runs the same composition as a
 per-symbol dynamic program over exact integers and has no cap.
 
-The census supports two checks of the counting algebra. The extension
-identity says the number of depth-(n+1) blocks equals, summed over
-depth-n blocks, the product over leaf symbols a of t_a^k with t_a the
-row sum, since each leaf extends independently. The submultiplicative
+blocks_in_tree takes the census of a labeled tree by hash-consing
+(Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
+by level, every root whose block fits gets the id of the tuple of its
+label and its children's previous ids, interned in a running table, so
+equal ids mean equal blocks. The work per level is one pass over the
+roots in numpy chunks, whatever the block depth, and each distinct
+block is rebuilt once from one root that carries it.
+
+The materialized census supports two checks of the counting algebra.
+The extension identity says the number of depth-(n+1) blocks equals,
+summed over depth-n blocks, the product over leaf symbols a of t_a^k
+with t_a the row sum, since each leaf extends independently. The
+submultiplicative
 inequalities bound p(m+n) by p(m) p(n)^(k^m) (cut at level m) and, for
 m dividing the total depth, by the telescoped power of p(m).
 """
@@ -29,9 +38,19 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .matrix import TransitionMatrix
 
 MATERIALIZE_CAP = 40
+# The census interns roots in chunks of this many, each deduplicated by
+# one small np.unique and merged into a running key -> id dict. One
+# np.unique over a whole level's int64 keys would allocate the keys,
+# their sort order and the inverse at once, tens of bytes per root and
+# several times the tree itself; 4096-root chunks keep those transients
+# at a few hundred kilobytes.
+CENSUS_CHUNK = 4096
+_KEY_LIMIT = 2**63 - 1  # interned keys are int64
 
 
 class TooLarge(ValueError):
@@ -189,22 +208,86 @@ def _count_blocks(succ, counts, arity: int):
 
 
 def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
-    """Census of the depth-n blocks visible inside a labeled tree."""
+    """Census of the depth-n blocks visible inside a labeled tree.
+
+    Subtrees are interned level by level: id_0(v) is the label of v and
+    id_j(v) the id of (label[v], id_{j-1} of the k children of v), over
+    the roots whose depth-j block fits in the tree. Equal ids mean equal
+    blocks, so the count is the number of distinct id_n, and each
+    distinct block is rebuilt once from a root that carries it.
+    """
     if n > tree.depth:
         raise DepthExceeded(f"block depth {n} exceeds tree depth {tree.depth}")
     if n < 0:
         raise ValueError("block depth must be nonnegative")
     k = tree.arity
-    seen = set()
-    for root in range(node_count(k, tree.depth - n)):
-        level = [root]
-        window = bytearray([tree.labels[root]])
-        for _ in range(n):
-            level = [c for v in level for c in range(k * v + 1, k * v + k + 1)]
-            window.extend(tree.labels[v] for v in level)
-        seen.add(bytes(window))
-    alphabet = max(tree.labels) + 1
-    return BlockCensus(k, n, alphabet, tuple(sorted(seen)))
+    labels = np.frombuffer(tree.labels, dtype=np.uint8)
+    alphabet = int(labels.max()) + 1
+    # the roots of the distinct depth-0 blocks: one node per symbol used
+    reps = [v for v in map(tree.labels.find, range(alphabet)) if v >= 0]
+    ids, width = labels, alphabet
+    for j in range(1, n + 1):
+        ids, width, reps = _intern_level(
+            labels, ids, width, alphabet, k, node_count(k, tree.depth - j)
+        )
+    blocks = sorted(_block_at(tree, v, n) for v in reps)
+    return BlockCensus(k, n, alphabet, tuple(blocks))
+
+
+def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: int):
+    """id_j of the first `roots` nodes from id_{j-1}, which takes `width` values.
+
+    Returns the ids in the smallest unsigned dtype that holds them, the
+    number of distinct ids, and one root per id. Each root's key packs
+    its label and its children's ids into one int64; where the whole
+    key would not fit, the children are folded in one at a time, and
+    the partial key is interned before the next child joins it.
+    """
+    out = np.empty(roots, dtype=np.min_scalar_type(min(roots, alphabet * width**k) - 1))
+    tables = [{} for _ in range(k + 1)]  # one per partial fold, the last for id_j
+    reps: list[int] = []
+    for lo in range(0, roots, CENSUS_CHUNK):
+        hi = min(lo + CENSUS_CHUNK, roots)
+        kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
+        key = labels[lo:hi].astype(np.int64)
+        span = alphabet  # key < span
+        for c in range(k):
+            if span * width > _KEY_LIMIT:
+                key = _intern(tables[c], key)
+                span = roots
+            key = key * width + kids[:, c]
+            span *= width
+        out[lo:hi] = _intern(tables[k], key, reps, lo)
+    return out, len(tables[k]), reps
+
+
+def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
+    """Ids of `keys` in the running table, adding the keys it lacks.
+
+    New ids are numbered in order of arrival; the first position of each
+    new key, plus `offset`, is appended to `reps`.
+    """
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    known = len(table)
+    ids = np.fromiter(
+        (table.setdefault(u, len(table)) for u in uniq.tolist()), np.int64, len(uniq)
+    )
+    if reps is not None:
+        reps.extend((first[ids >= known] + offset).tolist())
+    return ids[inverse]
+
+
+def _block_at(tree: LabeledTree, v: int, n: int) -> bytes:
+    """The depth-n block rooted at v, one contiguous slice per level.
+
+    The descendants of v at relative level j are the k^j nodes from
+    k^j v + node_count(k, j - 1) on.
+    """
+    k = tree.arity
+    return b"".join(
+        tree.labels[k**j * v + node_count(k, j - 1) : k**j * v + node_count(k, j)]
+        for j in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,31 @@ spells a non-right-special factor both children copy the unique
 successor. At a right-special node the two successors are split across
 the children: the lexicographic variant puts 0 left and 1 right, the
 random variant flips a seeded fair coin per such node in breadth-first
-order. Every root-to-node path is a factor by construction. Levels are
-processed through small per-level factor-id tables, so trees up to the
-depth cap stay cheap even though they have millions of nodes.
+order. Every root-to-node path is a factor by construction.
+
+A level is labeled in one step: Python walks only the level's path
+words (at most level + 2, so at most 26) to tabulate, for each word and
+swap bit, the children's symbols and words; numpy then gathers those
+rows for every node of the level by its uint8 word id, into one
+preallocated label buffer. The random variant draws the m coins of a
+level with one getrandbits(32 m), which equals m single-bit draws; the
+lexicographic variant is the same step with no swaps.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .oracle import LabeledTree, blocks_in_tree
+import numpy as np
 
+from .oracle import LabeledTree, blocks_in_tree, level_bounds, node_count
+
+# Labeling peaks near 2.75 bytes per node (the label buffer, its bytes
+# copy, one level of uint8 gathers) and keeps 1: 5.6 MiB at depth 20,
+# 88 MiB at depth 24 (33.5M nodes). A census of the tree adds under one
+# byte per node on top, 24 MiB at depth 24 for blocks of depth 4.
 MAX_TREE_DEPTH = 24
 MIN_HARVEST_WINDOW = 1000
 
@@ -212,7 +223,7 @@ def build_factor_oracle(params: SturmianParams, max_len: int | None = None) -> F
 
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
     """Label the binary tree, splitting right-special nodes as 0 left, 1 right."""
-    return _fill_tree(params, depth, chooser=None)
+    return _fill_tree(params, depth, coins=_no_swaps)
 
 
 def label_tree_random(params: SturmianParams, depth: int, seed: int = 0) -> LabeledTree:
@@ -223,54 +234,75 @@ def label_tree_random(params: SturmianParams, depth: int, seed: int = 0) -> Labe
     same seed always reproduces the same tree.
     """
     rng = random.Random(seed)
-    return _fill_tree(params, depth, chooser=lambda: rng.getrandbits(1))
+    return _fill_tree(params, depth, coins=lambda m: _coin_bits(rng, m))
 
 
-def _fill_tree(params: SturmianParams, depth: int, chooser) -> LabeledTree:
+def _no_swaps(m: int) -> np.ndarray:
+    return np.zeros(m, dtype=np.uint8)
+
+
+def _coin_bits(rng: random.Random, m: int) -> np.ndarray:
+    """The bits of m successive rng.getrandbits(1) calls, drawn at once.
+
+    getrandbits(1) is the top bit of one 32-bit output of the generator,
+    and getrandbits(32 * m) packs m successive outputs, the first in the
+    least significant word. So the top bit of each little-endian word
+    repeats the m single draws and leaves the generator in the same state.
+    """
+    words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+    return (words >> 31).astype(np.uint8)
+
+
+def _fill_tree(params: SturmianParams, depth: int, coins) -> LabeledTree:
+    """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_TREE_DEPTH:
         raise ValueError(f"depth {depth} is above the cap of {MAX_TREE_DEPTH}")
     oracle = build_factor_oracle(params, max(depth, params.max_len, 1))
     root = minimal_sequence(params, 1)
-    labels = bytearray([int(root)])
+    labels = np.empty(node_count(2, depth), dtype=np.uint8)
+    labels[0] = int(root)
     words = [root]
-    ids = array("i", [0])
+    ids = np.zeros(1, dtype=np.uint8)  # path-word id of every node of the level
     for level in range(depth):
-        last = level == depth - 1
-        next_words: list[str] = []
-        next_index: dict[str, int] = {}
-        moves = {}
-        for f, w in enumerate(words):
-            succ = oracle.successors(w)
-            pair = []
-            for c in succ:
-                target = -1
-                if not last:
-                    key = w + c
-                    target = next_index.get(key)
-                    if target is None:
-                        target = next_index[key] = len(next_words)
-                        next_words.append(key)
-                pair.append((int(c), target))
-            moves[f] = pair
-        next_ids = array("i") if last else array("i", [0]) * (2 * len(ids))
-        for v, f in enumerate(ids):
-            pair = moves[f]
-            if len(pair) == 1:
-                left = right = pair[0]
-            elif chooser is not None and chooser():
-                right, left = pair
-            else:
-                left, right = pair
-            labels.append(left[0])
-            labels.append(right[0])
-            if not last:
-                next_ids[2 * v] = left[1]
-                next_ids[2 * v + 1] = right[1]
-        words = next_words
-        ids = next_ids
-    return LabeledTree(2, depth, bytes(labels))
+        special, moves, words = _factor_table(oracle, words)
+        left_symbol, left_word, right_symbol, right_word = moves
+        # state 2f + s: path word f, children swapped when s = 1
+        state = ids << 1
+        split = special[ids]
+        state[split] |= coins(int(np.count_nonzero(split)))
+        lo, hi = level_bounds(2, level + 1)
+        children = labels[lo:hi].reshape(-1, 2)
+        children[:, 0] = left_symbol[state]
+        children[:, 1] = right_symbol[state]
+        if level + 1 < depth:
+            ids = np.empty_like(children)
+            ids[:, 0] = left_word[state]
+            ids[:, 1] = right_word[state]
+            ids = ids.reshape(-1)
+    return LabeledTree(2, depth, labels.tobytes())
+
+
+def _factor_table(oracle: FactorOracle, words: list[str]):
+    """Where each path word of a level leads, and the words one level down.
+
+    Returns a right-special flag per word, and per state 2f + s the left
+    child's symbol and word id, then the right child's, as four uint8
+    rows; s = 1 swaps the two successors of a right-special word.
+    """
+    next_index: dict[str, int] = {}
+    special = []
+    moves = []
+    for w in words:
+        pairs = [
+            (int(c), next_index.setdefault(w + c, len(next_index)))
+            for c in oracle.successors(w)
+        ]
+        special.append(len(pairs) == 2)
+        moves.append(pairs[0] + pairs[-1])
+        moves.append(pairs[-1] + pairs[0])
+    return np.array(special), np.array(moves, dtype=np.uint8).T.copy(), list(next_index)
 
 
 def path_words(tree: LabeledTree, level: int) -> list[str]:
@@ -299,5 +331,5 @@ def left_edge_word(tree: LabeledTree) -> str:
 
 
 def tree_complexity(tree: LabeledTree, n_max: int) -> list[int]:
-    """p(n) of the tree for n = 0 .. n_max via exhaustive block collection."""
+    """p(n) of the tree for n = 0 .. n_max, one interned census per n."""
     return [blocks_in_tree(tree, n).count for n in range(n_max + 1)]

@@ -3,8 +3,8 @@
 Everything here is implemented from first principles, deliberately
 avoiding the code paths under test: characteristic polynomials are
 expanded exactly over the rationals, block counts come from filtering
-the full product space, and the Fibonacci word comes from its
-substitution rule.
+the full product space, tree censuses from one window per root, and the
+Fibonacci word comes from its substitution rule.
 """
 
 from __future__ import annotations
@@ -169,6 +169,23 @@ def exceeds_golden_power(value: int, m: int) -> bool:
 
 def node_count(arity: int, depth: int) -> int:
     return (arity ** (depth + 1) - 1) // (arity - 1)
+
+
+def window_census(labels: bytes, arity: int, depth: int, n: int):
+    """Distinct depth-n blocks of a breadth-first labeling, sorted, and its alphabet size.
+
+    One window per root: each root's block is read level by level from
+    explicit child lists, so the cost is nodes times block size.
+    """
+    seen = set()
+    for root in range(node_count(arity, depth - n)):
+        level = [root]
+        window = bytearray([labels[root]])
+        for _ in range(n):
+            level = [c for v in level for c in range(arity * v + 1, arity * v + arity + 1)]
+            window.extend(labels[v] for v in level)
+        seen.add(bytes(window))
+    return sorted(seen), max(labels) + 1
 
 
 def naive_enumerate(rows, arity: int, depth: int):

@@ -1,0 +1,77 @@
+"""Property tests of the interned block census against one window per root.
+
+`oracles.window_census` reads every root's block from explicit child
+lists; `blocks_in_tree` must return the same blocks, count and alphabet
+size for every block depth, whether the tree shares most of its
+subtrees or none of them.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import node_count, window_census
+from treeshift import oracle
+from treeshift.oracle import LabeledTree, blocks_in_tree
+
+
+@st.composite
+def labeled_trees(draw):
+    arity = draw(st.sampled_from((2, 3)))
+    depth = draw(st.integers(0, 6))
+    alphabet = draw(st.integers(1, 4))
+    size = node_count(arity, depth)
+    if draw(st.booleans()):
+        # independent labels: at arity 3 and block depth 2 or more,
+        # nearly every block is distinct
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        labels = [rng.randrange(alphabet) for _ in range(size)]
+    else:
+        # a short period along the breadth-first order: heavy sharing
+        period = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=5))
+        labels = [period[v % len(period)] for v in range(size)]
+    return LabeledTree.from_labels(arity, depth, labels)
+
+
+def assert_census_matches(tree: LabeledTree, n: int) -> None:
+    census = blocks_in_tree(tree, n)
+    blocks, alphabet = window_census(tree.labels, tree.arity, tree.depth, n)
+    assert (census.arity, census.depth) == (tree.arity, n)
+    assert census.blocks == tuple(blocks)
+    assert census.count == len(blocks)
+    assert census.alphabet_size == alphabet
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(labeled_trees())
+def test_census_matches_window_reference(tree):
+    for n in range(tree.depth + 1):
+        assert_census_matches(tree, n)
+
+
+@pytest.mark.parametrize("arity, depth", [(2, 6), (3, 6)])
+def test_census_of_trees_with_all_blocks_distinct(arity, depth):
+    rng = random.Random(arity)
+    tree = LabeledTree.from_labels(
+        arity, depth, [rng.randrange(4) for _ in range(node_count(arity, depth))]
+    )
+    distinct = 0
+    for n in range(depth + 1):
+        assert_census_matches(tree, n)
+        distinct += blocks_in_tree(tree, n).count == node_count(arity, depth - n)
+    assert distinct >= 3  # every root carries its own block at these depths
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_census_folding_one_child_at_a_time(arity, monkeypatch):
+    # with no room in a key, every child is folded into an interned
+    # partial key, the path that keys too wide for int64 take
+    monkeypatch.setattr(oracle, "_KEY_LIMIT", 1)
+    rng = random.Random(7)
+    for depth in range(5):
+        labels = [rng.randrange(3) for _ in range(node_count(arity, depth))]
+        tree = LabeledTree.from_labels(arity, depth, labels)
+        for n in range(depth + 1):
+            assert_census_matches(tree, n)
