@@ -61,6 +61,12 @@ LABEL_PREFIX = 255
 # prefactor b of p(n) ~ b c^(2^(n+2))
 GOLDEN_C = 1.28975
 GOLDEN_B = 0.6823278
+# The h_acc(n) and exp(-a(n)) estimates converge geometrically, so each
+# meets its fixed tolerance from some depth on; shallower reports show
+# its check as n/a and leave it out of the exit status.
+H_ACC_DEPTH = 5  # h_acc within 0.001 of 0.509
+H_ACC_LOG_C_DEPTH = 6  # h_acc within 0.0005 of 2 log c
+B_ESTIMATE_DEPTH = 13  # exp(-a(n)) within 0.0005 of b
 
 _LABEL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -263,21 +269,28 @@ def cmd_golden(args) -> Report:
         (q[n] - q[n - 1]) * (q[n + 1] - q[n]) < 0 for n in range(3, n_max)
     )
 
+    # (name, ok, first depth at which the check is evaluated)
     checks = [
-        ("scalar/vector exact agreement", vector_ok),
-        ("oracle agreement n <= 3", oracle_ok),
-        ("q alternation", alternation_ok),
-        ("h_acc within 0.001 of 0.509", abs(h_acc - 0.509) <= 1e-3),
+        ("scalar/vector exact agreement", vector_ok, 0),
+        ("oracle agreement n <= 3", oracle_ok, 0),
+        ("q alternation", alternation_ok, 0),
+        ("h_acc within 0.001 of 0.509", abs(h_acc - 0.509) <= 1e-3, H_ACC_DEPTH),
         (
             "h_acc within 0.0005 of 2 log c",
             abs(h_acc - 2 * math.log(GOLDEN_C)) <= 5e-4,
+            H_ACC_LOG_C_DEPTH,
         ),
-        ("h2 within 0.01 of log 2", abs(h2 - math.log(2)) <= 1e-2),
-        ("b estimate within 0.0005 of published", abs(b_est - GOLDEN_B) <= 5e-4),
-        ("A prefix 1,4,25,1681,5317636", a_seq[:5] == [1, 4, 25, 1681, 5317636]),
-        ("power bounds hold", all(c.holds for c in bound_checks)),
+        ("h2 within 0.01 of log 2", abs(h2 - math.log(2)) <= 1e-2, 0),
+        (
+            "b estimate within 0.0005 of published",
+            abs(b_est - GOLDEN_B) <= 5e-4,
+            B_ESTIMATE_DEPTH,
+        ),
+        ("A prefix 1,4,25,1681,5317636", a_seq[:5] == [1, 4, 25, 1681, 5317636], 0),
+        ("power bounds hold", all(c.holds for c in bound_checks), 0),
     ]
-    status = 0 if all(ok for _, ok in checks) else 1
+    checks = [(name, ok if n_max >= first else None, first) for name, ok, first in checks]
+    status = 1 if any(ok is False for _, ok, _ in checks) else 0
 
     payload = {
         "depth": n_max,
@@ -299,7 +312,7 @@ def cmd_golden(args) -> Report:
             }
             for c in bound_checks
         ],
-        "checks": [{"check": name, "ok": ok} for name, ok in checks],
+        "checks": [{"check": name, "ok": ok} for name, ok, _ in checks],
     }
     csv = ["n,q,gap_to_root"]
     csv += [f"{n},{q[n]!r},{abs(q[n] - root)!r}" for n in range(1, n_max + 1)]
@@ -320,7 +333,10 @@ def cmd_golden(args) -> Report:
             f"  (log margin {c.log_margin:.6f}, {c.precision_bits} bits)"
         )
     table.append("")
-    table += [f"check {name}: {_verdict(ok)}" for name, ok in checks]
+    table += [
+        f"check {name}: {_verdict(ok) if ok is not None else f'n/a (depth < {first})'}"
+        for name, ok, first in checks
+    ]
     return Report(status, payload, csv, table)
 
 

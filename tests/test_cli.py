@@ -175,6 +175,24 @@ def test_golden_all_checks_pass(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("depth", range(4, 13))
+def test_golden_shallow_depths_exit_zero(capsys, depth):
+    # exp(-a(n)) first comes within 0.0005 of b at depth 13
+    code, out, _ = run_cli(capsys, "golden", "-n", str(depth), "--format", "json")
+    assert code == 0
+    checks = {c["check"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert checks["b estimate within 0.0005 of published"] is None
+    assert False not in checks.values()
+
+
+def test_golden_b_estimate_evaluated_from_depth_13(capsys):
+    code, out, _ = run_cli(capsys, "golden", "-n", "13")
+    assert code == 0
+    assert "check b estimate within 0.0005 of published: pass" in out
+    code, out, _ = run_cli(capsys, "golden", "-n", "12")
+    assert "check b estimate within 0.0005 of published: n/a (depth < 13)" in out
+
+
 def test_golden_depth_floor(capsys):
     code, _, err = run_cli(capsys, "golden", "-n", "3")
     assert code == 2
