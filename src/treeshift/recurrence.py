@@ -52,6 +52,10 @@ class EmptySuccessorSet(ValueError):
     """A row with no successors reached the stepper (normally impossible)."""
 
 
+class LogOverflow(ValueError):
+    """A log-domain count left the float range below the depth limit."""
+
+
 @dataclass(frozen=True)
 class TreeParams:
     """Arity of the tree and the deepest level to compute."""
@@ -266,6 +270,10 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
     for _ in range(params.n_max):
         x = step(x, M, k)
         _append_level(series, x, k)
+        if not math.isfinite(series.p_log[-1]):
+            raise LogOverflow(
+                f"log p({x.level}) overflows a float; use a depth below {x.level}"
+            )
     return series
 
 

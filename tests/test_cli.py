@@ -82,6 +82,16 @@ def test_analyze_depth_past_float_range(capsys):
     assert "n + 1 <= 1023" in err
 
 
+def test_analyze_log_count_overflow_refused(capsys):
+    # below the scale limit, log p(n) itself reaches inf at level 1022
+    ones = ",".join(["11111111"] * 8)
+    code, out, err = run_cli(capsys, "analyze", "-m", ones, "-n", "1022", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "log p(1022)" in err
+
+
 def test_analyze_bad_matrix(capsys):
     code, _, err = run_cli(capsys, "analyze", "-m", "1x,10")
     assert code == 2

@@ -11,6 +11,7 @@ from treeshift.matrix import parse_matrix
 from treeshift.recurrence import (
     CountVector,
     EmptySuccessorSet,
+    LogOverflow,
     TreeParams,
     accelerated_entropy,
     auto_depth,
@@ -59,6 +60,15 @@ def test_params_depth_limit_keeps_scale_finite():
             TreeParams(k, deepest + 1)
     series = run(GOLDEN, TreeParams(2, 1022))
     assert abs(series.final_h() - series.h[-2]) < 1e-12
+
+
+def test_log_domain_overflow_names_the_first_level():
+    # 8 symbols, all transitions: log p(n) = 2^(n+1) log 8, inf at n = 1022
+    ones = parse_matrix(",".join(["11111111"] * 8))
+    series = run(ones, TreeParams(2, 1021))
+    assert math.isfinite(series.p_log[-1])
+    with pytest.raises(LogOverflow, match=r"log p\(1022\)"):
+        run(ones, TreeParams(2, 1022))
 
 
 def test_count_vector_validation():
