@@ -13,6 +13,7 @@ flags and seeds; --out redirects the report to a file.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -67,8 +68,6 @@ GOLDEN_B = 0.6823278
 H_ACC_DEPTH = 5  # h_acc within 0.001 of 0.509
 H_ACC_LOG_C_DEPTH = 6  # h_acc within 0.0005 of 2 log c
 B_ESTIMATE_DEPTH = 13  # exp(-a(n)) within 0.0005 of b
-
-_LABEL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Report(NamedTuple):
@@ -409,7 +408,7 @@ def _sturmian_params(args) -> SturmianParams:
 
 def _labels(tree: LabeledTree) -> str:
     """The 0/1 labels of a binary-alphabet tree as one string."""
-    return tree.labels.translate(_LABEL_DIGITS).decode("ascii")
+    return codecs.charmap_decode(tree.labels, "strict", "01")[0]
 
 
 def _shown(labels: str) -> str:
