@@ -63,7 +63,7 @@ def test_params_depth_limit_keeps_scale_finite():
 
 
 def test_log_domain_overflow_names_the_first_level():
-    # 8 symbols, all transitions: log p(n) = 2^(n+1) log 8, inf at n = 1022
+    # 8 symbols, all transitions: log p(n) = (2^(n+1) - 1) log 8, inf at n = 1022
     ones = parse_matrix(",".join(["11111111"] * 8))
     series = run(ones, TreeParams(2, 1021))
     assert math.isfinite(series.p_log[-1])
