@@ -2,10 +2,10 @@
 
 `data/cli_pinned.json` holds the exit code, stdout and stderr of each
 argv in COMMANDS: every subcommand in all three formats, plus the input
-errors that exit 2. Regenerate it from the package of commit 849a54f,
-the last one whose handlers rendered their own output:
+errors that exit 2. A change that must keep every output regenerates it
+from the package of its parent commit, here called PARENT:
 
-    mkdir old && git archive 849a54f src | tar -x -C old
+    mkdir old && git archive PARENT src | tar -x -C old
     PYTHONPATH=old/src python tests/test_cli_pinned.py > tests/data/cli_pinned.json
 
 Argparse usage errors are left out: their line wrapping follows the
@@ -39,6 +39,7 @@ _PER_FORMAT = [
     ["table", "-n", "10"],
     ["golden"],
     ["golden", "-n", "6"],
+    ["golden", "-n", "22"],
     ["kary"],
     ["kary", "-k", "3,2", "-n", "6"],
     ["sturmian", "-n", "8", "--blocks", "4"],
