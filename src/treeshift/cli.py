@@ -27,7 +27,7 @@ from .recurrence import (
     auto_depth,
     golden_counts,
     golden_power_bounds,
-    golden_ratios,
+    golden_q,
     golden_zero_rooted_counts,
     kary_bounds,
     log_deviation,
@@ -244,14 +244,16 @@ def cmd_golden(args) -> Report:
     n_max = args.depth
     if n_max < 4:
         raise ValueError("golden report needs depth at least 4")
-    p = golden_counts(n_max)
-    q = golden_ratios(p)
-    root = supergolden_root()
-    a_seq = golden_zero_rooted_counts(n_max)
-    bound_checks = golden_power_bounds(a_seq[: min(n_max, 10) + 1])
-
     M = parse_matrix(GOLDEN_MATRIX)
+    series = run(M, TreeParams(2, n_max))
+    q = golden_q(n_max).values
+    root = supergolden_root()
+    # Big integers only up to the exact cross-check depth; every printed
+    # prefix and the power bounds (n <= 10) lie inside it.
     exact_depth = min(n_max, 15)
+    p = golden_counts(exact_depth)
+    a_seq = golden_zero_rooted_counts(exact_depth)
+    bound_checks = golden_power_bounds(a_seq[: min(n_max, 10) + 1])
     exact = run(M, TreeParams(2, exact_depth), mode="exact")
     vector_ok = all(
         sum(exact.exact[n]) == p[n] and exact.exact[n][0] == a_seq[n]
@@ -260,7 +262,6 @@ def cmd_golden(args) -> Report:
     oracle_ok = all(
         enumerate_configs(M, 2, n).total == p[n] for n in range(4)
     )
-    series = run(M, TreeParams(2, n_max))
     h_acc = series.final_h_acc()
     h2 = series.h2[-1]
     b_est = math.exp(-series.a[-1])

@@ -28,7 +28,10 @@ doubly exponential growth rate itself. All logarithms are natural.
 The module also carries the scalar specials of the golden mean shift
 (adjacent 1s forbidden), whose totals and 0-rooted counts close into
 one-dimensional recurrences, and the sandwich bounds for the k-ary
-entropy of a shift with maximum row sum s.
+entropy of a shift with maximum row sum s. The golden q ratios
+q(n) = p(n)/p(n-1)^2 come from their own exact map q(n+1) = 1 + 1/q(n)^2,
+run on certified fixed-point intervals, so they need no big integers at
+any depth.
 """
 
 from __future__ import annotations
@@ -357,16 +360,72 @@ def golden_counts(n_max: int) -> list[int]:
     return p
 
 
-def golden_ratios(p: Sequence[int]) -> list[float | None]:
-    """q(n) = p(n)/p(n-1)^2, the per-level multiplicative correction.
+class UncertifiedFloat(ValueError):
+    """The two ends of a certified interval round to different floats."""
 
-    Computed from the exact integers (big-int division rounds
-    correctly); q(0) is undefined and held as None.
+
+@dataclass(frozen=True)
+class GoldenQ:
+    """The golden mean q ratios q(n) = p(n)/p(n-1)^2 for n <= n_max.
+
+    For n >= 1, lo[n] <= q(n) * 2**bits <= hi[n], and values[n] is the
+    float that both ends of that interval round to. Index 0 holds None,
+    since q(0) is undefined.
     """
-    out: list[float | None] = [None]
-    for n in range(1, len(p)):
-        out.append(p[n] / p[n - 1] ** 2)
-    return out
+
+    bits: int
+    lo: list[int | None]
+    hi: list[int | None]
+    values: list[float | None]
+
+    def step_sign(self, n: int) -> int:
+        """Sign of q(n) - q(n-1), or 0 when the two intervals overlap."""
+        if self.lo[n] > self.hi[n - 1]:
+            return 1
+        if self.hi[n] < self.lo[n - 1]:
+            return -1
+        return 0
+
+
+def golden_q(n_max: int) -> GoldenQ:
+    """q(n) from the exact map q(1) = 5/4, q(n+1) = 1 + 1/q(n)^2.
+
+    The map follows from p(n+1) = p(n)^2 + p(n-1)^4 and runs on integer
+    intervals with 256 + n_max fractional bits. It is decreasing, so
+    each new lower end comes from the old upper end, rounded down, and
+    each new upper end from the old lower end, rounded up. Near its
+    fixed point the map contracts by about 0.64 per level, which keeps
+    every interval a few units of 2^-bits wide. The gap between
+    consecutive q shrinks by the same factor, about 0.66 bits per level,
+    so the extra n_max bits keep consecutive intervals apart at every
+    depth. Each q(n) is rounded once by int/int division, which rounds
+    correctly; UncertifiedFloat is raised if the two ends round apart.
+    """
+    return _golden_q(n_max, 256 + n_max)
+
+
+def _golden_q(n_max: int, bits: int) -> GoldenQ:
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    one = 1 << bits
+    cube = one << 2 * bits
+    lo = hi = 5 << (bits - 2)
+    los: list[int | None] = [None, lo]
+    his: list[int | None] = [None, hi]
+    for _ in range(n_max - 1):
+        lo, hi = one + cube // (hi * hi), one - (-cube // (lo * lo))
+        los.append(lo)
+        his.append(hi)
+    values: list[float | None] = [None]
+    for n in range(1, n_max + 1):
+        values.append(_certified(los[n] / one, his[n] / one, f"q({n})"))
+    return GoldenQ(bits, los, his, values)
+
+
+def _certified(lo: float, hi: float, what: str) -> float:
+    if lo != hi:
+        raise UncertifiedFloat(f"{what} is not certified to one float")
+    return lo
 
 
 def supergolden_root() -> float:

@@ -3,8 +3,9 @@
 Everything here is implemented from first principles, deliberately
 avoiding the code paths under test: characteristic polynomials are
 expanded exactly over the rationals, block counts come from filtering
-the full product space, tree censuses from one window per root, and the
-Fibonacci word comes from its substitution rule.
+the full product space, tree censuses from one window per root, golden
+mean q ratios from big-integer division, and the Fibonacci word comes
+from its substitution rule.
 """
 
 from __future__ import annotations
@@ -165,6 +166,15 @@ def exceeds_golden_power(value: int, m: int) -> bool:
     if lhs < 0:
         return False
     return lhs * lhs >= 5 * f * f
+
+
+def golden_ratios(p: list[int]) -> list[float | None]:
+    """q(n) = p(n)/p(n-1)^2 from exact golden mean totals; q(0) is None.
+
+    Big-integer true division rounds correctly, so each q(n) is the
+    float nearest the exact ratio.
+    """
+    return [None] + [p[n] / p[n - 1] ** 2 for n in range(1, len(p))]
 
 
 def node_count(arity: int, depth: int) -> int:

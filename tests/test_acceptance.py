@@ -15,6 +15,7 @@ import math
 import time
 from fractions import Fraction
 
+from oracles import golden_ratios
 from treeshift.matrix import parse_matrix
 from treeshift.oracle import (
     check_subadditivity,
@@ -26,7 +27,6 @@ from treeshift.recurrence import (
     auto_depth,
     golden_counts,
     golden_power_bounds,
-    golden_ratios,
     golden_zero_rooted_counts,
     kary_bounds,
     log_deviation,

@@ -203,6 +203,32 @@ def test_golden_b_estimate_evaluated_from_depth_13(capsys):
     assert "check b estimate within 0.0005 of published: n/a (depth < 13)" in out
 
 
+def test_golden_builds_big_integers_only_to_depth_15(capsys, monkeypatch):
+    import treeshift.cli as cli
+
+    depths = []
+    real_run = cli.run
+
+    def spy(fn):
+        def counted(n_max):
+            depths.append(n_max)
+            return fn(n_max)
+
+        return counted
+
+    def exact_spy(M, params, mode="logdomain"):
+        if mode == "exact":
+            depths.append(params.n_max)
+        return real_run(M, params, mode)
+
+    monkeypatch.setattr(cli, "golden_counts", spy(cli.golden_counts))
+    monkeypatch.setattr(cli, "golden_zero_rooted_counts", spy(cli.golden_zero_rooted_counts))
+    monkeypatch.setattr(cli, "run", exact_spy)
+    code, _, _ = run_cli(capsys, "golden", "-n", "22")
+    assert code == 0
+    assert depths == [15, 15, 15]
+
+
 def test_golden_depth_floor(capsys):
     code, _, err = run_cli(capsys, "golden", "-n", "3")
     assert code == 2

@@ -2,22 +2,25 @@
 
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from oracles import exceeds_golden_power
+from oracles import exceeds_golden_power, golden_ratios
 from treeshift.matrix import parse_matrix
 from treeshift.recurrence import (
     CountVector,
     EmptySuccessorSet,
     LogOverflow,
     TreeParams,
+    UncertifiedFloat,
+    _golden_q,
     accelerated_entropy,
     auto_depth,
     golden_counts,
     golden_power_bounds,
-    golden_ratios,
+    golden_q,
     golden_zero_rooted_counts,
     kary_bounds,
     level_entropy,
@@ -263,6 +266,27 @@ def test_golden_ratio_sequence():
     for n in range(2, 15):
         assert (q[n] - q[n - 1]) * (q[n + 1] - q[n]) < 0.0
     assert abs(q[15] - root) < abs(q[5] - root)
+
+
+def test_golden_q_matches_big_integer_ratios():
+    assert golden_q(18).values == golden_ratios(golden_counts(18))
+
+
+def test_golden_q_intervals_contain_exact_ratios():
+    p = golden_counts(12)
+    q = golden_q(12)
+    scale = 1 << q.bits
+    for n in range(1, 13):
+        exact = Fraction(p[n], p[n - 1] ** 2)
+        assert Fraction(q.lo[n], scale) <= exact <= Fraction(q.hi[n], scale), n
+
+
+def test_golden_q_refuses_an_uncertified_float():
+    # at 40 fractional bits the interval of q(2) = 1.64 straddles two floats
+    with pytest.raises(UncertifiedFloat, match=r"q\(2\)"):
+        _golden_q(30, 40)
+    with pytest.raises(ValueError):
+        golden_q(0)
 
 
 def test_supergolden_root_residual():
