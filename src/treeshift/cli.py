@@ -246,7 +246,8 @@ def cmd_golden(args) -> Report:
         raise ValueError("golden report needs depth at least 4")
     M = parse_matrix(GOLDEN_MATRIX)
     series = run(M, TreeParams(2, n_max))
-    q = golden_q(n_max).values
+    golden = golden_q(n_max)
+    q = golden.values
     root = supergolden_root()
     # Big integers only up to the exact cross-check depth; every printed
     # prefix and the power bounds (n <= 10) lie inside it.
@@ -264,7 +265,9 @@ def cmd_golden(args) -> Report:
     )
     h_acc = series.final_h_acc()
     h2 = series.h2[-1]
-    b_est = math.exp(-series.a[-1])
+    # b estimate exp(-a(n)) with a(n) = log q(n) exactly; taken from the
+    # certified q, since the log-domain a(n) cancels catastrophically
+    b_est = golden.reciprocal(n_max)
     alternation_ok = all(
         (q[n] - q[n - 1]) * (q[n + 1] - q[n]) < 0 for n in range(3, n_max)
     )

@@ -386,6 +386,11 @@ class GoldenQ:
             return -1
         return 0
 
+    def reciprocal(self, n: int) -> float:
+        """1/q(n), rounded correctly from the same interval."""
+        one = 1 << self.bits
+        return _certified(one / self.hi[n], one / self.lo[n], f"1/q({n})")
+
 
 def golden_q(n_max: int) -> GoldenQ:
     """q(n) from the exact map q(1) = 5/4, q(n+1) = 1 + 1/q(n)^2.

@@ -281,6 +281,13 @@ def test_golden_q_intervals_contain_exact_ratios():
         assert Fraction(q.lo[n], scale) <= exact <= Fraction(q.hi[n], scale), n
 
 
+def test_golden_q_reciprocal_rounds_correctly():
+    p = golden_counts(15)
+    q = golden_q(15)
+    for n in range(1, 16):
+        assert q.reciprocal(n) == float(Fraction(p[n - 1] ** 2, p[n])), n
+
+
 def test_golden_q_refuses_an_uncertified_float():
     # at 40 fractional bits the interval of q(2) = 1.64 straddles two floats
     with pytest.raises(UncertifiedFloat, match=r"q\(2\)"):
