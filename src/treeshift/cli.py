@@ -268,8 +268,10 @@ def cmd_golden(args) -> Report:
     # b estimate exp(-a(n)) with a(n) = log q(n) exactly; taken from the
     # certified q, since the log-domain a(n) cancels catastrophically
     b_est = golden.reciprocal(n_max)
+    # signs read from the certified intervals: past n ~ 75 the float q
+    # stop moving, but the intervals stay disjoint
     alternation_ok = all(
-        (q[n] - q[n - 1]) * (q[n + 1] - q[n]) < 0 for n in range(3, n_max)
+        golden.step_sign(n) * golden.step_sign(n + 1) < 0 for n in range(3, n_max)
     )
 
     # (name, ok, first depth at which the check is evaluated)

@@ -203,6 +203,25 @@ def test_golden_b_estimate_evaluated_from_depth_13(capsys):
     assert "check b estimate within 0.0005 of published: n/a (depth < 13)" in out
 
 
+@pytest.mark.parametrize("depth", [22, 50, 100, 1022])
+def test_golden_deep_depths_pass_quickly(capsys, depth):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "golden", "-n", str(depth), "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert all(c["ok"] is True for c in payload["checks"])
+    assert len(payload["q"]) == depth + 1
+    assert elapsed < 1.0, f"golden -n {depth} took {elapsed:.2f}s"
+
+
+def test_golden_depth_past_the_float_scale_is_refused(capsys):
+    code, out, err = run_cli(capsys, "golden", "-n", "1023")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_golden_builds_big_integers_only_to_depth_15(capsys, monkeypatch):
     import treeshift.cli as cli
 
