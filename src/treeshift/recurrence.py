@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,8 +46,6 @@ import mpmath
 
 from .matrix import TransitionMatrix
 from .oracle import node_count
-
-PRECISION_ENV = "TREESHIFT_PRECISION"
 
 
 class EmptySuccessorSet(ValueError):
@@ -475,16 +472,13 @@ def golden_power_bounds(a_seq: Sequence[int], precision_bits: int | None = None)
 
     The comparison runs in mpmath with at least 2^(n+1) bits (plus a
     guard), enough that A(n) is represented exactly and the rounding of
-    the gamma power cannot flip the verdict. The TREESHIFT_PRECISION
-    environment variable or the precision_bits argument overrides the
-    bit count (argument wins).
+    the gamma power cannot flip the verdict. The precision_bits argument
+    overrides the bit count.
     """
-    env = os.environ.get(PRECISION_ENV)
-    override = precision_bits if precision_bits is not None else (int(env) if env else None)
     checks = []
     for n in range(4, len(a_seq)):
         exponent = 2 ** (n + 1) - 1
-        bits = override if override is not None else 2 ** (n + 1)
+        bits = precision_bits if precision_bits is not None else 2 ** (n + 1)
         bits = max(bits, 64) + 64
         with mpmath.workprec(bits):
             gamma = (1 + mpmath.sqrt(5)) / 2

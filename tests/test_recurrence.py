@@ -317,16 +317,13 @@ def test_golden_power_bounds_verified_exactly():
     assert margins == sorted(margins)
 
 
-def test_precision_override_argument_and_env(monkeypatch):
+def test_precision_override_argument():
     a = golden_zero_rooted_counts(5)
     default = golden_power_bounds(a)
     assert default[0].precision_bits == max(2**5, 64) + 64
-    monkeypatch.setenv("TREESHIFT_PRECISION", "256")
-    via_env = golden_power_bounds(a)
-    assert all(c.precision_bits == 256 + 64 for c in via_env)
     via_arg = golden_power_bounds(a, precision_bits=512)
     assert all(c.precision_bits == 512 + 64 for c in via_arg)
-    assert all(c.holds for c in via_env + via_arg)
+    assert all(c.holds for c in via_arg)
 
 
 # ---------------------------------------------------------------------------
