@@ -411,7 +411,7 @@ def _golden_q(n_max: int, bits: int) -> GoldenQ:
         raise ValueError("n_max must be at least 1")
     one = 1 << bits
     cube = one << 2 * bits
-    lo = hi = 5 << (bits - 2)
+    lo = hi = 5 << (bits - 2)  # q(1) = 5/4 exactly
     los: list[int | None] = [None, lo]
     his: list[int | None] = [None, hi]
     for _ in range(n_max - 1):
