@@ -243,7 +243,7 @@ def test_golden_builds_big_integers_only_to_depth_15(capsys, monkeypatch):
     monkeypatch.setattr(cli, "golden_counts", spy(cli.golden_counts))
     monkeypatch.setattr(cli, "golden_zero_rooted_counts", spy(cli.golden_zero_rooted_counts))
     monkeypatch.setattr(cli, "run", exact_spy)
-    code, _, _ = run_cli(capsys, "golden", "-n", "22")
+    code, _, _ = run_cli(capsys, "golden", "-n", "1022")
     assert code == 0
     assert depths == [15, 15, 15]
 
