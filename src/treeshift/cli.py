@@ -436,7 +436,6 @@ def cmd_sturmian(args) -> Report:
         "alpha_error": float(params.alpha_error),
         "word_prefix": word,
     }
-    # no "(approximate)" tag: continued-fraction slopes never carry one
     slope_and_word = [
         f"slope {params.alpha.numerator}/{params.alpha.denominator}"
         f"  error <= {float(params.alpha_error):.3e}",

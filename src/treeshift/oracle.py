@@ -35,7 +35,6 @@ m dividing the total depth, by the telescoped power of p(m).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,14 +137,6 @@ class BlockCensus:
         for b in block[lo:hi]:
             counts[b] += 1
         return tuple(counts)
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.depth,
-            "count": self.count,
-            "blocks": ["".join(str(b) for b in blk) for blk in self.blocks],
-        }
-        return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ any depth.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -46,10 +45,6 @@ import mpmath
 
 from .matrix import TransitionMatrix
 from .oracle import node_count
-
-
-class EmptySuccessorSet(ValueError):
-    """A row with no successors reached the stepper (normally impossible)."""
 
 
 class LogOverflow(ValueError):
@@ -91,76 +86,16 @@ def _max_scale_exponent(arity: int) -> int:
             e -= 1
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Per-root-symbol counts at one level, exact or in logs."""
-
-    level: int
-    exact: tuple[int, ...] | None = None
-    logs: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if (self.exact is None) == (self.logs is None):
-            raise ValueError("exactly one of exact and logs must be set")
-
-    @classmethod
-    def initial(cls, d: int, mode: str = "logdomain") -> "CountVector":
-        if mode == "exact":
-            return cls(0, exact=(1,) * d)
-        if mode == "logdomain":
-            return cls(0, logs=(0.0,) * d)
-        raise ValueError(f"unknown mode {mode!r}")
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.exact is not None else "logdomain"
-
-    @property
-    def dimension(self) -> int:
-        vec = self.exact if self.exact is not None else self.logs
-        return len(vec)
-
-    def log_values(self) -> tuple[float, ...]:
-        if self.logs is not None:
-            return self.logs
-        return tuple(math.log(x) for x in self.exact)
-
-
 def _logsumexp(values) -> float:
     top = max(values)
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-def step(x: CountVector, M: TransitionMatrix, arity: int = 2) -> CountVector:
-    """Advance the counts one level deeper."""
-    succ = M.successor_table()
-    if x.dimension != len(succ):
-        raise ValueError("count vector dimension does not match the matrix")
-    for i, s in enumerate(succ):
-        if not s:
-            raise EmptySuccessorSet(f"row {i + 1} admits no successor")
-    if x.exact is not None:
-        nxt = tuple(sum(x.exact[j] for j in s) ** arity for s in succ)
-        return CountVector(x.level + 1, exact=nxt)
-    nxt = tuple(arity * _logsumexp([x.logs[j] for j in s]) for s in succ)
-    return CountVector(x.level + 1, logs=nxt)
-
-
-def power_scaled(p_log: float, n: int, arity: int) -> float:
-    """log p(n) scaled by the pure power k^(n+1)."""
-    return p_log * (arity - 1) / arity ** (n + 1)
-
-
-def node_scaled(p_log: float, n: int, arity: int) -> float:
-    """log p(n) divided by the node count of the depth-n subtree."""
-    return p_log * (arity - 1) / (arity ** (n + 1) - 1)
-
-
 def level_entropy(p_log: float, n: int, arity: int) -> float:
-    """The h(n) convention: power scaling for arity 2, node count above."""
-    if arity == 2:
-        return power_scaled(p_log, n, arity)
-    return node_scaled(p_log, n, arity)
+    """The h(n) convention: log p(n) (k-1)/k^(n+1) for arity 2, and log p(n)
+    over the node count (k^(n+1) - 1)/(k-1) above."""
+    scale = arity ** (n + 1) if arity == 2 else arity ** (n + 1) - 1
+    return p_log * (arity - 1) / scale
 
 
 def accelerated_entropy(p_log: float, a: float, n: int, arity: int) -> float:
@@ -241,19 +176,23 @@ class EntropySeries:
             else [[str(x) for x in row] for row in self.exact],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
-
 
 def _csv_float(x) -> str:
     return "" if x is None else format(x, ".12g")
 
 
 def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logdomain") -> EntropySeries:
-    """Iterate the recurrence from the all-ones start and collect the series."""
+    """Iterate the recurrence from the all-ones start and collect the series.
+
+    In exact mode each level is a tuple of the big integers x_i(n), in
+    log mode a tuple of the floats y_i(n) = log x_i(n).
+    """
+    if mode not in ("exact", "logdomain"):
+        raise ValueError(f"unknown mode {mode!r}")
     params = params or TreeParams()
     k = params.arity
-    x = CountVector.initial(M.d, mode)
+    exact = mode == "exact"
+    succ = M.successor_table()
     series = EntropySeries(
         arity=k,
         mode=mode,
@@ -264,27 +203,30 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
         h_acc=[],
         h2=[],
         symbol_logs=[],
-        exact=[] if mode == "exact" else None,
+        exact=[] if exact else None,
     )
-    _append_level(series, x, k)
-    for _ in range(params.n_max):
-        x = step(x, M, k)
-        _append_level(series, x, k)
+    x = (1,) * M.d if exact else (0.0,) * M.d
+    _append_level(series, x)
+    for n in range(1, params.n_max + 1):
+        if exact:
+            x = tuple(sum(x[j] for j in s) ** k for s in succ)
+        else:
+            x = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
+        _append_level(series, x)
         if not math.isfinite(series.p_log[-1]):
-            raise LogOverflow(
-                f"log p({x.level}) overflows a float; use a depth below {x.level}"
-            )
+            raise LogOverflow(f"log p({n}) overflows a float; use a depth below {n}")
     return series
 
 
-def _append_level(series: EntropySeries, x: CountVector, k: int) -> None:
-    n = x.level
-    logs = x.log_values()
-    if x.exact is not None:
-        p_log = math.log(sum(x.exact))
-        series.exact.append(x.exact)
+def _append_level(series: EntropySeries, x: tuple) -> None:
+    n, k = len(series.p_log), series.arity
+    if series.exact is not None:
+        logs = tuple(math.log(v) for v in x)
+        p_log = math.log(sum(x))
+        series.exact.append(x)
     else:
-        p_log = _logsumexp(logs)
+        logs = x
+        p_log = _logsumexp(x)
     series.symbol_logs.append(logs)
     series.p_log.append(p_log)
     series.h.append(level_entropy(p_log, n, k))

@@ -55,18 +55,13 @@ class NoConvergence(RuntimeError):
         self.residual = residual
 
 
-class UndefinedForReducible(ValueError):
-    """The requested quantity needs Parry weights, hence irreducibility."""
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Spectral summary of one transition matrix.
 
     `left` is normalized to sum 1 and `right` to maximum entry 1.
     `ratio` is max(right)/min(right), +inf when some right entry is 0
-    (possible only for reducible matrices). `max_entropy_weights` holds
-    the Parry weights v_i r_i / (v . r), None when reducible.
+    (possible only for reducible matrices).
     """
 
     spectral_radius: float
@@ -74,7 +69,6 @@ class SpectralData:
     left: tuple[float, ...]
     right: tuple[float, ...]
     ratio: float
-    max_entropy_weights: tuple[float, ...] | None
     irreducible: bool
     primitive: bool
     period: int
@@ -104,18 +98,12 @@ def analyze_matrix(M: TransitionMatrix, tol: float = 1e-12, max_iter: int = 10**
     rmin = right.min()
     ratio = math.inf if rmin == 0.0 else float(right.max() / rmin)
 
-    weights = None
-    if irreducible:
-        w = left * right
-        weights = tuple(float(x) for x in w / w.sum())
-
     return SpectralData(
         spectral_radius=float(lam),
         sft_entropy=math.log(lam),
         left=tuple(float(x) for x in left),
         right=tuple(float(x) for x in right),
         ratio=ratio,
-        max_entropy_weights=weights,
         irreducible=irreducible,
         primitive=irreducible and period == 1,
         period=period,
@@ -148,17 +136,6 @@ def certified_radius_lower(M: TransitionMatrix, tol: float = 1e-12, max_iter: in
     top = max(range(len(comps)), key=lambda c: blocks[c][0])
     w = {i: Fraction(float(v)) for i, v in zip(comps[top], blocks[top][1])}
     return min(sum(w[j] for j in succ[i] if j in w) / w[i] for i in comps[top])
-
-
-def row_sum_heuristic(S: SpectralData) -> float:
-    """Parry-weighted average of the log row sums.
-
-    A plausibility estimate only; no inequality against the tree
-    entropy is claimed for it anywhere in this package.
-    """
-    if S.max_entropy_weights is None:
-        raise UndefinedForReducible("max-entropy weights need an irreducible matrix")
-    return sum(w * math.log(t) for w, t in zip(S.max_entropy_weights, S.row_sums))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class SturmianParams:
     alpha_error: Fraction
     rho: Fraction = Fraction(0)
     max_len: int = 30
-    approximate: bool = False
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -97,16 +96,6 @@ class SturmianParams:
             q_prev, q_cur = q_cur, a * q_cur + q_prev
         alpha = Fraction(p_cur, q_cur)
         return cls(alpha, Fraction(1, q_cur * q_cur), rho, max_len)
-
-    @classmethod
-    def from_decimal(
-        cls, text: str, rho: Fraction = Fraction(0), max_len: int = 30
-    ) -> "SturmianParams":
-        """Decimal slope, trusted to half its last printed place."""
-        alpha = Fraction(text)
-        places = len(text.partition(".")[2])
-        error = Fraction(1, 2 * 10**places)
-        return cls(alpha, error, rho, max_len, approximate=True)
 
     @classmethod
     def fibonacci(cls, max_len: int = 30) -> "SturmianParams":
@@ -141,9 +130,7 @@ def mechanical_word(params: SturmianParams, length: int) -> str:
 
 def characteristic_word(params: SturmianParams, length: int) -> str:
     """The intercept-0 word of the same slope."""
-    zero = SturmianParams(
-        params.alpha, params.alpha_error, Fraction(0), params.max_len, params.approximate
-    )
+    zero = SturmianParams(params.alpha, params.alpha_error, Fraction(0), params.max_len)
     return mechanical_word(zero, length)
 
 

@@ -1,7 +1,5 @@
 """Brute-force enumeration, block censuses, and counting identities."""
 
-import json
-
 import pytest
 
 from oracles import naive_enumerate
@@ -170,14 +168,6 @@ def test_terminal_counts_cover_leaf_level():
         assert sum(counts) == 4
         lo, hi = level_bounds(2, 2)
         assert counts[0] == block[lo:hi].count(0)
-
-
-def test_census_json_payload():
-    census = enumerate_configs(GOLDEN, depth=1).census
-    payload = json.loads(census.to_json())
-    assert payload["n"] == 1
-    assert payload["count"] == 5
-    assert payload["blocks"] == ["000", "001", "010", "011", "100"]
 
 
 def test_phi_identity_exact():

@@ -3,15 +3,12 @@
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from oracles import exceeds_golden_power, golden_ratios
 from treeshift.matrix import parse_matrix
 from treeshift.recurrence import (
-    CountVector,
-    EmptySuccessorSet,
     LogOverflow,
     TreeParams,
     UncertifiedFloat,
@@ -25,10 +22,7 @@ from treeshift.recurrence import (
     kary_bounds,
     level_entropy,
     log_deviation,
-    node_scaled,
-    power_scaled,
     run,
-    step,
     supergolden_root,
 )
 from treeshift.reference import REFERENCE_ROWS
@@ -39,7 +33,7 @@ OSCILLATING = parse_matrix("0100,0010,0101,1000")
 
 
 # ---------------------------------------------------------------------------
-# parameters and vectors
+# parameters and modes
 
 
 def test_params_validation():
@@ -49,6 +43,8 @@ def test_params_validation():
         TreeParams(n_max=-1)
     assert TreeParams(2, 3).node_count(3) == 15
     assert TreeParams(3, 3).node_count(2) == 13
+    with pytest.raises(ValueError, match="unknown mode"):
+        run(GOLDEN, mode="symbolic")
 
 
 def test_params_depth_limit_keeps_scale_finite():
@@ -72,50 +68,6 @@ def test_log_domain_overflow_names_the_first_level():
     assert math.isfinite(series.p_log[-1])
     with pytest.raises(LogOverflow, match=r"log p\(1022\)"):
         run(ones, TreeParams(2, 1022))
-
-
-def test_count_vector_validation():
-    with pytest.raises(ValueError):
-        CountVector(0)
-    with pytest.raises(ValueError):
-        CountVector(0, exact=(1,), logs=(0.0,))
-    with pytest.raises(ValueError):
-        CountVector.initial(2, mode="symbolic")
-    assert CountVector.initial(2).mode == "logdomain"
-    assert CountVector.initial(2, "exact").mode == "exact"
-    assert CountVector.initial(3).dimension == 3
-
-
-def test_step_dimension_mismatch():
-    with pytest.raises(ValueError):
-        step(CountVector.initial(3), GOLDEN)
-
-
-def test_step_empty_successor_row():
-    stub = SimpleNamespace(successor_table=lambda: ((0,), ()))
-    with pytest.raises(EmptySuccessorSet) as info:
-        step(CountVector.initial(2), stub)
-    assert "row 2" in str(info.value)
-
-
-def test_step_exact_golden_levels():
-    x = CountVector.initial(2, "exact")
-    x = step(x, GOLDEN)
-    assert x.exact == (4, 1)
-    x = step(x, GOLDEN)
-    assert x.exact == (25, 16)
-    x = step(x, GOLDEN)
-    assert x.exact == (1681, 625)
-
-
-def test_step_logdomain_matches_exact():
-    xe = CountVector.initial(2, "exact")
-    xl = CountVector.initial(2)
-    for _ in range(6):
-        xe = step(xe, GOLDEN)
-        xl = step(xl, GOLDEN)
-        for truth, y in zip(xe.log_values(), xl.logs):
-            assert abs(truth - y) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +118,10 @@ def test_exact_mode_available_to_level_sixteen():
 
 
 def test_level_entropy_convention_by_arity():
-    assert level_entropy(10.0, 3, 2) == power_scaled(10.0, 3, 2)
-    assert level_entropy(10.0, 3, 3) == node_scaled(10.0, 3, 3)
-    assert level_entropy(10.0, 3, 5) == node_scaled(10.0, 3, 5)
-
-
-def test_scaled_variants_gap_formula():
-    # node and power scalings differ by exactly p_log (k-1) / ((k^(n+1)-1) k^(n+1))
-    for k in (2, 3):
-        for n in range(1, 11):
-            p = 0.7 * k ** (n + 1)
-            gap = node_scaled(p, n, k) - power_scaled(p, n, k)
-            expect = p * (k - 1) / ((k ** (n + 1) - 1) * k ** (n + 1))
-            assert abs(gap - expect) <= 1e-15
+    # power scaling k^(n+1) for arity 2, node-count scaling above
+    assert level_entropy(10.0, 3, 2) == 10.0 * (2 - 1) / 2**4
+    assert level_entropy(10.0, 3, 3) == 10.0 * (3 - 1) / (3**4 - 1)
+    assert level_entropy(10.0, 3, 5) == 10.0 * (5 - 1) / (5**4 - 1)
 
 
 def test_accelerated_estimate_exact_on_full_shifts():
@@ -344,12 +287,12 @@ def test_csv_shape_and_values():
 
 def test_json_round_trip_exact_counts_as_strings():
     series = run(GOLDEN, TreeParams(2, 4), mode="exact")
-    payload = json.loads(series.to_json())
+    payload = json.loads(json.dumps(series.as_dict()))
     assert payload["mode"] == "exact"
     assert payload["exact"][4] == [str(x) for x in series.exact[4]]
     assert int(payload["exact"][4][0]) == golden_zero_rooted_counts(4)[4]
     approx = run(GOLDEN, TreeParams(2, 4))
-    assert json.loads(approx.to_json())["exact"] is None
+    assert approx.as_dict()["exact"] is None
 
 
 def test_series_accessors():

@@ -11,11 +11,9 @@ from treeshift.matrix import TransitionMatrix, parse_matrix
 from treeshift.reference import PLASTIC_MATRIX, REFERENCE_ROWS
 from treeshift.spectral import (
     NoConvergence,
-    UndefinedForReducible,
     analyze_matrix,
     certified_radius_lower,
     graph_period,
-    row_sum_heuristic,
     strong_components,
     upper_bound,
 )
@@ -101,7 +99,6 @@ def test_reducible_support_clipping_first_row():
     assert S.right[2] == 0.0
     assert math.isinf(S.ratio)
     assert math.isinf(upper_bound(S))
-    assert S.max_entropy_weights is None
 
 
 def test_reducible_second_row_finite_ratio():
@@ -145,22 +142,7 @@ def test_class_blocks_solve_stalled_inputs(text, right_support, left_support, ra
     assert tuple(i for i, x in enumerate(S.right) if x > 0.0) == right_support
     assert tuple(i for i, x in enumerate(S.left) if x > 0.0) == left_support
     assert S.ratio == ratio or abs(S.ratio - ratio) <= 1e-9 * ratio
-    assert not S.irreducible and S.max_entropy_weights is None
-
-
-def test_row_sum_heuristic_needs_irreducible():
-    S = analyze_matrix(parse_matrix("110,101,001"))
-    with pytest.raises(UndefinedForReducible):
-        row_sum_heuristic(S)
-
-
-def test_golden_max_entropy_weights_and_heuristic():
-    S = analyze_matrix(parse_matrix(GOLDEN))
-    w0 = PHI**2 / (1.0 + PHI**2)
-    assert S.max_entropy_weights is not None
-    assert abs(S.max_entropy_weights[0] - w0) < 1e-9
-    assert abs(S.max_entropy_weights[1] - (1.0 - w0)) < 1e-9
-    assert abs(row_sum_heuristic(S) - w0 * math.log(2.0)) < 1e-9
+    assert not S.irreducible
 
 
 def test_graph_structure_helpers():

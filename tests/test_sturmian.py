@@ -57,14 +57,6 @@ def test_continued_fraction_convergents():
 def test_fibonacci_convergent_is_deep():
     assert FIB.alpha == Fraction(14472334024676221, 37889062373143906)
     assert FIB.alpha_error == Fraction(1, 37889062373143906**2)
-    assert not FIB.approximate
-
-
-def test_from_decimal():
-    p = SturmianParams.from_decimal("0.382")
-    assert p.alpha == Fraction(191, 500)
-    assert p.alpha_error == Fraction(1, 2000)
-    assert p.approximate
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +87,7 @@ def test_minimal_sequence_prefixes():
 
 
 def test_precision_exhausted_for_coarse_decimal():
-    coarse = SturmianParams.from_decimal("0.62")
+    coarse = SturmianParams.from_continued_fraction([0, 3, 1, 1])
     with pytest.raises(PrecisionExhausted):
         mechanical_word(coarse, 50)
 
