@@ -20,3 +20,10 @@ def test_all_is_sorted_complete_and_resolves():
         for alias in node.names
     }
     assert set(names) == imported
+
+
+def test_star_import_carries_every_exception():
+    namespace = {}
+    exec("from treeshift import *", namespace)
+    for name in ("ComplexityViolation", "LogOverflow", "PrecisionExhausted", "UncertifiedFloat"):
+        assert isinstance(namespace[name], type) and issubclass(namespace[name], Exception), name

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,6 +71,32 @@ def test_log_domain_overflow_names_the_first_level():
         run(ones, TreeParams(2, 1022))
 
 
+def test_run_start_level_and_modes():
+    three = parse_matrix("011,111,101")
+    assert run(three, TreeParams(2, 0)).mode == "logdomain"
+    exact = run(three, TreeParams(2, 0), mode="exact")
+    assert exact.mode == "exact"
+    assert exact.exact == [(1, 1, 1)]
+    assert exact.symbol_logs == [(0.0, 0.0, 0.0)]
+    assert exact.p_log == [math.log(3)]
+    assert exact.a == exact.h_acc == exact.h2 == [None]
+
+
+def test_run_reads_the_successor_table_once():
+    calls = []
+
+    def successor_table():
+        calls.append(1)
+        return GOLDEN.successor_table()
+
+    stub = SimpleNamespace(d=GOLDEN.d, symbols=GOLDEN.symbols, successor_table=successor_table)
+    for mode in ("exact", "logdomain"):
+        calls.clear()
+        series = run(stub, TreeParams(2, 8), mode=mode)
+        assert len(calls) == 1, mode
+        assert series.p_log == run(GOLDEN, TreeParams(2, 8), mode=mode).p_log
+
+
 # ---------------------------------------------------------------------------
 # series over full runs
 
@@ -79,6 +106,21 @@ def test_exact_golden_run_matches_closed_recurrences():
     totals = [sum(row) for row in series.exact]
     assert totals == golden_counts(12)
     assert [row[0] for row in series.exact] == golden_zero_rooted_counts(12)
+
+
+def test_exact_golden_levels():
+    series = run(GOLDEN, TreeParams(2, 3), mode="exact")
+    assert series.exact == [(1, 1), (4, 1), (25, 16), (1681, 625)]
+
+
+def test_logdomain_levels_match_exact_logs():
+    exact = run(GOLDEN, TreeParams(2, 6), mode="exact")
+    approx = run(GOLDEN, TreeParams(2, 6))
+    for n in range(7):
+        truth = tuple(math.log(v) for v in exact.exact[n])
+        assert exact.symbol_logs[n] == truth
+        for t, y in zip(truth, approx.symbol_logs[n]):
+            assert abs(t - y) < 1e-10, n
 
 
 def test_log_deviation_small_for_level_twelve():
@@ -122,6 +164,19 @@ def test_level_entropy_convention_by_arity():
     assert level_entropy(10.0, 3, 2) == 10.0 * (2 - 1) / 2**4
     assert level_entropy(10.0, 3, 3) == 10.0 * (3 - 1) / (3**4 - 1)
     assert level_entropy(10.0, 3, 5) == 10.0 * (5 - 1) / (5**4 - 1)
+
+
+def test_plain_estimate_on_full_shifts():
+    # log p(n) is log d times the node count (k^(n+1)-1)/(k-1): the
+    # node-count scaling of arity k >= 3 returns log d at every level,
+    # the power scaling of arity 2 falls short by log d / 2^(n+1)
+    for d in (2, 3):
+        m = parse_matrix(json.dumps([[1] * d] * d))
+        for k in (2, 3, 4):
+            series = run(m, TreeParams(k, 6))
+            for n in range(7):
+                expect = math.log(d) * (1.0 - 2.0 ** -(n + 1) if k == 2 else 1.0)
+                assert abs(series.h[n] - expect) < 1e-12, (d, k, n)
 
 
 def test_accelerated_estimate_exact_on_full_shifts():

@@ -30,6 +30,19 @@ def test_golden_radius_matches_closed_form():
     assert S.irreducible and S.primitive and S.period == 1
 
 
+def test_golden_perron_vectors_closed_form():
+    # the matrix is symmetric: both vectors are proportional to (phi, 1),
+    # and their normalized product is the Parry measure of the base shift
+    S = analyze_matrix(parse_matrix(GOLDEN))
+    assert abs(S.right[0] - 1.0) < 1e-12
+    assert abs(S.right[1] - 1.0 / PHI) < 1e-10
+    assert abs(S.left[0] - 1.0 / PHI) < 1e-10
+    assert abs(S.left[1] - 1.0 / PHI**2) < 1e-10
+    assert abs(S.ratio - PHI) < 1e-10
+    w = [l * r for l, r in zip(S.left, S.right)]
+    assert abs(w[0] / sum(w) - PHI**2 / (1.0 + PHI**2)) < 1e-9
+
+
 def test_radius_agrees_with_char_poly_root_everywhere():
     cases = [row.matrix for row in REFERENCE_ROWS] + [PLASTIC_MATRIX, OSCILLATING]
     for text in cases:

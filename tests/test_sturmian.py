@@ -59,6 +59,14 @@ def test_fibonacci_convergent_is_deep():
     assert FIB.alpha_error == Fraction(1, 37889062373143906**2)
 
 
+def test_convergent_error_bounds_bracket_the_slope():
+    # every truncation of the golden expansion lies within its own
+    # 1/q^2 bound of the deep convergent, up to that one's bound
+    for length in range(2, 30):
+        p = SturmianParams.from_continued_fraction([0, 2] + [1] * (length - 2))
+        assert abs(p.alpha - FIB.alpha) <= p.alpha_error + FIB.alpha_error, length
+
+
 # ---------------------------------------------------------------------------
 # words
 
