@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .matrix import ParseError, RowOrColumnZero, TransitionMatrix, parse_matrix
-from .oracle import LabeledTree, enumerate_configs
+from .oracle import LabeledTree, enumerate_configs, node_count
 from .recurrence import (
     TreeParams,
     auto_depth,
@@ -51,6 +51,7 @@ from .sturmian import (
     mechanical_word,
     minimal_sequence,
     tree_complexity,
+    tree_oracle,
 )
 
 GOLDEN_MATRIX = "11,10"
@@ -117,11 +118,23 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # analyze
 
 
+def _exact_depth_limit(arity: int) -> int:
+    """Deepest exact level whose tree has no more nodes than the binary one at
+    EXACT_DEPTH_LIMIT; the exact integers grow with the node count."""
+    if arity <= 2:
+        return EXACT_DEPTH_LIMIT  # an arity below 2 is refused by TreeParams
+    budget = node_count(2, EXACT_DEPTH_LIMIT)
+    return max(n for n in range(EXACT_DEPTH_LIMIT + 1) if node_count(arity, n) <= budget)
+
+
 def cmd_analyze(args) -> Report:
     M = _load_matrix(args.matrix)
-    if args.exact and args.depth > EXACT_DEPTH_LIMIT:
-        raise ValueError(f"exact mode is limited to depth {EXACT_DEPTH_LIMIT}")
     n = args.depth
+    if args.exact:
+        limit = _exact_depth_limit(args.arity)
+        if n > limit:
+            at = "" if args.arity <= 2 else f" at arity {args.arity}"
+            raise ValueError(f"exact mode is limited to depth {limit}{at}")
     params = TreeParams(args.arity, n)
     spectral = analyze_matrix(M)
     series = run(M, params)
@@ -470,9 +483,10 @@ def cmd_sturmian(args) -> Report:
         return Report(0 if edge_ok else 1, payload, csv, table)
 
     seeds = _parse_int_list(args.seed, "--seed")
+    oracle = tree_oracle(params, depth)
     per_seed = []
     for seed in seeds:
-        tree = label_tree_random(params, depth, seed)
+        tree = label_tree_random(params, depth, seed, oracle)
         per_seed.append((seed, tree_complexity(tree, n_blocks), _labels(tree)))
     summary = []
     for n in range(n_blocks + 1):

@@ -13,6 +13,15 @@ same recurrence runs in the log domain, y_i(n+1) = k * logsumexp of the
 selected y_j(n), whose additive float error stays far below the
 divisors used for entropy.
 
+An exact run does not square its way into the deepest level, whose
+integers are the largest of the run and which only the logs are usually
+read from. It keeps the level-(n_max - 1) sums s_i instead and takes
+log s_i^k and log sum_i s_i^k from their top CERTIFY_BITS bits, as the
+floats math.log returns for the full integers, bit for bit: both ends
+of a bracket around each value must round to the same float, or that
+value is computed in full. The integers x_i(n_max) themselves are built
+the first time `EntropySeries.exact` is read.
+
 Entropy estimates divide log p(n) by the size scale of the depth-n
 subtree: the dyadic convention uses 2^(n+1) and higher arities use the
 node count (k^(n+1) - 1)/(k - 1); the two scalings agree in the limit.
@@ -38,7 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath
@@ -109,8 +118,14 @@ class EntropySeries:
 
     Lists are indexed by level; a, h_acc and h2 hold None where the
     quantity is undefined (level 0, or log p(n) <= 0 for h2). In exact
-    mode `exact` keeps the per-symbol big integers, otherwise it is
-    None. `symbol_logs` always carries log x_i(n).
+    mode `exact` holds the per-symbol big integers of every level,
+    otherwise it is None. `symbol_logs` always carries log x_i(n).
+
+    An exact run stops at the sums s_i of level n_max - 1: the deepest
+    level x_i = s_i ** k, the largest integers of the run, is built the
+    first time `exact` is read. Its logs are certified from the top bits
+    of the sums instead (see `_power_logs`), so they equal math.log of
+    those integers bit for bit either way.
     """
 
     arity: int
@@ -122,7 +137,15 @@ class EntropySeries:
     h_acc: list[float | None]
     h2: list[float | None]
     symbol_logs: list[tuple[float, ...]]
-    exact: list[tuple[int, ...]] | None = None
+    _levels: list[tuple[int, ...]] | None = field(default=None, repr=False)
+    _deepest_sums: tuple[int, ...] | None = field(default=None, repr=False)
+
+    @property
+    def exact(self) -> list[tuple[int, ...]] | None:
+        if self._deepest_sums is not None:
+            self._levels.append(tuple(s**self.arity for s in self._deepest_sums))
+            self._deepest_sums = None
+        return self._levels
 
     @property
     def n_max(self) -> int:
@@ -185,7 +208,8 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
     """Iterate the recurrence from the all-ones start and collect the series.
 
     In exact mode each level is a tuple of the big integers x_i(n), in
-    log mode a tuple of the floats y_i(n) = log x_i(n).
+    log mode a tuple of the floats y_i(n) = log x_i(n). The deepest
+    exact level is kept as its sums and built on first read of `exact`.
     """
     if mode not in ("exact", "logdomain"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -203,30 +227,36 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
         h_acc=[],
         h2=[],
         symbol_logs=[],
-        exact=[] if exact else None,
+        _levels=[] if exact else None,
     )
     x = (1,) * M.d if exact else (0.0,) * M.d
     _append_level(series, x)
     for n in range(1, params.n_max + 1):
-        if exact:
+        if not exact:
+            x = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
+        elif n < params.n_max:
             x = tuple(sum(x[j] for j in s) ** k for s in succ)
         else:
-            x = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
+            series._deepest_sums = tuple(sum(x[j] for j in s) for s in succ)
+            x = None
         _append_level(series, x)
         if not math.isfinite(series.p_log[-1]):
             raise LogOverflow(f"log p({n}) overflows a float; use a depth below {n}")
     return series
 
 
-def _append_level(series: EntropySeries, x: tuple) -> None:
+def _append_level(series: EntropySeries, x: tuple | None) -> None:
+    """Append one level; x is None for a deepest exact level left as its sums."""
     n, k = len(series.p_log), series.arity
-    if series.exact is not None:
-        logs = tuple(math.log(v) for v in x)
-        p_log = math.log(sum(x))
-        series.exact.append(x)
-    else:
+    if series.mode == "logdomain":
         logs = x
         p_log = _logsumexp(x)
+    elif x is None:
+        logs, p_log = _power_logs(series._deepest_sums, k)
+    else:
+        logs = tuple(math.log(v) for v in x)
+        p_log = math.log(sum(x))
+        series._levels.append(x)
     series.symbol_logs.append(logs)
     series.p_log.append(p_log)
     series.h.append(level_entropy(p_log, n, k))
@@ -241,13 +271,61 @@ def _append_level(series: EntropySeries, x: tuple) -> None:
     series.h2.append(math.log(p_log) / n if p_log > 0 else None)
 
 
+# Bits of the largest sum kept when the deepest exact level is certified.
+CERTIFY_BITS = 128
+
+
+def _power_logs(sums: tuple[int, ...], k: int) -> tuple[tuple[float, ...], float]:
+    """math.log(s ** k) for each sum, and math.log(sum(s ** k)), bit for bit.
+
+    CPython takes the log of an int from its correctly rounded frexp
+    pair (m, e), so any bracket around the integer whose two ends round
+    to the same pair fixes the float. The sums are cut to their top
+    CERTIFY_BITS bits by one shared shift, t = s >> sh, which brackets
+    each power by [t^k, (t+1)^k] * 2^(k sh) and the total by the sums
+    of those ends. Where the two ends of a bracket round apart, the
+    power or the total is computed in full.
+    """
+    sh = max(max(s.bit_length() for s in sums) - CERTIFY_BITS, 0)
+    tops = [s >> sh for s in sums]
+    lows = [t**k for t in tops]
+    highs = lows if sh == 0 else [(t + 1) ** k for t in tops]  # sh = 0 keeps the sums whole
+    logs = tuple(
+        _certified_log(lo, hi, k * sh, lambda s=s: s**k)
+        for s, lo, hi in zip(sums, lows, highs)
+    )
+    p_log = _certified_log(sum(lows), sum(highs), k * sh, lambda: sum(s**k for s in sums))
+    return logs, p_log
+
+
+def _certified_log(lo: int, hi: int, shift: int, value) -> float:
+    """math.log(v) for an integer v in [lo, hi] * 2**shift, or of value() if unsure."""
+    pair = _frexp(lo, shift)
+    if pair != _frexp(hi, shift):
+        return math.log(value())
+    m, e = pair
+    if e <= sys.float_info.max_exp:
+        return math.log(math.ldexp(m, e))
+    return math.log(m) + math.log(2.0) * e
+
+
+def _frexp(v: int, shift: int) -> tuple[float, int]:
+    """The frexp pair of v * 2**shift rounded to a float's 53 bits, half to even."""
+    drop = max(v.bit_length() - 64, 0)
+    top = v >> drop
+    if top << drop != v:
+        top |= 1  # sticky bit: below the rounding bit, it only breaks ties
+    m, e = math.frexp(float(top))
+    return m, e + drop + shift
+
+
 def log_deviation(exact: EntropySeries, approx: EntropySeries) -> float:
     """Largest relative gap between exact log counts and log-domain ones.
 
     Components with log x = 0 are compared absolutely (the log-domain
     recurrence keeps them at exactly 0, so any gap there is a bug).
     """
-    if exact.exact is None:
+    if exact.mode != "exact":
         raise ValueError("first series must come from an exact run")
     worst = 0.0
     for n in range(min(exact.n_max, approx.n_max) + 1):

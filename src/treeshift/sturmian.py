@@ -208,20 +208,46 @@ def build_factor_oracle(params: SturmianParams, max_len: int | None = None) -> F
     return FactorOracle(m, tuple(table))
 
 
+def tree_oracle(params: SturmianParams, depth: int) -> FactorOracle:
+    """The factor oracle that labeling a depth-`depth` tree reads.
+
+    One oracle serves every tree of the same slope and depth: pass it to
+    `label_tree_random` to label several seeds without rebuilding it.
+    """
+    _check_depth(depth)
+    return build_factor_oracle(params, max(depth, params.max_len, 1))
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"depth {depth} is above the cap of {MAX_TREE_DEPTH}")
+
+
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
     """Label the binary tree, splitting right-special nodes as 0 left, 1 right."""
-    return _fill_tree(params, depth, coins=_no_swaps)
+    return _fill_tree(params, tree_oracle(params, depth), depth, coins=_no_swaps)
 
 
-def label_tree_random(params: SturmianParams, depth: int, seed: int = 0) -> LabeledTree:
+def label_tree_random(
+    params: SturmianParams, depth: int, seed: int = 0, oracle: FactorOracle | None = None
+) -> LabeledTree:
     """Label the binary tree, splitting right-special nodes by a seeded coin.
 
     One fair bit is drawn per right-special node in breadth-first
     order; bit 0 assigns (0 left, 1 right), bit 1 the reverse. The
-    same seed always reproduces the same tree.
+    same seed always reproduces the same tree. `oracle` is the
+    `tree_oracle(params, depth)`, built here when not given.
     """
+    if oracle is None:
+        oracle = tree_oracle(params, depth)
+    else:
+        _check_depth(depth)
+        if oracle.max_len < depth:
+            raise ValueError(f"the oracle covers depths up to {oracle.max_len}, not {depth}")
     rng = random.Random(seed)
-    return _fill_tree(params, depth, coins=lambda m: _coin_bits(rng, m))
+    return _fill_tree(params, oracle, depth, coins=lambda m: _coin_bits(rng, m))
 
 
 def _no_swaps(m: int) -> np.ndarray:
@@ -240,13 +266,8 @@ def _coin_bits(rng: random.Random, m: int) -> np.ndarray:
     return (words >> 31).astype(np.uint8)
 
 
-def _fill_tree(params: SturmianParams, depth: int, coins) -> LabeledTree:
+def _fill_tree(params: SturmianParams, oracle: FactorOracle, depth: int, coins) -> LabeledTree:
     """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"depth {depth} is above the cap of {MAX_TREE_DEPTH}")
-    oracle = build_factor_oracle(params, max(depth, params.max_len, 1))
     root = minimal_sequence(params, 1)
     labels = np.empty(node_count(2, depth), dtype=np.uint8)
     labels[0] = int(root)

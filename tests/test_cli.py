@@ -56,6 +56,17 @@ def test_analyze_exact_depth_cap(capsys):
     assert err != ""
 
 
+def test_analyze_exact_depth_cap_counts_nodes_at_higher_arity(capsys):
+    # depth 13 at arity 3 has more nodes than the binary tree at depth 20
+    for depth in ("13", "20"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-k", "3", "-n", depth, "--exact")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: exact mode is limited to depth 12 at arity 3\n"
+
+
 def test_analyze_reducible_skips_verdicts(capsys):
     code, out, _ = run_cli(capsys, "analyze", "-m", "110,101,001")
     assert code == 0
@@ -305,6 +316,23 @@ def test_sturmian_random_seeded(capsys):
         capsys, "sturmian", "--mode", "random", "-n", "8", "--blocks", "4", "--seed", "3"
     )
     assert other != first
+
+
+def test_sturmian_random_builds_one_factor_oracle_per_report(capsys, monkeypatch):
+    import treeshift.sturmian as sturmian
+
+    built = []
+    real = sturmian.build_factor_oracle
+
+    def counted(params, max_len=None):
+        built.append(max_len)
+        return real(params, max_len)
+
+    monkeypatch.setattr(sturmian, "build_factor_oracle", counted)
+    args = ("sturmian", "--mode", "random", "-n", "8", "--blocks", "2", "--seed", "1,2,3")
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_sturmian_custom_slope(capsys):

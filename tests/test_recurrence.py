@@ -6,6 +6,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exceeds_golden_power, golden_ratios
 from treeshift.matrix import parse_matrix
@@ -13,7 +15,9 @@ from treeshift.recurrence import (
     LogOverflow,
     TreeParams,
     UncertifiedFloat,
+    _certified_log,
     _golden_q,
+    _power_logs,
     accelerated_entropy,
     auto_depth,
     golden_counts,
@@ -153,6 +157,78 @@ def test_exact_mode_available_to_level_sixteen():
     series = run(GOLDEN, TreeParams(2, 16), mode="exact")
     assert series.n_max == 16
     assert series.exact[16][1] == series.exact[15][0] ** 2
+
+
+# ---------------------------------------------------------------------------
+# the deepest exact level: logs certified from the sums, integers on demand
+
+
+@st.composite
+def exact_runs(draw):
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=d, max_size=d))
+    for i in range(d):  # every symbol needs a successor and a predecessor
+        if not any(rows[i]):
+            rows[i][draw(st.integers(0, d - 1))] = 1
+    for j in range(d):
+        if not any(row[j] for row in rows):
+            rows[draw(st.integers(0, d - 1))][j] = 1
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 12 if k == 2 else 8))
+    return parse_matrix(",".join("".join(map(str, row)) for row in rows)), TreeParams(k, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_runs())
+def test_deepest_exact_logs_equal_math_log(case):
+    M, params = case
+    series = run(M, params, mode="exact")
+    deepest = series.exact[-1]
+    assert series.symbol_logs[-1] == tuple(math.log(v) for v in deepest)
+    assert series.p_log[-1] == math.log(sum(deepest))
+
+
+def test_uncertified_total_falls_back_to_the_full_power():
+    # (2^200)^2 + 2 (2^173)^2 = 2^400 + 2^347 lies exactly half an ulp
+    # above 2^400: the lower end of the bracket is that tie, which rounds
+    # down to even, and the upper end lies above it and rounds up
+    sums = (2**200, 2**173, 2**173)
+    total = sum(s**2 for s in sums)
+    assert total == 2**400 + 2**347
+    sh = 201 - 128
+    tops = [s >> sh for s in sums]
+    calls = []
+
+    def full():
+        calls.append(1)
+        return total
+
+    lo, hi = sum(t**2 for t in tops), sum((t + 1) ** 2 for t in tops)
+    assert _certified_log(lo, hi, 2 * sh, full) == math.log(total)
+    assert calls == [1]
+    logs, p_log = _power_logs(sums, 2)
+    assert logs == tuple(math.log(s**2) for s in sums)
+    assert p_log == math.log(total)
+
+
+def _held_ints(value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_ints(item)
+
+
+def test_deepest_exact_level_is_built_on_first_read():
+    series = run(GOLDEN, TreeParams(2, 14), mode="exact")
+    deepest = golden_counts(14)[14]
+    held = max(v.bit_length() for v in _held_ints(list(vars(series).values())))
+    assert held < deepest.bit_length() // 2 + 2  # level 13 at most, not level 14
+    assert series.p_log[14] == math.log(deepest)
+    levels = series.exact
+    assert sum(levels[14]) == deepest
+    assert series.exact is levels and series.exact[14] is levels[14]  # built once
+    assert series.symbol_logs[14] == tuple(math.log(v) for v in levels[14])
 
 
 # ---------------------------------------------------------------------------

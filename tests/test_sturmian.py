@@ -20,6 +20,7 @@ from treeshift.sturmian import (
     minimal_sequence,
     path_words,
     tree_complexity,
+    tree_oracle,
 )
 
 FIB = SturmianParams.fibonacci()
@@ -189,6 +190,18 @@ def test_random_labeling_deterministic_per_seed():
     assert a.labels == b.labels
     c = label_tree_random(FIB, 10, seed=8)
     assert a.labels != c.labels
+
+
+def test_shared_oracle_labels_the_same_trees():
+    oracle = tree_oracle(FIB, 10)
+    for seed in range(4):
+        assert label_tree_random(FIB, 10, seed, oracle) == label_tree_random(FIB, 10, seed)
+    with pytest.raises(ValueError, match="covers depths up to 10"):
+        label_tree_random(FIB, 11, 0, build_factor_oracle(FIB, 10))
+    with pytest.raises(ValueError):
+        label_tree_random(FIB, -1, 0, oracle)
+    with pytest.raises(ValueError):
+        tree_oracle(FIB, MAX_TREE_DEPTH + 1)
 
 
 def test_leaf_multiset_invariant_across_seeds():
