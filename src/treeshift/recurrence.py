@@ -300,23 +300,23 @@ def _power_logs(sums: tuple[int, ...], k: int) -> tuple[tuple[float, ...], float
 
 def _certified_log(lo: int, hi: int, shift: int, value) -> float:
     """math.log(v) for an integer v in [lo, hi] * 2**shift, or of value() if unsure."""
-    pair = _frexp(lo, shift)
-    if pair != _frexp(hi, shift):
+    m, e = _frexp(lo)
+    if (m, e) != _frexp(hi):
         return math.log(value())
-    m, e = pair
+    e += shift
     if e <= sys.float_info.max_exp:
         return math.log(math.ldexp(m, e))
     return math.log(m) + math.log(2.0) * e
 
 
-def _frexp(v: int, shift: int) -> tuple[float, int]:
-    """The frexp pair of v * 2**shift rounded to a float's 53 bits, half to even."""
+def _frexp(v: int) -> tuple[float, int]:
+    """The frexp pair of v rounded to a float's 53 bits, half to even."""
     drop = max(v.bit_length() - 64, 0)
     top = v >> drop
     if top << drop != v:
         top |= 1  # sticky bit: below the rounding bit, it only breaks ties
     m, e = math.frexp(float(top))
-    return m, e + drop + shift
+    return m, e + drop
 
 
 def log_deviation(exact: EntropySeries, approx: EntropySeries) -> float:
