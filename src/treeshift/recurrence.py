@@ -13,14 +13,14 @@ same recurrence runs in the log domain, y_i(n+1) = k * logsumexp of the
 selected y_j(n), whose additive float error stays far below the
 divisors used for entropy.
 
-An exact run does not square its way into the deepest level, whose
-integers are the largest of the run and which only the logs are usually
-read from. It keeps the level-(n_max - 1) sums s_i instead and takes
-log s_i^k and log sum_i s_i^k from their top CERTIFY_BITS bits, as the
-floats math.log returns for the full integers, bit for bit: both ends
-of a bracket around each value must round to the same float, or that
-value is computed in full. The integers x_i(n_max) themselves are built
-the first time `EntropySeries.exact` is read.
+An exact run stops one squaring short of the deepest level, whose
+integers are the largest of the run and are often read only through
+their logs. It keeps the level-(n_max - 1) sums s_i and computes
+log s_i^k and log sum_i s_i^k from their top CERTIFY_BITS bits. Each
+result is the float math.log returns for the full integer, bit for bit:
+both ends of a bracket around the value must round to the same float,
+or the value is computed in full. The integers x_i(n_max) are built the
+first time `EntropySeries.exact` is read.
 
 Entropy estimates divide log p(n) by the size scale of the depth-n
 subtree: the dyadic convention uses 2^(n+1) and higher arities use the
@@ -124,8 +124,9 @@ class EntropySeries:
     An exact run stops at the sums s_i of level n_max - 1: the deepest
     level x_i = s_i ** k, the largest integers of the run, is built the
     first time `exact` is read. Its logs are certified from the top bits
-    of the sums instead (see `_power_logs`), so they equal math.log of
-    those integers bit for bit either way.
+    of the sums instead, or computed from the full power where the
+    certificate cannot decide (see `_power_logs`), so they equal
+    math.log of those integers bit for bit either way.
     """
 
     arity: int
