@@ -13,13 +13,17 @@ same recurrence runs in the log domain, y_i(n+1) = k * logsumexp of the
 selected y_j(n), whose additive float error stays far below the
 divisors used for entropy.
 
-An exact run stops one squaring short of the deepest level, whose
-integers are the largest of the run and are often read only through
-their logs. It keeps the level-(n_max - 1) sums s_i and computes
-log s_i^k and log sum_i s_i^k from their top CERTIFY_BITS bits. Each
-result is the float math.log returns for the full integer, bit for bit:
-both ends of a bracket around the value must round to the same float,
-or the value is computed in full. The integers x_i(n_max) are built the
+An exact run carries no big integers. Each x_i(n) is held as a bracket
+[lo, hi] * 2^e whose ends have at most about k * CERTIFY_BITS bits:
+sums put their terms on one exponent and round low ends down and high
+ends up, each sum is cut to CERTIFY_BITS bits the same way, and raising
+both ends to the k-th power gives the next level. Each log x_i(n) and
+log p(n) is the float math.log returns for the full integer, bit for
+bit: both ends of the bracket must round to the same float, or the
+integers are built with the plain recurrence up to that level and the
+value is computed in full. A bracket's relative width stays below about
+k^(n+1) * 2^-CERTIFY_BITS, far below a float's 2^-53 at any depth whose
+integers are affordable. The integers of every level are built the
 first time `EntropySeries.exact` is read.
 
 Entropy estimates divide log p(n) by the size scale of the depth-n
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Sequence
 
 import mpmath
@@ -121,12 +126,12 @@ class EntropySeries:
     mode `exact` holds the per-symbol big integers of every level,
     otherwise it is None. `symbol_logs` always carries log x_i(n).
 
-    An exact run stops at the sums s_i of level n_max - 1: the deepest
-    level x_i = s_i ** k, the largest integers of the run, is built the
-    first time `exact` is read. Its logs are certified from the top bits
-    of the sums instead, or computed from the full power where the
-    certificate cannot decide (see `_power_logs`), so they equal
-    math.log of those integers bit for bit either way.
+    An exact run holds no big integers: it keeps the successor table and
+    only the integer levels that a fallback of the certificate needed
+    (see `_power_step`). Its logs are certified from 128-bit brackets
+    and equal math.log of the integers bit for bit. The first read of
+    `exact` builds the remaining levels with the plain integer
+    recurrence and keeps them.
     """
 
     arity: int
@@ -139,14 +144,21 @@ class EntropySeries:
     h2: list[float | None]
     symbol_logs: list[tuple[float, ...]]
     _levels: list[tuple[int, ...]] | None = field(default=None, repr=False)
-    _deepest_sums: tuple[int, ...] | None = field(default=None, repr=False)
+    _succ: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
 
     @property
     def exact(self) -> list[tuple[int, ...]] | None:
-        if self._deepest_sums is not None:
-            self._levels.append(tuple(s**self.arity for s in self._deepest_sums))
-            self._deepest_sums = None
+        if self._levels is not None:
+            self._build(self.n_max)
         return self._levels
+
+    def _build(self, n: int) -> tuple[int, ...]:
+        """The exact level n, extending the integer levels built so far."""
+        levels = self._levels
+        while len(levels) <= n:
+            x = levels[-1]
+            levels.append(tuple(sum(x[j] for j in s) ** self.arity for s in self._succ))
+        return levels[n]
 
     @property
     def n_max(self) -> int:
@@ -195,9 +207,10 @@ class EntropySeries:
             "h_acc": self.h_acc,
             "h2": self.h2,
             "symbol_logs": [list(row) for row in self.symbol_logs],
+            # Decimal, unlike str, is not held to the int-to-str digit limit
             "exact": None
             if self.exact is None
-            else [[str(x) for x in row] for row in self.exact],
+            else [[str(Decimal(x)) for x in row] for row in self.exact],
         }
 
 
@@ -208,9 +221,10 @@ def _csv_float(x) -> str:
 def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logdomain") -> EntropySeries:
     """Iterate the recurrence from the all-ones start and collect the series.
 
-    In exact mode each level is a tuple of the big integers x_i(n), in
-    log mode a tuple of the floats y_i(n) = log x_i(n). The deepest
-    exact level is kept as its sums and built on first read of `exact`.
+    In log mode each level is a tuple of the floats y_i(n) = log x_i(n),
+    in exact mode a tuple of brackets around the integers x_i(n), whose
+    logs `_power_step` certifies; the integers are built on first read
+    of `exact`.
     """
     if mode not in ("exact", "logdomain"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -228,36 +242,26 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
         h_acc=[],
         h2=[],
         symbol_logs=[],
-        _levels=[] if exact else None,
+        _levels=[(1,) * M.d] if exact else None,
+        _succ=succ if exact else None,
     )
-    x = (1,) * M.d if exact else (0.0,) * M.d
-    _append_level(series, x)
+    x = ((1, 1, 0),) * M.d if exact else (0.0,) * M.d
+    _append_level(series, (0.0,) * M.d, math.log(M.d))
     for n in range(1, params.n_max + 1):
-        if not exact:
-            x = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
-        elif n < params.n_max:
-            x = tuple(sum(x[j] for j in s) ** k for s in succ)
+        if exact:
+            sums = [_bracket_sum([x[j] for j in s]) for s in succ]
+            x, logs, p_log = _power_step(sums, k, lambda: series._build(n))
         else:
-            series._deepest_sums = tuple(sum(x[j] for j in s) for s in succ)
-            x = None
-        _append_level(series, x)
-        if not math.isfinite(series.p_log[-1]):
+            x = logs = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
+            p_log = _logsumexp(x)
+        _append_level(series, logs, p_log)
+        if not math.isfinite(p_log):
             raise LogOverflow(f"log p({n}) overflows a float; use a depth below {n}")
     return series
 
 
-def _append_level(series: EntropySeries, x: tuple | None) -> None:
-    """Append one level; x is None for a deepest exact level left as its sums."""
+def _append_level(series: EntropySeries, logs: tuple[float, ...], p_log: float) -> None:
     n, k = len(series.p_log), series.arity
-    if series.mode == "logdomain":
-        logs = x
-        p_log = _logsumexp(x)
-    elif x is None:
-        logs, p_log = _power_logs(series._deepest_sums, k)
-    else:
-        logs = tuple(math.log(v) for v in x)
-        p_log = math.log(sum(x))
-        series._levels.append(x)
     series.symbol_logs.append(logs)
     series.p_log.append(p_log)
     series.h.append(level_entropy(p_log, n, k))
@@ -272,31 +276,57 @@ def _append_level(series: EntropySeries, x: tuple | None) -> None:
     series.h2.append(math.log(p_log) / n if p_log > 0 else None)
 
 
-# Bits of the largest sum kept when the deepest exact level is certified.
+# Bits each sum of an exact run is cut to before it is raised to the k-th power.
 CERTIFY_BITS = 128
 
+# An integer bracket (lo, hi, e): lo * 2**e <= v <= hi * 2**e.
+Bracket = tuple[int, int, int]
 
-def _power_logs(sums: tuple[int, ...], k: int) -> tuple[tuple[float, ...], float]:
-    """math.log(s ** k) for each sum, and math.log(sum(s ** k)), bit for bit.
+
+def _power_step(sums: Sequence[Bracket], k: int, level) -> tuple[tuple[Bracket, ...], tuple[float, ...], float]:
+    """One exact level from brackets around its sums s_i: the brackets
+    around x_i = s_i ** k, math.log of each x_i and math.log of their
+    total, bit for bit. `level()` returns the exact x_i for the fallback.
 
     CPython takes the log of an int from its correctly rounded frexp
     pair (m, e), so any bracket around the integer whose two ends round
-    to the same pair fixes the float. The sums are cut to their top
-    CERTIFY_BITS bits by one shared shift, t = s >> sh, which brackets
-    each power by [t^k, (t+1)^k] * 2^(k sh) and the total by the sums
-    of those ends. Where the two ends of a bracket round apart, the
-    power or the total is computed in full.
+    to the same pair fixes the float. Each sum is cut to its top
+    CERTIFY_BITS bits, rounding outward, and both ends are raised to the
+    k-th power; the total is bracketed by `_bracket_sum` of the powers.
+    Where the two ends of a bracket round apart, the log is taken of the
+    exact value instead.
     """
-    sh = max(max(s.bit_length() for s in sums) - CERTIFY_BITS, 0)
-    tops = [s >> sh for s in sums]
-    lows = [t**k for t in tops]
-    highs = lows if sh == 0 else [(t + 1) ** k for t in tops]  # sh = 0 keeps the sums whole
-    logs = tuple(
-        _certified_log(lo, hi, k * sh, lambda s=s: s**k)
-        for s, lo, hi in zip(sums, lows, highs)
-    )
-    p_log = _certified_log(sum(lows), sum(highs), k * sh, lambda: sum(s**k for s in sums))
+    cut = (_cut(lo, hi, e, max(hi.bit_length() - CERTIFY_BITS, 0)) for lo, hi, e in sums)
+    x = tuple((lo**k, hi**k, k * e) for lo, hi, e in cut)
+    logs = tuple(_certified_log(lo, hi, e, lambda i=i: level()[i]) for i, (lo, hi, e) in enumerate(x))
+    lo, hi, e = _bracket_sum(x)
+    return x, logs, _certified_log(lo, hi, e, lambda: sum(level()))
+
+
+def _power_logs(sums: tuple[int, ...], k: int) -> tuple[tuple[float, ...], float]:
+    """math.log(s ** k) for each integer sum, and math.log(sum(s ** k)),
+    bit for bit: `_power_step` on the exact brackets [s, s]."""
+    _, logs, p_log = _power_step([(s, s, 0) for s in sums], k, lambda: tuple(s**k for s in sums))
     return logs, p_log
+
+
+def _bracket_sum(terms: Sequence[Bracket]) -> Bracket:
+    """A bracket around the sum of bracketed terms, on the lowest of their
+    exponents raised until at most CERTIFY_BITS bits of the largest term
+    stay: terms above it are shifted up exactly, the others rounded
+    outward."""
+    top = max(hi.bit_length() + e for _, hi, e in terms)
+    base = max(min(e for _, _, e in terms), top - CERTIFY_BITS)
+    terms = [_cut(lo, hi, e, base - e) for lo, hi, e in terms]
+    return sum(t[0] for t in terms), sum(t[1] for t in terms), base
+
+
+def _cut(lo: int, hi: int, e: int, drop: int) -> Bracket:
+    """[lo, hi] * 2**e on the exponent e + drop: exact for drop <= 0, else
+    with lo rounded down and hi rounded up."""
+    if drop <= 0:
+        return lo << -drop, hi << -drop, e + drop
+    return lo >> drop, -(-hi >> drop), e + drop
 
 
 def _certified_log(lo: int, hi: int, shift: int, value) -> float:

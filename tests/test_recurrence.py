@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exceeds_golden_power, golden_ratios
+from treeshift import recurrence
 from treeshift.matrix import parse_matrix
 from treeshift.recurrence import (
     LogOverflow,
@@ -160,7 +162,7 @@ def test_exact_mode_available_to_level_sixteen():
 
 
 # ---------------------------------------------------------------------------
-# the deepest exact level: logs certified from the sums, integers on demand
+# exact levels: logs certified from brackets, integers on demand
 
 
 @st.composite
@@ -229,6 +231,51 @@ def test_deepest_exact_level_is_built_on_first_read():
     assert sum(levels[14]) == deepest
     assert series.exact is levels and series.exact[14] is levels[14]  # built once
     assert series.symbol_logs[14] == tuple(math.log(v) for v in levels[14])
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_runs())
+def test_every_exact_level_logs_equal_math_log(case):
+    M, params = case
+    series = run(M, params, mode="exact")
+    for n, level in enumerate(series.exact):
+        assert series.symbol_logs[n] == tuple(math.log(v) for v in level), n
+        assert series.p_log[n] == math.log(sum(level)), n
+
+
+@pytest.mark.parametrize("bits", [8, 60])
+def test_narrow_brackets_fall_back_to_exact_logs(monkeypatch, bits):
+    # few kept bits widen the brackets until their ends round apart, so
+    # the fallback builds integer levels during the run
+    monkeypatch.setattr(recurrence, "CERTIFY_BITS", bits)
+    carried = []
+    step = recurrence._power_step
+
+    def recording_step(sums, k, level):
+        x, logs, p_log = step(sums, k, level)
+        carried.append(x)
+        return x, logs, p_log
+
+    monkeypatch.setattr(recurrence, "_power_step", recording_step)
+    for M, params in ((OSCILLATING, TreeParams(2, 16)), (parse_matrix("011,111,101"), TreeParams(3, 9))):
+        carried.clear()
+        series = run(M, params, mode="exact")
+        assert len(series._levels) > 1  # a fallback built integers before `exact` was read
+        levels = series.exact
+        for n, level in enumerate(levels):
+            assert series.symbol_logs[n] == tuple(math.log(v) for v in level), n
+            assert series.p_log[n] == math.log(sum(level)), n
+        for n, x in enumerate(carried, start=1):
+            for v, (lo, hi, e) in zip(levels[n], x):
+                assert lo << e <= v <= hi << e, (n, v)
+
+
+def test_exact_run_holds_only_certificate_sized_integers():
+    k = 2
+    series = run(parse_matrix("011,111,101"), TreeParams(k, 20), mode="exact")
+    held = max(v.bit_length() for v in _held_ints(list(vars(series).values())))
+    assert held <= k * (recurrence.CERTIFY_BITS + 1)
+    assert max(v.bit_length() for v in series.exact[20]) > 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +471,15 @@ def test_json_round_trip_exact_counts_as_strings():
     assert int(payload["exact"][4][0]) == golden_zero_rooted_counts(4)[4]
     approx = run(GOLDEN, TreeParams(2, 4))
     assert approx.as_dict()["exact"] is None
+
+
+def test_json_exact_counts_past_the_int_string_digit_limit():
+    # level 14 of the golden mean has 7,242 digits, past CPython's default
+    # 4,300-digit limit on int-to-str conversion
+    series = run(GOLDEN, TreeParams(2, 14), mode="exact")
+    payload = json.loads(json.dumps(series.as_dict()))
+    assert len(payload["exact"][14][0]) > 4300
+    assert [[int(Decimal(s)) for s in row] for row in payload["exact"]] == [list(row) for row in series.exact]
 
 
 def test_series_accessors():
