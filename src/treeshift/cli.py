@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .matrix import ParseError, RowOrColumnZero, TransitionMatrix, parse_matrix
+from .matrix import TransitionMatrix, parse_matrix
 from .oracle import LabeledTree, enumerate_configs, node_count
 from .recurrence import (
     TreeParams,
@@ -42,7 +42,6 @@ from .reference import (
 )
 from .spectral import NoConvergence, analyze_matrix, upper_bound
 from .sturmian import (
-    ComplexityViolation,
     PrecisionExhausted,
     SturmianParams,
     label_tree_lex,
@@ -586,15 +585,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         report = HANDLERS[args.command](args)
-    except (
-        ParseError,
-        RowOrColumnZero,
-        NoConvergence,
-        PrecisionExhausted,
-        ComplexityViolation,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (NoConvergence, PrecisionExhausted, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

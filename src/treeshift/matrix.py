@@ -42,7 +42,7 @@ class RowOrColumnZero(ValueError):
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Immutable 0/1 adjacency data with display names for the symbols.
+    """Immutable 0/1 adjacency data over the symbols 1 .. d.
 
     Every row and every column must contain a 1: a symbol with no
     successors admits no labelings below it, and one with no
@@ -51,7 +51,6 @@ class TransitionMatrix:
     """
 
     rows: tuple[tuple[int, ...], ...]
-    symbols: tuple[str, ...]
 
     def __post_init__(self):
         d = len(self.rows)
@@ -63,25 +62,24 @@ class TransitionMatrix:
             for j, e in enumerate(row):
                 if e not in (0, 1):
                     raise BadChar(f"entry {e!r} is not 0 or 1", row=i + 1, col=j + 1)
-        if len(self.symbols) != d or len(set(self.symbols)) != d:
-            raise ParseError("need one distinct symbol name per row")
         for i, row in enumerate(self.rows):
             if not any(row):
-                raise RowOrColumnZero(f"symbol {self.symbols[i]} has no successors (row {i + 1} is zero)")
+                raise RowOrColumnZero(f"symbol {i + 1} has no successors (row {i + 1} is zero)")
         for j in range(d):
             if not any(row[j] for row in self.rows):
-                raise RowOrColumnZero(f"symbol {self.symbols[j]} has no predecessors (column {j + 1} is zero)")
+                raise RowOrColumnZero(f"symbol {j + 1} has no predecessors (column {j + 1} is zero)")
 
     @property
     def d(self) -> int:
         return len(self.rows)
 
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return tuple(str(i + 1) for i in range(self.d))
+
     @classmethod
-    def from_rows(cls, rows, symbols=None) -> "TransitionMatrix":
-        tup = tuple(tuple(int(e) for e in row) for row in rows)
-        if symbols is None:
-            symbols = tuple(str(i + 1) for i in range(len(tup)))
-        return cls(tup, tuple(symbols))
+    def from_rows(cls, rows) -> "TransitionMatrix":
+        return cls(tuple(tuple(int(e) for e in row) for row in rows))
 
     def successor_table(self) -> tuple[tuple[int, ...], ...]:
         """successor_table()[i] lists the j with entry (i, j) = 1, ascending."""
@@ -94,17 +92,17 @@ class TransitionMatrix:
         return ",".join("".join(str(e) for e in row) for row in self.rows)
 
 
-def parse_matrix(text: str, symbols=None) -> TransitionMatrix:
+def parse_matrix(text: str) -> TransitionMatrix:
     """Parse either accepted text format into a TransitionMatrix."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty matrix text")
     if stripped.startswith("["):
-        return _parse_json(stripped, symbols)
-    return _parse_row_string(stripped, symbols)
+        return _parse_json(stripped)
+    return _parse_row_string(stripped)
 
 
-def _parse_row_string(text: str, symbols) -> TransitionMatrix:
+def _parse_row_string(text: str) -> TransitionMatrix:
     tokens = [t.strip() for t in text.split(",")]
     d = len(tokens)
     rows = []
@@ -117,10 +115,10 @@ def _parse_row_string(text: str, symbols) -> TransitionMatrix:
                 raise BadChar(f"character {ch!r} is not 0 or 1", row=i + 1, col=j + 1)
             entries.append(int(ch))
         rows.append(tuple(entries))
-    return TransitionMatrix.from_rows(rows, symbols)
+    return TransitionMatrix.from_rows(rows)
 
 
-def _parse_json(text: str, symbols) -> TransitionMatrix:
+def _parse_json(text: str) -> TransitionMatrix:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -138,4 +136,4 @@ def _parse_json(text: str, symbols) -> TransitionMatrix:
                 raise BadChar(f"entry {e!r} is not 0 or 1", row=i + 1, col=j + 1)
             entries.append(e)
         rows.append(tuple(entries))
-    return TransitionMatrix.from_rows(rows, symbols)
+    return TransitionMatrix.from_rows(rows)

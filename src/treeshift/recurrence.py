@@ -368,11 +368,11 @@ def log_deviation(exact: EntropySeries, approx: EntropySeries) -> float:
     return worst
 
 
-def auto_depth(arity: int, min_nodes: int = 10**4) -> int:
-    """Smallest n whose depth-n subtree has at least min_nodes nodes."""
+def auto_depth(arity: int) -> int:
+    """Smallest n whose depth-n subtree has at least 10^4 nodes."""
     params = TreeParams(arity, 0)
     n = 0
-    while params.node_count(n) < min_nodes:
+    while params.node_count(n) < 10**4:
         n += 1
     return n
 

@@ -43,6 +43,10 @@ import numpy as np
 
 from .matrix import TransitionMatrix
 
+# Relative residual at which power iteration stops, and its step cap.
+TOL = 1e-12
+MAX_ITER = 10**6
+
 
 class NoConvergence(RuntimeError):
     """Power iteration failed to meet tolerance within the iteration cap."""
@@ -75,22 +79,23 @@ class SpectralData:
     row_sums: tuple[int, ...]
 
 
-def analyze_matrix(M: TransitionMatrix, tol: float = 1e-12, max_iter: int = 10**6) -> SpectralData:
+def analyze_matrix(M: TransitionMatrix) -> SpectralData:
     """Full spectral analysis of a transition matrix.
 
     Raises NoConvergence when power iteration cannot reach the relative
-    tolerance within the cap. Only irreducible matrices (shifted when
-    periodic) and shifted class blocks are iterated, all with a spectral
-    gap, so the default cap binds only for a gap far below this scale.
+    tolerance TOL within MAX_ITER steps. Only irreducible matrices
+    (shifted when periodic) and shifted class blocks are iterated, all
+    with a spectral gap, so the cap binds only for a gap far below this
+    scale.
     """
-    succ, comps, period, a, blocks = _class_blocks(M, tol, max_iter)
+    succ, comps, period, a, blocks = _class_blocks(M)
     irreducible = len(comps) == 1
     if irreducible:
         lam, right = blocks[0]
         b = a + np.eye(M.d) if period > 1 else a
-        _, left = _power_iteration(b.T, tol, max_iter)
+        _, left = _power_iteration(b.T)
     else:
-        lam, right, left = _reducible_perron(a, succ, comps, blocks, tol, max_iter)
+        lam, right, left = _reducible_perron(a, succ, comps, blocks)
 
     right = right / right.max()
     left = left / left.sum()
@@ -121,7 +126,7 @@ def upper_bound(S: SpectralData) -> float:
     return 0.5 * math.log(S.ratio) + S.sft_entropy
 
 
-def certified_radius_lower(M: TransitionMatrix, tol: float = 1e-12, max_iter: int = 10**6) -> Fraction:
+def certified_radius_lower(M: TransitionMatrix) -> Fraction:
     """Exact rational lower bound on the spectral radius.
 
     For any positive vector w, min_i (B w)_i / w_i never exceeds the
@@ -132,7 +137,7 @@ def certified_radius_lower(M: TransitionMatrix, tol: float = 1e-12, max_iter: in
     tight to the iteration tolerance, reducible matrices included, and
     exactly equal to the radius when the block has constant row sums.
     """
-    succ, comps, _, _, blocks = _class_blocks(M, tol, max_iter)
+    succ, comps, _, _, blocks = _class_blocks(M)
     top = max(range(len(comps)), key=lambda c: blocks[c][0])
     w = {i: Fraction(float(v)) for i, v in zip(comps[top], blocks[top][1])}
     return min(sum(w[j] for j in succ[i] if j in w) / w[i] for i in comps[top])
@@ -231,7 +236,7 @@ def _reachable(succ, starts) -> set[int]:
 # class blocks
 
 
-def _class_blocks(M: TransitionMatrix, tol, max_iter):
+def _class_blocks(M: TransitionMatrix):
     """Classes of M and the Perron data of their diagonal blocks.
 
     Returns (succ, comps, period, a, blocks) with comps in Tarjan's
@@ -247,19 +252,19 @@ def _class_blocks(M: TransitionMatrix, tol, max_iter):
     a = np.array(M.rows, dtype=float)
     if len(comps) == 1:
         shift = period > 1
-        lam, x = _power_iteration(a + np.eye(M.d) if shift else a, tol, max_iter)
+        lam, x = _power_iteration(a + np.eye(M.d) if shift else a)
         return succ, comps, period, a, [(lam - 1.0 if shift else lam, x)]
     blocks = []
     for comp in comps:
         if len(comp) == 1 and a[comp[0], comp[0]] == 0.0:
             blocks.append((0.0, np.ones(1)))
             continue
-        lam, x = _power_iteration(a[np.ix_(comp, comp)] + np.eye(len(comp)), tol, max_iter)
+        lam, x = _power_iteration(a[np.ix_(comp, comp)] + np.eye(len(comp)))
         blocks.append((lam - 1.0, x))
     return succ, comps, period, a, blocks
 
 
-def _reducible_perron(a, succ, comps, blocks, tol, max_iter):
+def _reducible_perron(a, succ, comps, blocks):
     """(lambda, right, left) of a reducible matrix from its class blocks.
 
     Classes whose radius attains lambda (within a relative 1e-8, safe
@@ -285,7 +290,7 @@ def _reducible_perron(a, succ, comps, blocks, tol, max_iter):
     for c in sorted(set(right_seeds) | set(left_seeds)):
         comp = comps[c]
         u = blocks[c][1]
-        _, v = _power_iteration((a[np.ix_(comp, comp)] + np.eye(len(comp))).T, tol, max_iter)
+        _, v = _power_iteration((a[np.ix_(comp, comp)] + np.eye(len(comp))).T)
         x = _class_solve(a, comps, sinks_first, lam, c, u, top)
         y = _class_solve(a.T, comps, sources_first, lam, c, v, top)
         scale = float(v @ u)
@@ -321,7 +326,7 @@ def _class_solve(m, comps, order, lam, seed, vector, hold):
 # power iteration
 
 
-def _power_iteration(b, tol, max_iter):
+def _power_iteration(b):
     """Dominant eigenpair of a nonnegative matrix with a spectral gap.
 
     Returns (lambda, vector) with the vector normalized to sum 1;
@@ -331,11 +336,11 @@ def _power_iteration(b, tol, max_iter):
     x = np.full(d, 1.0 / d)
     lam = 1.0
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         y = b @ x
         lam = y.sum()  # x sums to 1, so this is the Rayleigh-like quotient
         x = y / lam
         residual = float(np.max(np.abs(b @ x - lam * x)))
-        if residual <= tol * lam:
+        if residual <= TOL * lam:
             return float(lam), x
-    raise NoConvergence(max_iter, residual / lam)
+    raise NoConvergence(MAX_ITER, residual / lam)

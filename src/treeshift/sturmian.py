@@ -1,8 +1,7 @@
 """Sturmian words and Sturmian-driven labelings of the binary tree.
 
-A slope alpha in (0,1) and intercept rho define the mechanical word
-s(n) = floor((n+1) alpha + rho) - floor(n alpha + rho), n >= 1. Slopes
-enter as exact fractions with a stated error bound (continued-fraction
+A slope alpha in (0,1) defines the mechanical word
+s(n) = floor((n+1) alpha) - floor(n alpha), n >= 1. Slopes enter as exact fractions with a stated error bound (continued-fraction
 convergents preferred); every floor is evaluated in exact rational
 arithmetic and certified against the error bound, so a word is either
 correct or the computation refuses with PrecisionExhausted.
@@ -16,7 +15,7 @@ and too-small harvest windows are caught.
 
 The tree labelings follow one growth rule: the root carries the first
 symbol of the lexicographically minimal sequence of the system (0
-followed by the rho=0 word), and below a node whose root-to-node path
+followed by the mechanical word), and below a node whose root-to-node path
 spells a non-right-special factor both children copy the unique
 successor. At a right-special node the two successors are split across
 the children: the lexicographic variant puts 0 left and 1 right, the
@@ -48,6 +47,8 @@ from .oracle import LabeledTree, blocks_in_tree, level_bounds, node_count
 # byte per node on top, 24 MiB at depth 24 for blocks of depth 4.
 MAX_TREE_DEPTH = 24
 MIN_HARVEST_WINDOW = 1000
+# Shortest factor length an oracle is built for, whatever the tree depth.
+MIN_ORACLE_LEN = 30
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -60,27 +61,19 @@ class ComplexityViolation(ValueError):
 
 @dataclass(frozen=True)
 class SturmianParams:
-    """Slope, intercept and working length of one Sturmian system."""
+    """Slope of one Sturmian system and a bound on its error."""
 
     alpha: Fraction
     alpha_error: Fraction
-    rho: Fraction = Fraction(0)
-    max_len: int = 30
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.alpha_error < 0:
             raise ValueError("alpha_error must be nonnegative")
-        if not 0 <= self.rho < 1:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
 
     @classmethod
-    def from_continued_fraction(
-        cls, terms, rho: Fraction = Fraction(0), max_len: int = 30
-    ) -> "SturmianParams":
+    def from_continued_fraction(cls, terms) -> "SturmianParams":
         """Convergent of [a0; a1, a2, ...] with the 1/q^2 error bound."""
         terms = list(terms)
         if len(terms) < 2:
@@ -95,12 +88,12 @@ class SturmianParams:
             p_prev, p_cur = p_cur, a * p_cur + p_prev
             q_prev, q_cur = q_cur, a * q_cur + q_prev
         alpha = Fraction(p_cur, q_cur)
-        return cls(alpha, Fraction(1, q_cur * q_cur), rho, max_len)
+        return cls(alpha, Fraction(1, q_cur * q_cur))
 
     @classmethod
-    def fibonacci(cls, max_len: int = 30) -> "SturmianParams":
-        """Slope 1/golden^2 = [0; 2, 1, 1, ...], intercept 0."""
-        return cls.from_continued_fraction([0, 2] + [1] * 78, max_len=max_len)
+    def fibonacci(cls) -> "SturmianParams":
+        """Slope 1/golden^2 = [0; 2, 1, 1, ...], from 80 terms."""
+        return cls.from_continued_fraction([0, 2] + [1] * 78)
 
 
 def _guarded_floor(value: Fraction, error: Fraction, index: int) -> int:
@@ -119,28 +112,22 @@ def mechanical_word(params: SturmianParams, length: int) -> str:
     if length < 1:
         raise ValueError("length must be at least 1")
     out = []
-    prev = _guarded_floor(params.alpha + params.rho, params.alpha_error, 1)
+    prev = _guarded_floor(params.alpha, params.alpha_error, 1)
     for n in range(1, length + 1):
-        value = (n + 1) * params.alpha + params.rho
+        value = (n + 1) * params.alpha
         cur = _guarded_floor(value, (n + 1) * params.alpha_error, n + 1)
         out.append(str(cur - prev))
         prev = cur
     return "".join(out)
 
 
-def characteristic_word(params: SturmianParams, length: int) -> str:
-    """The intercept-0 word of the same slope."""
-    zero = SturmianParams(params.alpha, params.alpha_error, Fraction(0), params.max_len)
-    return mechanical_word(zero, length)
-
-
 def minimal_sequence(params: SturmianParams, length: int) -> str:
-    """Lexicographically minimal sequence of the system: 0 then the rho=0 word."""
+    """Lexicographically minimal sequence of the system: 0 then the mechanical word."""
     if length < 1:
         raise ValueError("length must be at least 1")
     if length == 1:
         return "0"
-    return "0" + characteristic_word(params, length - 1)
+    return "0" + mechanical_word(params, length - 1)
 
 
 @dataclass(frozen=True)
@@ -175,15 +162,14 @@ class FactorOracle:
         return w in self.table[len(w)]
 
 
-def build_factor_oracle(params: SturmianParams, max_len: int | None = None) -> FactorOracle:
+def build_factor_oracle(params: SturmianParams, max_len: int = MIN_ORACLE_LEN) -> FactorOracle:
     """Harvest and validate the factor language up to max_len."""
-    m = params.max_len if max_len is None else max_len
-    if m < 1:
+    if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    window = max(10 * m, MIN_HARVEST_WINDOW)
+    window = max(10 * max_len, MIN_HARVEST_WINDOW)
     word = mechanical_word(params, window)
     by_length = []
-    for n in range(1, m + 2):
+    for n in range(1, max_len + 2):
         found = {word[i : i + n] for i in range(len(word) - n + 1)}
         if len(found) != n + 1:
             raise ComplexityViolation(
@@ -192,20 +178,20 @@ def build_factor_oracle(params: SturmianParams, max_len: int | None = None) -> F
             )
         by_length.append(found)
     table = [{"": "01"}]
-    for n in range(1, m + 1):
+    for n in range(1, max_len + 1):
         longer = by_length[n]
         entry = {}
         for w in sorted(by_length[n - 1]):
             succ = "".join(c for c in "01" if w + c in longer)
             entry[w] = succ
         table.append(entry)
-    for n in range(m + 1):
+    for n in range(max_len + 1):
         special = [w for w, succ in table[n].items() if len(succ) == 2]
         if len(special) != 1:
             raise ComplexityViolation(
                 f"{len(special)} right-special factors of length {n}, expected 1"
             )
-    return FactorOracle(m, tuple(table))
+    return FactorOracle(max_len, tuple(table))
 
 
 def tree_oracle(params: SturmianParams, depth: int) -> FactorOracle:
@@ -215,7 +201,7 @@ def tree_oracle(params: SturmianParams, depth: int) -> FactorOracle:
     `label_tree_random` to label several seeds without rebuilding it.
     """
     _check_depth(depth)
-    return build_factor_oracle(params, max(depth, params.max_len, 1))
+    return build_factor_oracle(params, max(depth, MIN_ORACLE_LEN))
 
 
 def _check_depth(depth: int) -> None:

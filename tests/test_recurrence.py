@@ -360,7 +360,6 @@ def test_auto_depth_targets():
     assert auto_depth(3) == 9
     assert auto_depth(4) == 7
     assert auto_depth(5) == 6
-    assert auto_depth(2, min_nodes=1) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import char_poly, largest_real_root, permute_rows, valid_matrices
+from treeshift import spectral
 from treeshift.matrix import TransitionMatrix, parse_matrix
 from treeshift.reference import PLASTIC_MATRIX, REFERENCE_ROWS
 from treeshift.spectral import (
@@ -123,10 +124,11 @@ def test_reducible_second_row_finite_ratio():
     assert abs(upper_bound(S) - 2.0 * math.log(PHI)) < 1e-9
 
 
-def test_iteration_cap_raises_no_convergence():
+def test_iteration_cap_raises_no_convergence(monkeypatch):
     # one step cannot meet the tolerance even on a primitive matrix
+    monkeypatch.setattr(spectral, "MAX_ITER", 1)
     with pytest.raises(NoConvergence) as info:
-        analyze_matrix(parse_matrix(GOLDEN), max_iter=1)
+        analyze_matrix(parse_matrix(GOLDEN))
     err = info.value
     assert err.iterations == 1
     assert err.residual > 0.0

@@ -12,7 +12,6 @@ from treeshift.sturmian import (
     PrecisionExhausted,
     SturmianParams,
     build_factor_oracle,
-    characteristic_word,
     label_tree_lex,
     label_tree_random,
     left_edge_word,
@@ -37,10 +36,6 @@ def test_params_validation():
         SturmianParams(Fraction(3, 2), Fraction(0))
     with pytest.raises(ValueError):
         SturmianParams(Fraction(1, 3), Fraction(-1, 10))
-    with pytest.raises(ValueError):
-        SturmianParams(Fraction(1, 3), Fraction(0), rho=Fraction(1))
-    with pytest.raises(ValueError):
-        SturmianParams(Fraction(1, 3), Fraction(0), max_len=0)
 
 
 def test_continued_fraction_convergents():
@@ -82,16 +77,9 @@ def test_mechanical_word_starts_at_index_one():
         mechanical_word(FIB, 0)
 
 
-def test_intercept_shifts_the_word():
-    shifted = SturmianParams(FIB.alpha, FIB.alpha_error, rho=Fraction(1, 2))
-    word = mechanical_word(shifted, 30)
-    assert word[0] == "1"
-    assert word != characteristic_word(FIB, 30)
-
-
 def test_minimal_sequence_prefixes():
     assert minimal_sequence(FIB, 1) == "0"
-    assert minimal_sequence(FIB, 14) == "0" + characteristic_word(FIB, 13)
+    assert minimal_sequence(FIB, 14) == "0" + mechanical_word(FIB, 13)
     assert minimal_sequence(FIB, 13) == "0010010100100"
 
 
@@ -102,9 +90,17 @@ def test_precision_exhausted_for_coarse_decimal():
 
 
 def test_rational_slope_violates_complexity():
-    rational = SturmianParams(Fraction(1, 3), Fraction(0), max_len=5)
+    rational = SturmianParams(Fraction(1, 3), Fraction(0))
     with pytest.raises(ComplexityViolation):
-        build_factor_oracle(rational)
+        build_factor_oracle(rational, 5)
+
+
+def test_shallow_tree_oracle_still_reaches_the_length_floor():
+    # slope 1/20 has period 20, so a depth-5 tree's oracle only fails
+    # because it is built to MIN_ORACLE_LEN, not to the depth
+    slope = SturmianParams(Fraction(1, 20), Fraction(0))
+    with pytest.raises(ComplexityViolation, match="found 20 factors of length 20, expected 21"):
+        label_tree_lex(slope, 5)
 
 
 # ---------------------------------------------------------------------------
