@@ -1,7 +1,8 @@
 """Sturmian words and Sturmian-driven labelings of the binary tree.
 
 A slope alpha in (0,1) defines the mechanical word
-s(n) = floor((n+1) alpha) - floor(n alpha), n >= 1. Slopes enter as exact fractions with a stated error bound (continued-fraction
+s(n) = floor((n+1) alpha) - floor(n alpha), n >= 1. Slopes enter as
+exact fractions with a stated error bound (continued-fraction
 convergents preferred); every floor is evaluated in exact rational
 arithmetic and certified against the error bound, so a word is either
 correct or the computation refuses with PrecisionExhausted.
@@ -15,8 +16,8 @@ and too-small harvest windows are caught.
 
 The tree labelings follow one growth rule: the root carries the first
 symbol of the lexicographically minimal sequence of the system (0
-followed by the mechanical word), and below a node whose root-to-node path
-spells a non-right-special factor both children copy the unique
+followed by the mechanical word), and below a node whose root-to-node
+path spells a non-right-special factor both children copy the unique
 successor. At a right-special node the two successors are split across
 the children: the lexicographic variant puts 0 left and 1 right, the
 random variant flips a seeded fair coin per such node in breadth-first
