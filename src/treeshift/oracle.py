@@ -20,8 +20,11 @@ blocks_in_tree takes the census of a labeled tree by hash-consing
 by level, every root whose block fits gets the id of the tuple of its
 label and its children's previous ids, interned in a running table, so
 equal ids mean equal blocks. The work per level is one pass over the
-roots in numpy chunks, whatever the block depth, and each distinct
-block is rebuilt once from one root that carries it.
+roots in numpy chunks, whatever the block depth. A level with no more
+possible keys than roots keeps its ids in a dense table indexed by
+key, so a chunk costs one gather; other levels keep them in dicts, fed
+the distinct keys of each chunk. Each distinct block is rebuilt once
+from one root that carries it, by slicing each level of the layout.
 
 The materialized census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
@@ -42,12 +45,12 @@ import numpy as np
 from .matrix import TransitionMatrix
 
 MATERIALIZE_CAP = 40
-# The census interns roots in chunks of this many, each deduplicated by
-# one small np.unique and merged into a running key -> id dict. One
-# np.unique over a whole level's int64 keys would allocate the keys,
-# their sort order and the inverse at once, tens of bytes per root and
-# several times the tree itself; 4096-root chunks keep those transients
-# at a few hundred kilobytes.
+# The census interns roots in chunks of this many: a chunk's int64 keys
+# are looked up in a dense id table, or deduplicated by one small
+# np.unique and merged into a running key -> id dict. Keys for a whole
+# level at once, with np.unique's sort order and inverse, would take
+# tens of bytes per root, several times the tree itself; 4096-root
+# chunks keep those transients at a few hundred kilobytes.
 CENSUS_CHUNK = 4096
 _KEY_LIMIT = 2**63 - 1  # interned keys are int64
 
@@ -221,7 +224,13 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
         ids, width, reps = _intern_level(
             labels, ids, width, alphabet, k, node_count(k, tree.depth - j)
         )
-    blocks = sorted(_block_at(tree, v, n) for v in reps)
+    # the descendants of v at relative level j are the k^j nodes from
+    # k^j v + node_count(k, j - 1) on
+    offsets = [(k**j, node_count(k, j - 1), node_count(k, j)) for j in range(n + 1)]
+    blocks = sorted(
+        b"".join([tree.labels[s * v + lo : s * v + hi] for s, lo, hi in offsets])
+        for v in reps
+    )
     return BlockCensus(k, n, alphabet, tuple(blocks))
 
 
@@ -230,33 +239,68 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
 
     Returns the ids in the smallest unsigned dtype that holds them, the
     number of distinct ids, and one root per id. Each root's key packs
-    its label and its children's ids into one int64; where the whole
-    key would not fit, the children are folded in one at a time, and
-    the partial key is interned before the next child joins it.
+    its label and its children's ids. Where the key span is no larger
+    than the root count, every key fits in int64 and indexes a dense
+    table of ids. Otherwise the keys go to running dicts; where a whole
+    key would not fit in int64, the children are folded in one at a
+    time, and the partial key is interned before the next child joins.
     """
-    out = np.empty(roots, dtype=np.min_scalar_type(min(roots, alphabet * width**k) - 1))
-    tables = [{} for _ in range(k + 1)]  # one per partial fold, the last for id_j
+    span = alphabet * width**k  # every key is below it
+    out = np.empty(roots, dtype=np.min_scalar_type(min(roots, span) - 1))
     reps: list[int] = []
+    if span <= roots:
+        # ids below span, and -1 for unseen keys
+        table = np.full(span, -1, dtype=np.min_scalar_type(-span))
+        for lo, hi, key, kids in _chunks(labels, child_ids, k, roots):
+            for c in range(k):
+                key = key * width + kids[:, c]
+            out[lo:hi] = _intern_dense(table, key, reps, lo)
+    else:
+        tables = [{} for _ in range(k + 1)]  # one per partial fold, the last for id_j
+        for lo, hi, key, kids in _chunks(labels, child_ids, k, roots):
+            span = alphabet  # key < span
+            for c in range(k):
+                if span * width > _KEY_LIMIT:
+                    key = _intern(tables[c], key)
+                    span = roots
+                key = key * width + kids[:, c]
+                span *= width
+            out[lo:hi] = _intern(tables[k], key, reps, lo)
+    return out, len(reps), reps
+
+
+def _chunks(labels, child_ids, k: int, roots: int):
+    """Per CENSUS_CHUNK roots: bounds, labels as int64 keys, children's ids."""
     for lo in range(0, roots, CENSUS_CHUNK):
         hi = min(lo + CENSUS_CHUNK, roots)
         kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
-        key = labels[lo:hi].astype(np.int64)
-        span = alphabet  # key < span
-        for c in range(k):
-            if span * width > _KEY_LIMIT:
-                key = _intern(tables[c], key)
-                span = roots
-            key = key * width + kids[:, c]
-            span *= width
-        out[lo:hi] = _intern(tables[k], key, reps, lo)
-    return out, len(tables[k]), reps
+        yield lo, hi, labels[lo:hi].astype(np.int64), kids
+
+
+def _intern_dense(table, keys, reps: list, offset: int):
+    """Ids of `keys` from a dense table indexed by key, -1 where unseen.
+
+    One gather answers every key the table has seen; only the unseen
+    keys are deduplicated, numbered in order of arrival, stored, and
+    their first positions, plus `offset`, appended to `reps`.
+    """
+    ids = table[keys]
+    new = np.flatnonzero(ids < 0)
+    if len(new):
+        uniq, first = np.unique(keys[new], return_index=True)
+        table[uniq] = np.arange(len(reps), len(reps) + len(uniq))
+        reps.extend((new[first] + offset).tolist())
+        ids[new] = table[keys[new]]
+    return ids
 
 
 def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
-    """Ids of `keys` in the running table, adding the keys it lacks.
+    """Ids of `keys` in a running dict, adding the keys it lacks.
 
-    New ids are numbered in order of arrival; the first position of each
-    new key, plus `offset`, is appended to `reps`.
+    Each call deduplicates its keys with one np.unique and looks up
+    only the distinct ones. New ids are numbered in order of arrival;
+    the first position of each new key, plus `offset`, is appended to
+    `reps`.
     """
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     known = len(table)
@@ -266,19 +310,6 @@ def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
     if reps is not None:
         reps.extend((first[ids >= known] + offset).tolist())
     return ids[inverse]
-
-
-def _block_at(tree: LabeledTree, v: int, n: int) -> bytes:
-    """The depth-n block rooted at v, one contiguous slice per level.
-
-    The descendants of v at relative level j are the k^j nodes from
-    k^j v + node_count(k, j - 1) on.
-    """
-    k = tree.arity
-    return b"".join(
-        tree.labels[k**j * v + node_count(k, j - 1) : k**j * v + node_count(k, j)]
-        for j in range(n + 1)
-    )
 
 
 @dataclass(frozen=True)

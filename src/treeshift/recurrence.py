@@ -55,8 +55,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Sequence
 
-import mpmath
-
 from .matrix import TransitionMatrix
 from .oracle import node_count
 
@@ -526,6 +524,8 @@ def golden_power_bounds(a_seq: Sequence[int], precision_bits: int | None = None)
     the gamma power cannot flip the verdict. The precision_bits argument
     overrides the bit count.
     """
+    import mpmath  # slow to import, and only this function needs it
+
     checks = []
     for n in range(4, len(a_seq)):
         exponent = 2 ** (n + 1) - 1

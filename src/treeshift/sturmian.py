@@ -3,7 +3,7 @@
 A slope alpha in (0,1) defines the mechanical word
 s(n) = floor((n+1) alpha) - floor(n alpha), n >= 1. Slopes enter as
 exact fractions with a stated error bound (continued-fraction
-convergents preferred); every floor is evaluated in exact rational
+convergents preferred); every floor is evaluated in exact integer
 arithmetic and certified against the error bound, so a word is either
 correct or the computation refuses with PrecisionExhausted.
 
@@ -45,7 +45,10 @@ from .oracle import LabeledTree, blocks_in_tree, level_bounds, node_count
 # Labeling peaks near 2.75 bytes per node (the label buffer, its bytes
 # copy, one level of uint8 gathers) and keeps 1: 5.6 MiB at depth 20,
 # 88 MiB at depth 24 (33.5M nodes). A census of the tree adds under one
-# byte per node on top, 24 MiB at depth 24 for blocks of depth 4.
+# byte per node on top, 24 MiB at depth 24 for blocks of depth 4, plus
+# a level's dense id table: no more entries than the level has roots,
+# each at most an int32, and under 2,000 entries on Sturmian trees of
+# depth 20 with blocks up to depth 12.
 MAX_TREE_DEPTH = 24
 MIN_HARVEST_WINDOW = 1000
 # Shortest factor length an oracle is built for, whatever the tree depth.
@@ -97,29 +100,29 @@ class SturmianParams:
         return cls.from_continued_fraction([0, 2] + [1] * 78)
 
 
-def _guarded_floor(value: Fraction, error: Fraction, index: int) -> int:
-    base = value.numerator // value.denominator
-    frac = value - base
-    if frac < error or 1 - frac <= error:
-        raise PrecisionExhausted(
-            f"floor at position {index} is ambiguous within the slope error; "
-            "supply more continued-fraction terms or decimal places"
-        )
-    return base
-
-
 def mechanical_word(params: SturmianParams, length: int) -> str:
-    """First `length` symbols s(1) .. s(length) of the mechanical word."""
+    """First `length` symbols s(1) .. s(length) of the mechanical word.
+
+    With alpha = p/q and its error e/f, floor(m alpha) is the quotient
+    of m p by q; it is certified when the remainder r keeps the whole
+    error interval inside one unit, r/q >= m e/f and (q - r)/q > m e/f,
+    both tested in integers.
+    """
     if length < 1:
         raise ValueError("length must be at least 1")
-    out = []
-    prev = _guarded_floor(params.alpha, params.alpha_error, 1)
-    for n in range(1, length + 1):
-        value = (n + 1) * params.alpha
-        cur = _guarded_floor(value, (n + 1) * params.alpha_error, n + 1)
-        out.append(str(cur - prev))
-        prev = cur
-    return "".join(out)
+    p, q = params.alpha.numerator, params.alpha.denominator
+    e, f = params.alpha_error.numerator, params.alpha_error.denominator
+    floors = []
+    for m in range(1, length + 2):
+        base, rem = divmod(m * p, q)
+        bound = m * e * q
+        if rem * f < bound or (q - rem) * f <= bound:
+            raise PrecisionExhausted(
+                f"floor at position {m} is ambiguous within the slope error; "
+                "supply more continued-fraction terms or decimal places"
+            )
+        floors.append(base)
+    return "".join(str(b - a) for a, b in zip(floors, floors[1:]))
 
 
 def minimal_sequence(params: SturmianParams, length: int) -> str:
@@ -135,10 +138,12 @@ def minimal_sequence(params: SturmianParams, length: int) -> str:
 class FactorOracle:
     """Factors up to max_len with their valid successor symbols.
 
-    table[n] maps each length-n factor to its successors as a sorted
-    string ("0", "1" or "01"); the empty factor at n = 0 is included.
+    alpha is the slope whose language the oracle holds. table[n] maps
+    each length-n factor to its successors as a sorted string ("0", "1"
+    or "01"); the empty factor at n = 0 is included.
     """
 
+    alpha: Fraction
     max_len: int
     table: tuple[dict, ...] = field(repr=False)
 
@@ -192,7 +197,7 @@ def build_factor_oracle(params: SturmianParams, max_len: int = MIN_ORACLE_LEN) -
             raise ComplexityViolation(
                 f"{len(special)} right-special factors of length {n}, expected 1"
             )
-    return FactorOracle(max_len, tuple(table))
+    return FactorOracle(params.alpha, max_len, tuple(table))
 
 
 def tree_oracle(params: SturmianParams, depth: int) -> FactorOracle:
@@ -233,6 +238,8 @@ def label_tree_random(
         _check_depth(depth)
         if oracle.max_len < depth:
             raise ValueError(f"the oracle covers depths up to {oracle.max_len}, not {depth}")
+        if oracle.alpha != params.alpha:
+            raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
     rng = random.Random(seed)
     return _fill_tree(params, oracle, depth, coins=lambda m: _coin_bits(rng, m))
 

@@ -4,8 +4,8 @@ Everything here is implemented from first principles, deliberately
 avoiding the code paths under test: characteristic polynomials are
 expanded exactly over the rationals, block counts come from filtering
 the full product space, tree censuses from one window per root, golden
-mean q ratios from big-integer division, and the Fibonacci word comes
-from its substitution rule.
+mean q ratios from big-integer division, the Fibonacci word from its
+substitution rule, and mechanical words from Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -140,6 +140,24 @@ def fibonacci_word(length: int) -> str:
     while len(word) < length:
         word = "".join("01" if ch == "0" else "0" for ch in word)
     return word[:length]
+
+
+def fraction_mechanical_word(alpha: Fraction, error: Fraction, length: int):
+    """s(1) .. s(length) of the mechanical word of slope alpha, in Fractions.
+
+    Each floor(m alpha) is taken from the exact rational m alpha and
+    refused when m error reaches across an integer. Returns the word and
+    None, or None and the position m of the first refused floor.
+    """
+    floors = []
+    for m in range(1, length + 2):
+        value = m * alpha
+        base = value.numerator // value.denominator
+        frac = value - base
+        if frac < m * error or 1 - frac <= m * error:
+            return None, m
+        floors.append(base)
+    return "".join(str(b - a) for a, b in zip(floors, floors[1:])), None
 
 
 def fib_lucas(m: int) -> tuple[int, int]:

@@ -3,10 +3,12 @@
 `oracles.window_census` reads every root's block from explicit child
 lists; `blocks_in_tree` must return the same blocks, count and alphabet
 size for every block depth, whether the tree shares most of its
-subtrees or none of them.
+subtrees or none of them, whichever id table a level is interned
+through, and whether or not the symbols used are contiguous.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +23,17 @@ from treeshift.oracle import LabeledTree, blocks_in_tree
 def labeled_trees(draw):
     arity = draw(st.sampled_from((2, 3)))
     depth = draw(st.integers(0, 6))
-    alphabet = draw(st.integers(1, 4))
+    # the symbols used need not be 0 .. d-1: gaps widen every key
+    symbols = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
     size = node_count(arity, depth)
     if draw(st.booleans()):
         # independent labels: at arity 3 and block depth 2 or more,
         # nearly every block is distinct
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        labels = [rng.randrange(alphabet) for _ in range(size)]
+        labels = [rng.choice(symbols) for _ in range(size)]
     else:
         # a short period along the breadth-first order: heavy sharing
-        period = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=5))
+        period = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=5))
         labels = [period[v % len(period)] for v in range(size)]
     return LabeledTree.from_labels(arity, depth, labels)
 
@@ -75,3 +78,49 @@ def test_census_folding_one_child_at_a_time(arity, monkeypatch):
         tree = LabeledTree.from_labels(arity, depth, labels)
         for n in range(depth + 1):
             assert_census_matches(tree, n)
+
+
+def periodic_tree(arity, depth, period):
+    return LabeledTree.from_labels(
+        arity, depth, [period[v % len(period)] for v in range(node_count(arity, depth))]
+    )
+
+
+def random_tree(arity, depth, symbols, seed):
+    rng = random.Random(seed)
+    return LabeledTree.from_labels(
+        arity, depth, [rng.choice(symbols) for _ in range(node_count(arity, depth))]
+    )
+
+
+@pytest.mark.parametrize(
+    "tree, tables",
+    [
+        # few distinct blocks, so shallow levels have more roots than
+        # keys (dense) and the deepest, with a handful of roots, do not
+        (periodic_tree(2, 9, (0, 2, 2, 0, 0)), {"_intern_dense", "_intern"}),
+        # level 1 has 121 roots for 3 * 3^3 keys; past it nearly every
+        # block is distinct
+        (random_tree(3, 5, (0, 2), 11), {"_intern_dense", "_intern"}),
+        # 5 * 5^3 possible keys for at most 13 roots: no level is dense
+        (random_tree(3, 3, (1, 3, 4), 12), {"_intern"}),
+    ],
+)
+def test_census_on_each_side_of_the_dense_table(tree, tables, monkeypatch):
+    # 5-root chunks, so keys first seen in a later chunk join a table
+    # that earlier chunks filled
+    monkeypatch.setattr(oracle, "CENSUS_CHUNK", 5)
+    calls = Counter()
+    for name in ("_intern_dense", "_intern"):
+        monkeypatch.setattr(oracle, name, _counted(getattr(oracle, name), name, calls))
+    for n in range(tree.depth + 1):
+        assert_census_matches(tree, n)
+    assert set(calls) == tables
+
+
+def _counted(fn, name, calls):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted

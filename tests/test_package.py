@@ -1,7 +1,11 @@
-"""The package's export list."""
+"""The package's export list, and what importing the CLI loads."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import treeshift
 
@@ -27,3 +31,16 @@ def test_star_import_carries_every_exception():
     exec("from treeshift import *", namespace)
     for name in ("ComplexityViolation", "LogOverflow", "PrecisionExhausted", "UncertifiedFloat"):
         assert isinstance(namespace[name], type) and issubclass(namespace[name], Exception), name
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is imported by the one function that needs it, so a fresh
+    # interpreter importing the CLI does not pay for it
+    path = [str(Path(treeshift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, treeshift.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,10 +1,11 @@
 """Mechanical words, factor oracles, and tree labelings."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import fibonacci_word
+from oracles import fibonacci_word, fraction_mechanical_word
 from treeshift.oracle import DepthExceeded
 from treeshift.sturmian import (
     MAX_TREE_DEPTH,
@@ -87,6 +88,29 @@ def test_precision_exhausted_for_coarse_decimal():
     coarse = SturmianParams.from_continued_fraction([0, 3, 1, 1])
     with pytest.raises(PrecisionExhausted):
         mechanical_word(coarse, 50)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        FIB,
+        SturmianParams.from_continued_fraction([0, 3, 1, 1]),
+        SturmianParams.from_continued_fraction([0, 2, 1, 1, 1, 1, 1, 1]),
+        SturmianParams.from_continued_fraction([0, 1, 2, 3, 4, 5, 6]),
+        SturmianParams.from_continued_fraction([0, 3, 1, 2, 1, 1, 4, 1, 3, 2, 1, 5]),
+        SturmianParams(Fraction(381966, 10**6), Fraction(1, 10**6)),
+        SturmianParams(Fraction(5, 13), Fraction(0)),
+        SturmianParams(Fraction(1, 3), Fraction(0)),
+    ],
+)
+def test_mechanical_word_matches_fraction_reference(params):
+    expected, refused_at = fraction_mechanical_word(params.alpha, params.alpha_error, 1000)
+    if refused_at is None:
+        assert mechanical_word(params, 1000) == expected
+    else:
+        with pytest.raises(PrecisionExhausted) as caught:
+            mechanical_word(params, 1000)
+        assert re.search(r"position (\d+) ", str(caught.value)).group(1) == str(refused_at)
 
 
 def test_rational_slope_violates_complexity():
@@ -194,6 +218,12 @@ def test_shared_oracle_labels_the_same_trees():
         assert label_tree_random(FIB, 10, seed, oracle) == label_tree_random(FIB, 10, seed)
     with pytest.raises(ValueError, match="covers depths up to 10"):
         label_tree_random(FIB, 11, 0, build_factor_oracle(FIB, 10))
+    other = SturmianParams.from_continued_fraction([0, 3, 1, 2, 1, 1, 4] + [1] * 30)
+    with pytest.raises(ValueError, match="built for slope"):
+        label_tree_random(other, 10, 0, oracle)
+    assert tree_complexity(label_tree_random(other, 10, 0, tree_oracle(other, 10)), 3) == [
+        2, 5, 11, 27
+    ]
     with pytest.raises(ValueError):
         label_tree_random(FIB, -1, 0, oracle)
     with pytest.raises(ValueError):
