@@ -93,6 +93,14 @@ def random_tree(arity, depth, symbols, seed):
     )
 
 
+def _counted(fn, name, calls):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 @pytest.mark.parametrize(
     "tree, tables",
     [
@@ -117,10 +125,3 @@ def test_census_on_each_side_of_the_dense_table(tree, tables, monkeypatch):
         assert_census_matches(tree, n)
     assert set(calls) == tables
 
-
-def _counted(fn, name, calls):
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-
-    return counted
