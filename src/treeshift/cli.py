@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .matrix import TransitionMatrix, parse_matrix
-from .oracle import LabeledTree, enumerate_configs, node_count
+from .oracle import LabeledTree, enumerate_configs
 from .recurrence import (
     TreeParams,
     auto_depth,
@@ -54,7 +54,6 @@ from .sturmian import (
 )
 
 GOLDEN_MATRIX = "11,10"
-EXACT_DEPTH_LIMIT = 20
 WORD_PREFIX = 60
 LABEL_PREFIX = 255
 
@@ -117,23 +116,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # analyze
 
 
-def _exact_depth_limit(arity: int) -> int:
-    """Deepest exact level whose tree has no more nodes than the binary one at
-    EXACT_DEPTH_LIMIT; the exact integers grow with the node count."""
-    if arity <= 2:
-        return EXACT_DEPTH_LIMIT  # an arity below 2 is refused by TreeParams
-    budget = node_count(2, EXACT_DEPTH_LIMIT)
-    return max(n for n in range(EXACT_DEPTH_LIMIT + 1) if node_count(arity, n) <= budget)
-
-
 def cmd_analyze(args) -> Report:
     M = _load_matrix(args.matrix)
     n = args.depth
-    if args.exact:
-        limit = _exact_depth_limit(args.arity)
-        if n > limit:
-            at = "" if args.arity <= 2 else f" at arity {args.arity}"
-            raise ValueError(f"exact mode is limited to depth {limit}{at}")
     params = TreeParams(args.arity, n)
     spectral = analyze_matrix(M)
     series = run(M, params)

@@ -14,17 +14,18 @@ selected y_j(n), whose additive float error stays far below the
 divisors used for entropy.
 
 An exact run carries no big integers. Each x_i(n) is held as a bracket
-[lo, hi] * 2^e whose ends have at most about k * CERTIFY_BITS bits:
-sums put their terms on one exponent and round low ends down and high
-ends up, each sum is cut to CERTIFY_BITS bits the same way, and raising
-both ends to the k-th power gives the next level. Each log x_i(n) and
-log p(n) is the float math.log returns for the full integer, bit for
-bit: both ends of the bracket must round to the same float, or the
+[lo, hi] * 2^e whose ends keep their top bits = CERTIFY_BITS +
+(n_max + 1) * ceil(log2 k) bits, low ends rounded down and high ends up:
+sums put their terms on one exponent, and each sum is raised to the
+k-th power by squaring, every product cut the same way. Each log x_i(n)
+and log p(n) is the float math.log returns for the full integer, bit
+for bit: both ends of the bracket must round to the same float, or the
 integers are built with the plain recurrence up to that level and the
 value is computed in full. A bracket's relative width stays below about
-k^(n+1) * 2^-CERTIFY_BITS, far below a float's 2^-53 at any depth whose
-integers are affordable. The integers of every level are built the
-first time `EntropySeries.exact` is read.
+k^(n+1) * 2^-bits <= 2^-CERTIFY_BITS, far below a float's 2^-53, at
+every depth. The integers of every level are built the first time
+`EntropySeries.exact` is read, for trees of at most EXACT_NODE_BUDGET
+nodes; deeper levels raise `oracle.TooLarge`.
 
 Entropy estimates divide log p(n) by the size scale of the depth-n
 subtree: the dyadic convention uses 2^(n+1) and higher arities use the
@@ -56,7 +57,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from .matrix import TransitionMatrix
-from .oracle import node_count
+from .oracle import TooLarge, node_count
 
 
 class LogOverflow(ValueError):
@@ -126,10 +127,10 @@ class EntropySeries:
 
     An exact run holds no big integers: it keeps the successor table and
     only the integer levels that a fallback of the certificate needed
-    (see `_power_step`). Its logs are certified from 128-bit brackets
-    and equal math.log of the integers bit for bit. The first read of
-    `exact` builds the remaining levels with the plain integer
-    recurrence and keeps them.
+    (see `_power_step`). Its logs are certified from brackets and equal
+    math.log of the integers bit for bit. The first read of `exact`
+    builds the remaining levels with the plain integer recurrence and
+    keeps them, or raises TooLarge past EXACT_NODE_BUDGET nodes.
     """
 
     arity: int
@@ -152,6 +153,8 @@ class EntropySeries:
 
     def _build(self, n: int) -> tuple[int, ...]:
         """The exact level n, extending the integer levels built so far."""
+        if node_count(self.arity, n) > EXACT_NODE_BUDGET:
+            raise TooLarge(f"exact level {n} at arity {self.arity} has more than {EXACT_NODE_BUDGET} nodes")
         levels = self._levels
         while len(levels) <= n:
             x = levels[-1]
@@ -244,11 +247,12 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
         _succ=succ if exact else None,
     )
     x = ((1, 1, 0),) * M.d if exact else (0.0,) * M.d
+    bits = CERTIFY_BITS + (params.n_max + 1) * (k - 1).bit_length()
     _append_level(series, (0.0,) * M.d, math.log(M.d))
     for n in range(1, params.n_max + 1):
         if exact:
-            sums = [_bracket_sum([x[j] for j in s]) for s in succ]
-            x, logs, p_log = _power_step(sums, k, lambda: series._build(n))
+            sums = [_bracket_sum([x[j] for j in s], bits) for s in succ]
+            x, logs, p_log = _power_step(sums, k, bits, lambda: series._build(n))
         else:
             x = logs = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
             p_log = _logsumexp(x)
@@ -274,47 +278,54 @@ def _append_level(series: EntropySeries, logs: tuple[float, ...], p_log: float) 
     series.h2.append(math.log(p_log) / n if p_log > 0 else None)
 
 
-# Bits each sum of an exact run is cut to before it is raised to the k-th power.
+# Base bits of an exact run's brackets; a run to depth n_max adds
+# (n_max + 1) * ceil(log2 k), since each k-th power widens a bracket k times.
 CERTIFY_BITS = 128
+
+# Nodes of the largest tree whose exact integers are built (binary, depth 20).
+EXACT_NODE_BUDGET = node_count(2, 20)
 
 # An integer bracket (lo, hi, e): lo * 2**e <= v <= hi * 2**e.
 Bracket = tuple[int, int, int]
 
 
-def _power_step(sums: Sequence[Bracket], k: int, level) -> tuple[tuple[Bracket, ...], tuple[float, ...], float]:
+def _power_step(
+    sums: Sequence[Bracket], k: int, bits: int, level
+) -> tuple[tuple[Bracket, ...], tuple[float, ...], float]:
     """One exact level from brackets around its sums s_i: the brackets
     around x_i = s_i ** k, math.log of each x_i and math.log of their
     total, bit for bit. `level()` returns the exact x_i for the fallback.
 
     CPython takes the log of an int from its correctly rounded frexp
     pair (m, e), so any bracket around the integer whose two ends round
-    to the same pair fixes the float. Each sum is cut to its top
-    CERTIFY_BITS bits, rounding outward, and both ends are raised to the
-    k-th power; the total is bracketed by `_bracket_sum` of the powers.
-    Where the two ends of a bracket round apart, the log is taken of the
-    exact value instead.
+    to the same pair fixes the float. Each x_i comes from `_power` and
+    the total from `_bracket_sum` of the powers, both kept to `bits`
+    bits. Where the two ends of a bracket round apart, the log is taken
+    of the exact value instead.
     """
-    cut = (_cut(lo, hi, e, max(hi.bit_length() - CERTIFY_BITS, 0)) for lo, hi, e in sums)
-    x = tuple((lo**k, hi**k, k * e) for lo, hi, e in cut)
+    x = tuple(_power(s, k, bits) for s in sums)
     logs = tuple(_certified_log(lo, hi, e, lambda i=i: level()[i]) for i, (lo, hi, e) in enumerate(x))
-    lo, hi, e = _bracket_sum(x)
+    lo, hi, e = _bracket_sum(x, bits)
     return x, logs, _certified_log(lo, hi, e, lambda: sum(level()))
 
 
-def _power_logs(sums: tuple[int, ...], k: int) -> tuple[tuple[float, ...], float]:
-    """math.log(s ** k) for each integer sum, and math.log(sum(s ** k)),
-    bit for bit: `_power_step` on the exact brackets [s, s]."""
-    _, logs, p_log = _power_step([(s, s, 0) for s in sums], k, lambda: tuple(s**k for s in sums))
-    return logs, p_log
+def _power(b: Bracket, k: int, bits: int) -> Bracket:
+    """A bracket around b ** k by squaring, each step cut outward to `bits` bits."""
+    if k == 1:
+        return b
+    lo, hi, e = _power(b, k >> 1, bits)
+    lo, hi, e = lo * lo, hi * hi, 2 * e
+    if k & 1:
+        lo, hi, e = lo * b[0], hi * b[1], e + b[2]
+    return _cut(lo, hi, e, max(hi.bit_length() - bits, 0))
 
 
-def _bracket_sum(terms: Sequence[Bracket]) -> Bracket:
+def _bracket_sum(terms: Sequence[Bracket], bits: int) -> Bracket:
     """A bracket around the sum of bracketed terms, on the lowest of their
-    exponents raised until at most CERTIFY_BITS bits of the largest term
-    stay: terms above it are shifted up exactly, the others rounded
-    outward."""
+    exponents raised until at most `bits` bits of the largest term stay:
+    terms above it are shifted up exactly, the others rounded outward."""
     top = max(hi.bit_length() + e for _, hi, e in terms)
-    base = max(min(e for _, _, e in terms), top - CERTIFY_BITS)
+    base = max(min(e for _, _, e in terms), top - bits)
     terms = [_cut(lo, hi, e, base - e) for lo, hi, e in terms]
     return sum(t[0] for t in terms), sum(t[1] for t in terms), base
 
@@ -335,7 +346,10 @@ def _certified_log(lo: int, hi: int, shift: int, value) -> float:
     e += shift
     if e <= sys.float_info.max_exp:
         return math.log(math.ldexp(m, e))
-    return math.log(m) + math.log(2.0) * e
+    try:
+        return math.log(m) + math.log(2.0) * e
+    except OverflowError:  # e is past the float range; e * log 2 may not be
+        return math.log(m) + math.log(2.0) * (e >> 64) * 2.0**64
 
 
 def _frexp(v: int) -> tuple[float, int]:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from treeshift import recurrence
 from treeshift.cli import main
 
 GOLDEN = "11,10"
@@ -50,21 +51,28 @@ def test_analyze_exact_within_limit(capsys):
     assert "deviation" in out
 
 
-def test_analyze_exact_depth_cap(capsys):
-    code, _, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-n", "21", "--exact")
+@pytest.mark.parametrize("arity, depth", [(2, 1022), (3, 645), (10**6, 50)])
+def test_analyze_exact_at_deep_levels(capsys, arity, depth):
+    # 1022 and 645 are the deepest levels TreeParams allows at arities 2 and 3
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "analyze", "-m", GOLDEN, "-k", str(arity), "-n", str(depth), "--exact", "--format", "json"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert json.loads(out)["exact_log_deviation"] <= 1e-14
+
+
+def test_analyze_exact_refuses_a_fallback_past_the_node_budget(capsys, monkeypatch):
+    # brackets this narrow round apart at every level, and the fallback
+    # would build integers past the depth-20 binary tree
+    monkeypatch.setattr(recurrence, "CERTIFY_BITS", 8)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-n", "30", "--exact")
+    assert time.perf_counter() - start < 5.0
     assert code == 2
-    assert err != ""
-
-
-def test_analyze_exact_depth_cap_counts_nodes_at_higher_arity(capsys):
-    # depth 13 at arity 3 has more nodes than the binary tree at depth 20
-    for depth in ("13", "20"):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-k", "3", "-n", depth, "--exact")
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == ""
-        assert err == "error: exact mode is limited to depth 12 at arity 3\n"
+    assert out == ""
+    assert err == "error: exact level 21 at arity 2 has more than 2097151 nodes\n"
 
 
 def test_analyze_reducible_skips_verdicts(capsys):

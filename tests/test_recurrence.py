@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 from oracles import exceeds_golden_power, golden_ratios
 from treeshift import recurrence
 from treeshift.matrix import parse_matrix
+from treeshift.oracle import TooLarge
 from treeshift.recurrence import (
     LogOverflow,
     TreeParams,
     UncertifiedFloat,
     _certified_log,
     _golden_q,
-    _power_logs,
+    _power_step,
     accelerated_entropy,
     auto_depth,
     golden_counts,
@@ -75,6 +77,19 @@ def test_log_domain_overflow_names_the_first_level():
     assert math.isfinite(series.p_log[-1])
     with pytest.raises(LogOverflow, match=r"log p\(1022\)"):
         run(ones, TreeParams(2, 1022))
+
+
+def test_exact_overflow_raises_the_log_domain_error():
+    # the exact run's certified logs overflow at the same level, with the
+    # same error, as the log-domain run's
+    ones = parse_matrix(",".join(["11111111"] * 8))
+    assert math.isfinite(run(ones, TreeParams(2, 1021), mode="exact").p_log[-1])
+    messages = []
+    for mode in ("logdomain", "exact"):
+        with pytest.raises(LogOverflow) as info:
+            run(ones, TreeParams(2, 1022), mode=mode)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "log p(1022) overflows a float; use a depth below 1022"
 
 
 def test_run_start_level_and_modes():
@@ -208,7 +223,8 @@ def test_uncertified_total_falls_back_to_the_full_power():
     lo, hi = sum(t**2 for t in tops), sum((t + 1) ** 2 for t in tops)
     assert _certified_log(lo, hi, 2 * sh, full) == math.log(total)
     assert calls == [1]
-    logs, p_log = _power_logs(sums, 2)
+    exact = [(s, s, 0) for s in sums]
+    _, logs, p_log = _power_step(exact, 2, recurrence.CERTIFY_BITS, lambda: [s**2 for s in sums])
     assert logs == tuple(math.log(s**2) for s in sums)
     assert p_log == math.log(total)
 
@@ -243,7 +259,7 @@ def test_every_exact_level_logs_equal_math_log(case):
         assert series.p_log[n] == math.log(sum(level)), n
 
 
-@pytest.mark.parametrize("bits", [8, 60])
+@pytest.mark.parametrize("bits", [8, 40])
 def test_narrow_brackets_fall_back_to_exact_logs(monkeypatch, bits):
     # few kept bits widen the brackets until their ends round apart, so
     # the fallback builds integer levels during the run
@@ -251,8 +267,8 @@ def test_narrow_brackets_fall_back_to_exact_logs(monkeypatch, bits):
     carried = []
     step = recurrence._power_step
 
-    def recording_step(sums, k, level):
-        x, logs, p_log = step(sums, k, level)
+    def recording_step(sums, k, kept, level):
+        x, logs, p_log = step(sums, k, kept, level)
         carried.append(x)
         return x, logs, p_log
 
@@ -276,6 +292,38 @@ def test_exact_run_holds_only_certificate_sized_integers():
     held = max(v.bit_length() for v in _held_ints(list(vars(series).values())))
     assert held <= k * (recurrence.CERTIFY_BITS + 1)
     assert max(v.bit_length() for v in series.exact[20]) > 10**6
+
+
+def test_bracket_size_does_not_grow_with_the_arity(monkeypatch):
+    # squaring with every product cut keeps each end near `bits` bits,
+    # where a plain k-th power of a cut sum has about k times as many
+    widths = []
+    step = recurrence._power_step
+
+    def recording_step(sums, k, bits, level):
+        x, logs, p_log = step(sums, k, bits, level)
+        widths.append((bits, max(b.bit_length() for lo, hi, _ in x for b in (lo, hi))))
+        return x, logs, p_log
+
+    monkeypatch.setattr(recurrence, "_power_step", recording_step)
+    series = run(parse_matrix("011,111,101"), TreeParams(1000, 2), mode="exact")
+    assert len(widths) == 2
+    assert all(width <= 2 * bits for bits, width in widths), widths
+    for n, level in enumerate(series.exact):
+        assert series.symbol_logs[n] == tuple(math.log(v) for v in level), n
+        assert series.p_log[n] == math.log(sum(level)), n
+
+
+@pytest.mark.parametrize("k, n", [(2, 40), (2, 80), (3, 13)])
+def test_exact_integers_past_the_node_budget_are_refused(k, n):
+    # the logs are certified at any depth; the integers are built only up
+    # to the node count of the binary depth-20 tree
+    start = time.perf_counter()
+    series = run(GOLDEN, TreeParams(k, n), mode="exact")
+    assert len(series._levels) == 1  # no level fell back
+    with pytest.raises(TooLarge, match=f"exact level {n} at arity {k} has more than 2097151 nodes"):
+        series.exact
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
