@@ -44,13 +44,13 @@ from .spectral import NoConvergence, analyze_matrix, upper_bound
 from .sturmian import (
     PrecisionExhausted,
     SturmianParams,
+    build_factor_oracle,
     label_tree_lex,
     label_tree_random,
     left_edge_word,
     mechanical_word,
     minimal_sequence,
     tree_complexity,
-    tree_oracle,
 )
 
 GOLDEN_MATRIX = "11,10"
@@ -467,7 +467,7 @@ def cmd_sturmian(args) -> Report:
         return Report(0 if edge_ok else 1, payload, csv, table)
 
     seeds = _parse_int_list(args.seed, "--seed")
-    oracle = tree_oracle(params, depth)
+    oracle = build_factor_oracle(params)
     per_seed = []
     for seed in seeds:
         tree = label_tree_random(params, depth, seed, oracle)

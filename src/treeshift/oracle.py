@@ -13,7 +13,9 @@ depth-(n+1) block is a root symbol over k independently chosen valid
 depth-n blocks whose roots follow it, which also makes the construction
 emit each block exactly once. Materialization is refused above
 MATERIALIZE_CAP nodes; the counting mode runs the same composition as a
-per-symbol dynamic program over exact integers and has no cap.
+per-symbol dynamic program over exact integers, `exact_level`, which is
+also the exact recurrence of `recurrence.run` and refuses trees of more
+than EXACT_NODE_BUDGET nodes.
 
 blocks_in_tree takes the census of a labeled tree by hash-consing
 (Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
@@ -56,7 +58,11 @@ _KEY_LIMIT = 2**63 - 1  # interned keys are int64
 
 
 class TooLarge(ValueError):
-    """Materialization was requested past the node-count cap."""
+    """Materialization or exact counts were requested past a node-count cap."""
+
+
+# Nodes of the largest tree whose exact counts are built: node_count(2, 20).
+EXACT_NODE_BUDGET = 2**21 - 1
 
 
 class DepthExceeded(ValueError):
@@ -71,6 +77,25 @@ def node_count(arity: int, depth: int) -> int:
 def level_bounds(arity: int, level: int) -> tuple[int, int]:
     """Half-open index range of one level in the breadth-first layout."""
     return node_count(arity, level - 1), node_count(arity, level)
+
+
+def check_exact_budget(arity: int, n: int) -> None:
+    """Refuse exact counts of the depth-n tree past EXACT_NODE_BUDGET nodes."""
+    if node_count(arity, n) > EXACT_NODE_BUDGET:
+        raise TooLarge(f"exact level {n} at arity {arity} has more than {EXACT_NODE_BUDGET} nodes")
+
+
+def exact_level(succ, arity: int, levels: list, n: int) -> tuple[int, ...]:
+    """The exact per-root-symbol counts x_i(n), extending `levels` in place.
+
+    `levels` holds the levels built so far from x(0), the all-ones
+    tuple; each next one is x_i(m+1) = (sum_{j in succ[i]} x_j(m))^arity.
+    """
+    check_exact_budget(arity, n)
+    while len(levels) <= n:
+        x = levels[-1]
+        levels.append(tuple(sum(x[j] for j in s) ** arity for s in succ))
+    return levels[n]
 
 
 @dataclass(frozen=True)
@@ -171,10 +196,7 @@ def enumerate_configs(
         blocks = sorted(b for blocks in per_symbol for b in blocks)
         census = BlockCensus(arity, depth, M.d, tuple(blocks))
     else:
-        counts = [1] * M.d
-        for _ in range(depth):
-            counts = _count_blocks(succ, counts, arity)
-        counts = tuple(counts)
+        counts = exact_level(succ, arity, [(1,) * M.d], depth)
         census = None
     return EnumerationResult(arity, depth, counts, sum(counts), census)
 
@@ -195,10 +217,6 @@ def _compose_blocks(succ, per_symbol, prev_depth: int, arity: int):
             blocks.append(b"".join(parts))
         out.append(blocks)
     return out
-
-
-def _count_blocks(succ, counts, arity: int):
-    return [sum(counts[j] for j in s) ** arity for s in succ]
 
 
 def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
@@ -329,7 +347,7 @@ def verify_phi_identity(M: TransitionMatrix, n: int, arity: int = 2) -> Identity
     """Check that extending every depth-n block leafwise counts depth n+1.
 
     The left side is the exact number of depth-(n+1) blocks (counting
-    mode, no cap); the right side sums, over the materialized depth-n
+    mode); the right side sums, over the materialized depth-n
     census, the product of t_a^arity over terminal symbols.
     """
     lhs = enumerate_configs(M, arity, n + 1, materialize=False).total
@@ -374,9 +392,9 @@ def check_subadditivity(
     """Evaluate p(m+n) against its cut and fold bounds, all exact."""
     if m < 1 or n < 1:
         raise ValueError("both depths must be at least 1")
-    p_m = enumerate_configs(M, arity, m, materialize=False).total
-    p_n = enumerate_configs(M, arity, n, materialize=False).total
-    p_total = enumerate_configs(M, arity, m + n, materialize=False).total
+    levels = [(1,) * M.d]
+    p_total = sum(exact_level(M.successor_table(), arity, levels, m + n))
+    p_m, p_n = sum(levels[m]), sum(levels[n])
     split_bound = p_m * p_n ** (arity**m)
     fold_exponent = None
     fold_bound = None

@@ -24,8 +24,8 @@ integers are built with the plain recurrence up to that level and the
 value is computed in full. A bracket's relative width stays below about
 k^(n+1) * 2^-bits <= 2^-CERTIFY_BITS, far below a float's 2^-53, at
 every depth. The integers of every level are built the first time
-`EntropySeries.exact` is read, for trees of at most EXACT_NODE_BUDGET
-nodes; deeper levels raise `oracle.TooLarge`.
+`EntropySeries.exact` is read, by `oracle.exact_level`, for trees of at
+most oracle.EXACT_NODE_BUDGET nodes; deeper levels raise TooLarge.
 
 Entropy estimates divide log p(n) by the size scale of the depth-n
 subtree: the dyadic convention uses 2^(n+1) and higher arities use the
@@ -57,7 +57,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from .matrix import TransitionMatrix
-from .oracle import TooLarge, node_count
+from .oracle import check_exact_budget, exact_level, node_count
 
 
 class LogOverflow(ValueError):
@@ -153,13 +153,7 @@ class EntropySeries:
 
     def _build(self, n: int) -> tuple[int, ...]:
         """The exact level n, extending the integer levels built so far."""
-        if node_count(self.arity, n) > EXACT_NODE_BUDGET:
-            raise TooLarge(f"exact level {n} at arity {self.arity} has more than {EXACT_NODE_BUDGET} nodes")
-        levels = self._levels
-        while len(levels) <= n:
-            x = levels[-1]
-            levels.append(tuple(sum(x[j] for j in s) ** self.arity for s in self._succ))
-        return levels[n]
+        return exact_level(self._succ, self.arity, self._levels, n)
 
     @property
     def n_max(self) -> int:
@@ -281,9 +275,6 @@ def _append_level(series: EntropySeries, logs: tuple[float, ...], p_log: float) 
 # Base bits of an exact run's brackets; a run to depth n_max adds
 # (n_max + 1) * ceil(log2 k), since each k-th power widens a bracket k times.
 CERTIFY_BITS = 128
-
-# Nodes of the largest tree whose exact integers are built (binary, depth 20).
-EXACT_NODE_BUDGET = node_count(2, 20)
 
 # An integer bracket (lo, hi, e): lo * 2**e <= v <= hi * 2**e.
 Bracket = tuple[int, int, int]
@@ -411,9 +402,12 @@ def golden_counts(n_max: int) -> list[int]:
     children subtrees are again free, hence
 
         p(0) = 2, p(1) = 5, p(n+1) = p(n)^2 + p(n-1)^4.
+
+    Depths past oracle.EXACT_NODE_BUDGET nodes raise TooLarge.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    check_exact_budget(2, n_max)
     p = [2, 5]
     while len(p) <= n_max:
         p.append(p[-1] ** 2 + p[-2] ** 4)
@@ -509,10 +503,12 @@ def golden_zero_rooted_counts(n_max: int) -> list[int]:
 
     With A(n) the number of such depth-n labelings, each child is a 0
     rooting a free subtree or a 1 whose children must again be 0-rooted,
-    giving A(0) = 1, A(1) = 4, A(n+1) = (A(n) + A(n-1)^2)^2.
+    giving A(0) = 1, A(1) = 4, A(n+1) = (A(n) + A(n-1)^2)^2. Depths past
+    oracle.EXACT_NODE_BUDGET nodes raise TooLarge.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    check_exact_budget(2, n_max)
     a = [1, 4]
     while len(a) <= n_max:
         a.append((a[-1] + a[-2] ** 2) ** 2)
@@ -530,21 +526,19 @@ class PowerBoundCheck:
     precision_bits: int
 
 
-def golden_power_bounds(a_seq: Sequence[int], precision_bits: int | None = None) -> list[PowerBoundCheck]:
+def golden_power_bounds(a_seq: Sequence[int]) -> list[PowerBoundCheck]:
     """Compare each A(n), n >= 4, against gamma^(2^(n+1) - 1).
 
     The comparison runs in mpmath with at least 2^(n+1) bits (plus a
     guard), enough that A(n) is represented exactly and the rounding of
-    the gamma power cannot flip the verdict. The precision_bits argument
-    overrides the bit count.
+    the gamma power cannot flip the verdict.
     """
     import mpmath  # slow to import, and only this function needs it
 
     checks = []
     for n in range(4, len(a_seq)):
         exponent = 2 ** (n + 1) - 1
-        bits = precision_bits if precision_bits is not None else 2 ** (n + 1)
-        bits = max(bits, 64) + 64
+        bits = max(2 ** (n + 1), 64) + 64
         with mpmath.workprec(bits):
             gamma = (1 + mpmath.sqrt(5)) / 2
             power = gamma**exponent

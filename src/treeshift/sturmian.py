@@ -7,8 +7,9 @@ convergents preferred); every floor is evaluated in exact integer
 arithmetic and certified against the error bound, so a word is either
 correct or the computation refuses with PrecisionExhausted.
 
-Factors are harvested from a long prefix into a FactorOracle that knows
-every factor up to a length bound and its valid successor symbols. For
+Factors are harvested from the first HARVEST_WINDOW symbols into a
+FactorOracle that knows every factor up to length ORACLE_LEN and its
+valid successor symbols, the same for every tree of the slope. For
 an irrational slope the factor counts must hit p(n) = n + 1 exactly,
 with exactly one right-special factor (two successors) per length; any
 deviation raises ComplexityViolation, which is also how rational slopes
@@ -50,9 +51,11 @@ from .oracle import LabeledTree, blocks_in_tree, level_bounds, node_count
 # each at most an int32, and under 2,000 entries on Sturmian trees of
 # depth 20 with blocks up to depth 12.
 MAX_TREE_DEPTH = 24
-MIN_HARVEST_WINDOW = 1000
-# Shortest factor length an oracle is built for, whatever the tree depth.
-MIN_ORACLE_LEN = 30
+# Every factor oracle harvests HARVEST_WINDOW symbols and is validated
+# up to length ORACLE_LEN, whatever the tree; a labeling reads factors
+# up to its depth, so ORACLE_LEN >= MAX_TREE_DEPTH must hold.
+HARVEST_WINDOW = 1000
+ORACLE_LEN = 30
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -136,7 +139,7 @@ def minimal_sequence(params: SturmianParams, length: int) -> str:
 
 @dataclass(frozen=True)
 class FactorOracle:
-    """Factors up to max_len with their valid successor symbols.
+    """Factors up to ORACLE_LEN with their valid successor symbols.
 
     alpha is the slope whose language the oracle holds. table[n] maps
     each length-n factor to its successors as a sorted string ("0", "1"
@@ -144,7 +147,6 @@ class FactorOracle:
     """
 
     alpha: Fraction
-    max_len: int
     table: tuple[dict, ...] = field(repr=False)
 
     def complexity(self, n: int) -> int:
@@ -156,26 +158,21 @@ class FactorOracle:
     def successors(self, w: str) -> str:
         return self.table[len(w)][w]
 
-    def right_special(self, n: int) -> str:
-        for w, succ in self.table[n].items():
-            if len(succ) == 2:
-                return w
-        raise LookupError(f"no right-special factor of length {n}")
-
     def is_factor(self, w: str) -> bool:
-        if len(w) > self.max_len:
-            raise ValueError(f"oracle only covers lengths up to {self.max_len}")
+        if len(w) > ORACLE_LEN:
+            raise ValueError(f"oracle only covers lengths up to {ORACLE_LEN}")
         return w in self.table[len(w)]
 
 
-def build_factor_oracle(params: SturmianParams, max_len: int = MIN_ORACLE_LEN) -> FactorOracle:
-    """Harvest and validate the factor language up to max_len."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    window = max(10 * max_len, MIN_HARVEST_WINDOW)
-    word = mechanical_word(params, window)
+def build_factor_oracle(params: SturmianParams) -> FactorOracle:
+    """Harvest and validate the factor language up to ORACLE_LEN.
+
+    One oracle serves every tree of its slope: pass it to
+    `label_tree_random` to label several seeds without rebuilding it.
+    """
+    word = mechanical_word(params, HARVEST_WINDOW)
     by_length = []
-    for n in range(1, max_len + 2):
+    for n in range(1, ORACLE_LEN + 2):
         found = {word[i : i + n] for i in range(len(word) - n + 1)}
         if len(found) != n + 1:
             raise ComplexityViolation(
@@ -184,30 +181,20 @@ def build_factor_oracle(params: SturmianParams, max_len: int = MIN_ORACLE_LEN) -
             )
         by_length.append(found)
     table = [{"": "01"}]
-    for n in range(1, max_len + 1):
+    for n in range(1, ORACLE_LEN + 1):
         longer = by_length[n]
         entry = {}
         for w in sorted(by_length[n - 1]):
             succ = "".join(c for c in "01" if w + c in longer)
             entry[w] = succ
         table.append(entry)
-    for n in range(max_len + 1):
+    for n in range(ORACLE_LEN + 1):
         special = [w for w, succ in table[n].items() if len(succ) == 2]
         if len(special) != 1:
             raise ComplexityViolation(
                 f"{len(special)} right-special factors of length {n}, expected 1"
             )
-    return FactorOracle(params.alpha, max_len, tuple(table))
-
-
-def tree_oracle(params: SturmianParams, depth: int) -> FactorOracle:
-    """The factor oracle that labeling a depth-`depth` tree reads.
-
-    One oracle serves every tree of the same slope and depth: pass it to
-    `label_tree_random` to label several seeds without rebuilding it.
-    """
-    _check_depth(depth)
-    return build_factor_oracle(params, max(depth, MIN_ORACLE_LEN))
+    return FactorOracle(params.alpha, tuple(table))
 
 
 def _check_depth(depth: int) -> None:
@@ -219,7 +206,8 @@ def _check_depth(depth: int) -> None:
 
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
     """Label the binary tree, splitting right-special nodes as 0 left, 1 right."""
-    return _fill_tree(params, tree_oracle(params, depth), depth, coins=_no_swaps)
+    _check_depth(depth)
+    return _fill_tree(build_factor_oracle(params), depth, coins=_no_swaps)
 
 
 def label_tree_random(
@@ -230,18 +218,15 @@ def label_tree_random(
     One fair bit is drawn per right-special node in breadth-first
     order; bit 0 assigns (0 left, 1 right), bit 1 the reverse. The
     same seed always reproduces the same tree. `oracle` is the
-    `tree_oracle(params, depth)`, built here when not given.
+    `build_factor_oracle(params)`, built here when not given.
     """
+    _check_depth(depth)
     if oracle is None:
-        oracle = tree_oracle(params, depth)
-    else:
-        _check_depth(depth)
-        if oracle.max_len < depth:
-            raise ValueError(f"the oracle covers depths up to {oracle.max_len}, not {depth}")
-        if oracle.alpha != params.alpha:
-            raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
+        oracle = build_factor_oracle(params)
+    elif oracle.alpha != params.alpha:
+        raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
     rng = random.Random(seed)
-    return _fill_tree(params, oracle, depth, coins=lambda m: _coin_bits(rng, m))
+    return _fill_tree(oracle, depth, coins=lambda m: _coin_bits(rng, m))
 
 
 def _no_swaps(m: int) -> np.ndarray:
@@ -260,12 +245,11 @@ def _coin_bits(rng: random.Random, m: int) -> np.ndarray:
     return (words >> 31).astype(np.uint8)
 
 
-def _fill_tree(params: SturmianParams, oracle: FactorOracle, depth: int, coins) -> LabeledTree:
+def _fill_tree(oracle: FactorOracle, depth: int, coins) -> LabeledTree:
     """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
-    root = minimal_sequence(params, 1)
     labels = np.empty(node_count(2, depth), dtype=np.uint8)
-    labels[0] = int(root)
-    words = [root]
+    labels[0] = 0  # the first symbol of every minimal sequence
+    words = ["0"]
     ids = np.zeros(1, dtype=np.uint8)  # path-word id of every node of the level
     for level in range(depth):
         special, moves, words = _factor_table(oracle, words)

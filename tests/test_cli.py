@@ -327,15 +327,18 @@ def test_sturmian_random_seeded(capsys):
 
 
 def test_sturmian_random_builds_one_factor_oracle_per_report(capsys, monkeypatch):
+    import treeshift.cli as cli
     import treeshift.sturmian as sturmian
 
     built = []
     real = sturmian.build_factor_oracle
 
-    def counted(params, max_len=None):
-        built.append(max_len)
-        return real(params, max_len)
+    def counted(params):
+        built.append(params)
+        return real(params)
 
+    # the CLI binds the name itself, and the labeler reads the module's
+    monkeypatch.setattr(cli, "build_factor_oracle", counted)
     monkeypatch.setattr(sturmian, "build_factor_oracle", counted)
     args = ("sturmian", "--mode", "random", "-n", "8", "--blocks", "2", "--seed", "1,2,3")
     code, _, _ = run_cli(capsys, *args)

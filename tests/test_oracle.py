@@ -1,5 +1,7 @@
 """Brute-force enumeration, block censuses, and counting identities."""
 
+import time
+
 import pytest
 
 from oracles import naive_enumerate
@@ -17,7 +19,7 @@ from treeshift.oracle import (
     node_count,
     verify_phi_identity,
 )
-from treeshift.recurrence import TreeParams, golden_counts, run
+from treeshift.recurrence import TreeParams, golden_counts, golden_zero_rooted_counts, run
 from treeshift.reference import REFERENCE_ROWS
 
 GOLDEN = parse_matrix("11,10")
@@ -150,8 +152,27 @@ def test_materialization_cap():
     with pytest.raises(TooLarge) as info:
         enumerate_configs(GOLDEN, depth=5)
     assert "63" in str(info.value)
-    # counting mode has no cap
+    # counting mode is held only to the exact node budget
     assert enumerate_configs(GOLDEN, depth=5, materialize=False).total == golden_counts(5)[5]
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [
+        lambda depth: enumerate_configs(GOLDEN, 2, depth, materialize=False).total,
+        lambda depth: check_subadditivity(GOLDEN, 10, depth - 10).p_total,
+        lambda depth: golden_counts(depth)[-1],
+        lambda depth: golden_zero_rooted_counts(depth)[-1],
+    ],
+    ids=["enumerate_configs", "check_subadditivity", "golden_counts", "golden_zero_rooted_counts"],
+)
+def test_exact_counts_refuse_past_one_node_budget(produce):
+    # node_count(2, 20) = 2097151 is the budget, so depth 21 is the first refused
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="exact level 21 at arity 2 has more than 2097151 nodes"):
+        produce(21)
+    assert time.perf_counter() - start < 1.0
+    assert produce(20) > 0
 
 
 def test_census_requires_sorted_blocks():

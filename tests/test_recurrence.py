@@ -223,10 +223,17 @@ def test_uncertified_total_falls_back_to_the_full_power():
     lo, hi = sum(t**2 for t in tops), sum((t + 1) ** 2 for t in tops)
     assert _certified_log(lo, hi, 2 * sh, full) == math.log(total)
     assert calls == [1]
-    exact = [(s, s, 0) for s in sums]
-    _, logs, p_log = _power_step(exact, 2, recurrence.CERTIFY_BITS, lambda: [s**2 for s in sums])
-    assert logs == tuple(math.log(s**2) for s in sums)
+    calls.clear()
+
+    def level():
+        calls.append(1)
+        return [s**2 for s in sums]
+
+    brackets = [(s >> sh, (s >> sh) + 1, sh) for s in sums]
+    _, logs, p_log = _power_step(brackets, 2, recurrence.CERTIFY_BITS, level)
+    assert calls == [1]
     assert p_log == math.log(total)
+    assert logs == tuple(math.log(s**2) for s in sums)
 
 
 def _held_ints(value):
@@ -483,15 +490,6 @@ def test_golden_power_bounds_verified_exactly():
         assert exceeds_golden_power(a[c.level], c.exponent) == c.holds
         assert c.log_margin > 0.0
     assert margins == sorted(margins)
-
-
-def test_precision_override_argument():
-    a = golden_zero_rooted_counts(5)
-    default = golden_power_bounds(a)
-    assert default[0].precision_bits == max(2**5, 64) + 64
-    via_arg = golden_power_bounds(a, precision_bits=512)
-    assert all(c.precision_bits == 512 + 64 for c in via_arg)
-    assert all(c.holds for c in via_arg)
 
 
 # ---------------------------------------------------------------------------

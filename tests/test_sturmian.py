@@ -9,6 +9,7 @@ from oracles import fibonacci_word, fraction_mechanical_word
 from treeshift.oracle import DepthExceeded
 from treeshift.sturmian import (
     MAX_TREE_DEPTH,
+    ORACLE_LEN,
     ComplexityViolation,
     PrecisionExhausted,
     SturmianParams,
@@ -20,7 +21,6 @@ from treeshift.sturmian import (
     minimal_sequence,
     path_words,
     tree_complexity,
-    tree_oracle,
 )
 
 FIB = SturmianParams.fibonacci()
@@ -116,12 +116,12 @@ def test_mechanical_word_matches_fraction_reference(params):
 def test_rational_slope_violates_complexity():
     rational = SturmianParams(Fraction(1, 3), Fraction(0))
     with pytest.raises(ComplexityViolation):
-        build_factor_oracle(rational, 5)
+        build_factor_oracle(rational)
 
 
 def test_shallow_tree_oracle_still_reaches_the_length_floor():
     # slope 1/20 has period 20, so a depth-5 tree's oracle only fails
-    # because it is built to MIN_ORACLE_LEN, not to the depth
+    # because it is built to ORACLE_LEN, not to the depth
     slope = SturmianParams(Fraction(1, 20), Fraction(0))
     with pytest.raises(ComplexityViolation, match="found 20 factors of length 20, expected 21"):
         label_tree_lex(slope, 5)
@@ -140,7 +140,6 @@ def test_oracle_complexity_and_factors():
     assert oracle.successors("") == "01"
     assert oracle.successors("0") == "01"
     assert oracle.successors("1") == "0"
-    assert oracle.right_special(1) == "0"
     assert oracle.is_factor("00100")
     assert not oracle.is_factor("11")
     with pytest.raises(ValueError):
@@ -148,8 +147,8 @@ def test_oracle_complexity_and_factors():
 
 
 def test_oracle_successors_close_under_extension():
-    oracle = build_factor_oracle(FIB, max_len=12)
-    for n in range(12):
+    oracle = build_factor_oracle(FIB)
+    for n in range(ORACLE_LEN):
         for w in oracle.factors(n):
             for c in oracle.successors(w):
                 assert oracle.is_factor(w + c)
@@ -213,21 +212,29 @@ def test_random_labeling_deterministic_per_seed():
 
 
 def test_shared_oracle_labels_the_same_trees():
-    oracle = tree_oracle(FIB, 10)
+    oracle = build_factor_oracle(FIB)
     for seed in range(4):
         assert label_tree_random(FIB, 10, seed, oracle) == label_tree_random(FIB, 10, seed)
-    with pytest.raises(ValueError, match="covers depths up to 10"):
-        label_tree_random(FIB, 11, 0, build_factor_oracle(FIB, 10))
     other = SturmianParams.from_continued_fraction([0, 3, 1, 2, 1, 1, 4] + [1] * 30)
     with pytest.raises(ValueError, match="built for slope"):
         label_tree_random(other, 10, 0, oracle)
-    assert tree_complexity(label_tree_random(other, 10, 0, tree_oracle(other, 10)), 3) == [
+    assert tree_complexity(label_tree_random(other, 10, 0, build_factor_oracle(other)), 3) == [
         2, 5, 11, 27
     ]
     with pytest.raises(ValueError):
         label_tree_random(FIB, -1, 0, oracle)
     with pytest.raises(ValueError):
-        tree_oracle(FIB, MAX_TREE_DEPTH + 1)
+        label_tree_random(FIB, MAX_TREE_DEPTH + 1, 0, oracle)
+
+
+def test_one_oracle_serves_every_depth():
+    # a labeling reads factors up to its depth, all inside the oracle
+    assert ORACLE_LEN >= MAX_TREE_DEPTH
+    oracle = build_factor_oracle(FIB)
+    for depth in (0, 1, 16):
+        for seed in range(3):
+            shared = label_tree_random(FIB, depth, seed, oracle)
+            assert shared == label_tree_random(FIB, depth, seed), (depth, seed)
 
 
 def test_leaf_multiset_invariant_across_seeds():
