@@ -4,10 +4,10 @@ Subcommands: analyze (one matrix), table (the embedded benchmark
 fixture), golden (golden mean specials), kary (entropy across arities),
 sturmian (tree labelings from a Sturmian word). Each computes its result
 once and returns a Report holding the exit status and the table, CSV and
-JSON forms; `main` renders the one that --format asks for. Exit code 0
-means all evaluated checks passed, 1 means some numeric check failed, 2
-means the input was unusable. All output is deterministic for fixed
-flags and seeds; --out redirects the report to a file.
+JSON forms, formatted only here; `main` prints the one --format names.
+Exit code 0 means all evaluated checks passed, 1 means some numeric check
+failed, 2 means the input was unusable. All output is deterministic for
+fixed flags and seeds; --out redirects the report to a file.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .matrix import TransitionMatrix, parse_matrix
 from .oracle import LabeledTree, enumerate_configs
 from .recurrence import (
+    EntropySeries,
     TreeParams,
     auto_depth,
     golden_counts,
@@ -116,6 +117,32 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # analyze
 
 
+def _series_csv(series: EntropySeries, symbols: tuple[str, ...]) -> list[str]:
+    """One row per level: the series columns, then log x_i(n) per symbol."""
+    header = ["n", "p_log", "h_n", "a_n", "h_acc", "h2_n"] + [f"log_x_{s}" for s in symbols]
+    lines = [",".join(header)]
+    for n, logs in enumerate(series.symbol_logs):
+        cells = [series.p_log[n], series.h[n], series.a[n], series.h_acc[n], series.h2[n], *logs]
+        lines.append(",".join([str(n)] + ["" if x is None else format(x, ".12g") for x in cells]))
+    return lines
+
+
+def _series_json(series: EntropySeries, symbols: tuple[str, ...]) -> dict:
+    """The JSON block of a log-domain series, whose `exact` is null."""
+    return {
+        "arity": series.arity,
+        "mode": series.mode,
+        "symbols": list(symbols),
+        "p_log": series.p_log,
+        "h": series.h,
+        "a": series.a,
+        "h_acc": series.h_acc,
+        "h2": series.h2,
+        "symbol_logs": [list(row) for row in series.symbol_logs],
+        "exact": None,
+    }
+
+
 def cmd_analyze(args) -> Report:
     M = _load_matrix(args.matrix)
     n = args.depth
@@ -151,9 +178,9 @@ def cmd_analyze(args) -> Report:
         "tree_entropy": h_tree,
         "exact_log_deviation": deviation,
         "verdicts": [{"check": name, "ok": ok} for name, ok in verdicts],
-        "series": series.as_dict(),
+        "series": _series_json(series, M.symbols),
     }
-    csv = series.to_csv().splitlines()
+    csv = _series_csv(series, M.symbols)
     head = [
         f"matrix {M.to_row_string()}  (d={M.d}, arity {args.arity}, depth {n})",
         f"irreducible {'yes' if spectral.irreducible else 'no'}"

@@ -8,14 +8,14 @@ node_count(k, l). Blocks are encoded as the bytes of that layout, one
 symbol index per byte: fixed length, hashable, and lexicographic order
 on the encoding is the canonical census order.
 
-enumerate_configs builds every valid labeling by level composition: a
+enumerate_configs lists every valid labeling by level composition: a
 depth-(n+1) block is a root symbol over k independently chosen valid
 depth-n blocks whose roots follow it, which also makes the construction
-emit each block exactly once. Materialization is refused above
-MATERIALIZE_CAP nodes; the counting mode runs the same composition as a
-per-symbol dynamic program over exact integers, `exact_level`, which is
-also the exact recurrence of `recurrence.run` and refuses trees of more
-than EXACT_NODE_BUDGET nodes.
+emit each block exactly once. Listing is refused above MATERIALIZE_CAP
+nodes. Exact counts without the blocks come from `exact_level` alone:
+it runs the same composition as a per-symbol dynamic program over exact
+integers, is also the exact recurrence of `recurrence.run`, and refuses
+trees of more than EXACT_NODE_BUDGET nodes.
 
 blocks_in_tree takes the census of a labeled tree by hash-consing
 (Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
@@ -28,7 +28,7 @@ key, so a chunk costs one gather; other levels keep them in dicts, fed
 the distinct keys of each chunk. Each distinct block is rebuilt once
 from one root that carries it, by slicing each level of the layout.
 
-The materialized census supports two checks of the counting algebra.
+The listed census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
 summed over depth-n blocks, the product over leaf symbols a of t_a^k
 with t_a the row sum, since each leaf extends independently. The
@@ -173,31 +173,25 @@ class EnumerationResult:
     depth: int
     counts: tuple[int, ...]
     total: int
-    census: BlockCensus | None
+    census: BlockCensus
 
 
-def enumerate_configs(
-    M: TransitionMatrix, arity: int = 2, depth: int = 0, materialize: bool = True
-) -> EnumerationResult:
-    """Count, and optionally list, every valid depth-`depth` labeling."""
+def enumerate_configs(M: TransitionMatrix, arity: int = 2, depth: int = 0) -> EnumerationResult:
+    """List and count every valid depth-`depth` labeling."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if node_count(arity, depth) > MATERIALIZE_CAP:
+        raise TooLarge(
+            f"depth {depth} at arity {arity} has {node_count(arity, depth)} "
+            f"nodes, past the cap of {MATERIALIZE_CAP}"
+        )
     succ = M.successor_table()
-    if materialize:
-        if node_count(arity, depth) > MATERIALIZE_CAP:
-            raise TooLarge(
-                f"depth {depth} at arity {arity} has {node_count(arity, depth)} "
-                f"nodes, past the cap of {MATERIALIZE_CAP}"
-            )
-        per_symbol = [[bytes([i])] for i in range(M.d)]
-        for level in range(depth):
-            per_symbol = _compose_blocks(succ, per_symbol, level, arity)
-        counts = tuple(len(blocks) for blocks in per_symbol)
-        blocks = sorted(b for blocks in per_symbol for b in blocks)
-        census = BlockCensus(arity, depth, M.d, tuple(blocks))
-    else:
-        counts = exact_level(succ, arity, [(1,) * M.d], depth)
-        census = None
+    per_symbol = [[bytes([i])] for i in range(M.d)]
+    for level in range(depth):
+        per_symbol = _compose_blocks(succ, per_symbol, level, arity)
+    counts = tuple(len(blocks) for blocks in per_symbol)
+    blocks = sorted(b for blocks in per_symbol for b in blocks)
+    census = BlockCensus(arity, depth, M.d, tuple(blocks))
     return EnumerationResult(arity, depth, counts, sum(counts), census)
 
 
@@ -346,11 +340,11 @@ class IdentityReport:
 def verify_phi_identity(M: TransitionMatrix, n: int, arity: int = 2) -> IdentityReport:
     """Check that extending every depth-n block leafwise counts depth n+1.
 
-    The left side is the exact number of depth-(n+1) blocks (counting
-    mode); the right side sums, over the materialized depth-n
-    census, the product of t_a^arity over terminal symbols.
+    The left side is the exact number of depth-(n+1) blocks, from
+    `exact_level`; the right side sums, over the listed depth-n census,
+    the product of t_a^arity over terminal symbols.
     """
-    lhs = enumerate_configs(M, arity, n + 1, materialize=False).total
+    lhs = sum(exact_level(M.successor_table(), arity, [(1,) * M.d], n + 1))
     census = enumerate_configs(M, arity, n).census
     sums = M.row_sums()
     rhs = 0

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Sequence
 
 from .matrix import TransitionMatrix
@@ -123,7 +122,8 @@ class EntropySeries:
     Lists are indexed by level; a, h_acc and h2 hold None where the
     quantity is undefined (level 0, or log p(n) <= 0 for h2). In exact
     mode `exact` holds the per-symbol big integers of every level,
-    otherwise it is None. `symbol_logs` always carries log x_i(n).
+    otherwise it is None. `symbol_logs` always carries log x_i(n). The
+    series holds numbers only; `cli` renders them.
 
     An exact run holds no big integers: it keeps the successor table and
     only the integer levels that a fallback of the certificate needed
@@ -135,7 +135,6 @@ class EntropySeries:
 
     arity: int
     mode: str
-    symbols: tuple[str, ...]
     p_log: list[float]
     h: list[float]
     a: list[float | None]
@@ -174,44 +173,6 @@ class EntropySeries:
         norm = self.normalized_symbol_logs(n)
         return max(norm) - min(norm)
 
-    def to_csv(self) -> str:
-        header = ["n", "p_log", "h_n", "a_n", "h_acc", "h2_n"]
-        header += [f"log_x_{s}" for s in self.symbols]
-        lines = [",".join(header)]
-        for n in range(len(self.p_log)):
-            cells = [
-                str(n),
-                _csv_float(self.p_log[n]),
-                _csv_float(self.h[n]),
-                _csv_float(self.a[n]),
-                _csv_float(self.h_acc[n]),
-                _csv_float(self.h2[n]),
-            ]
-            cells += [_csv_float(y) for y in self.symbol_logs[n]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def as_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "mode": self.mode,
-            "symbols": list(self.symbols),
-            "p_log": self.p_log,
-            "h": self.h,
-            "a": self.a,
-            "h_acc": self.h_acc,
-            "h2": self.h2,
-            "symbol_logs": [list(row) for row in self.symbol_logs],
-            # Decimal, unlike str, is not held to the int-to-str digit limit
-            "exact": None
-            if self.exact is None
-            else [[str(Decimal(x)) for x in row] for row in self.exact],
-        }
-
-
-def _csv_float(x) -> str:
-    return "" if x is None else format(x, ".12g")
-
 
 def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logdomain") -> EntropySeries:
     """Iterate the recurrence from the all-ones start and collect the series.
@@ -230,7 +191,6 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
     series = EntropySeries(
         arity=k,
         mode=mode,
-        symbols=M.symbols,
         p_log=[],
         h=[],
         a=[],
@@ -488,14 +448,11 @@ def _certified(lo: float, hi: float, what: str) -> float:
 
 
 def supergolden_root() -> float:
-    """The real root of x = 1 + 1/x^2, the limit of the q ratios."""
-    x = 1.5
-    for _ in range(60):
-        nxt = x - (x**3 - x**2 - 1) / (3 * x**2 - 2 * x)
-        if nxt == x:
-            break
-        x = nxt
-    return x
+    """The real root of x = 1 + 1/x^2, the limit of the q ratios, rounded
+    correctly: the q(n) alternate around it, so it rounds to the float
+    that two consecutive certified q(n) both round to."""
+    q = golden_q(100).values
+    return _certified(q[99], q[100], "the supergolden root")
 
 
 def golden_zero_rooted_counts(n_max: int) -> list[int]:

@@ -336,11 +336,12 @@ def _power_iteration(b):
     x = np.full(d, 1.0 / d)
     lam = 1.0
     residual = math.inf
+    y = b @ x
     for _ in range(MAX_ITER):
-        y = b @ x
         lam = y.sum()  # x sums to 1, so this is the Rayleigh-like quotient
         x = y / lam
-        residual = float(np.max(np.abs(b @ x - lam * x)))
+        y = b @ x  # the residual's product is the next step's
+        residual = float(np.max(np.abs(y - lam * x)))
         if residual <= TOL * lam:
             return float(lam), x
     raise NoConvergence(MAX_ITER, residual / lam)

@@ -111,6 +111,37 @@ def test_analyze_log_count_overflow_refused(capsys):
     assert "log p(1022)" in err
 
 
+def test_analyze_single_symbol_leaves_h2_undefined(capsys):
+    # one symbol: p(n) = 1, so log p(n) = 0 and h2(n) = log log p(n) / n has no value
+    code, out, err = run_cli(capsys, "analyze", "-m", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5].endswith("h2(15) ")
+    code, out, _ = run_cli(capsys, "analyze", "-m", "1", "--format", "csv")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "n,p_log,h_n,a_n,h_acc,h2_n,log_x_1"
+    assert [line.split(",")[5] for line in lines[1:]] == [""] * 16
+    code, out, _ = run_cli(capsys, "analyze", "-m", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["series"]["h2"] == [None] * 16
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "-m", "[1"), "invalid JSON matrix"),
+        (("analyze", "-m", "[]"), "non-empty array of arrays"),
+        (("sturmian", "--mode", "random", "--seed", ","), "--seed expects at least one integer"),
+        (("kary", "-k", "1"), "every arity must be at least 2"),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_analyze_bad_matrix(capsys):
     code, _, err = run_cli(capsys, "analyze", "-m", "1x,10")
     assert code == 2

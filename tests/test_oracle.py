@@ -15,11 +15,12 @@ from treeshift.oracle import (
     blocks_in_tree,
     check_subadditivity,
     enumerate_configs,
+    exact_level,
     level_bounds,
     node_count,
     verify_phi_identity,
 )
-from treeshift.recurrence import TreeParams, golden_counts, golden_zero_rooted_counts, run
+from treeshift.recurrence import golden_counts, golden_zero_rooted_counts
 from treeshift.reference import REFERENCE_ROWS
 
 GOLDEN = parse_matrix("11,10")
@@ -45,8 +46,14 @@ def test_labeled_tree_basics():
     assert list(tree.children(2)) == [5, 6]
     assert list(tree.internal_nodes()) == list(range(7))
     assert tree.is_valid_for(GOLDEN)
+    # a 1 above a 1 is forbidden in the golden mean shift
+    assert not LabeledTree.from_labels(2, 1, [1, 1, 0]).is_valid_for(GOLDEN)
     with pytest.raises(ValueError):
         LabeledTree.from_labels(2, 3, HAND_LABELS[:-1])
+    with pytest.raises(ValueError, match="arity"):
+        LabeledTree.from_labels(1, 0, [0])
+    with pytest.raises(ValueError, match="depth"):
+        LabeledTree.from_labels(2, -1, [])
 
 
 def test_hand_tree_window_census():
@@ -98,7 +105,6 @@ def test_golden_enumeration_small_depths():
 def test_full_shift_depth_two_count():
     full = parse_matrix("11,11")
     assert enumerate_configs(full, depth=2).total == 128
-    assert enumerate_configs(full, depth=2, materialize=False).total == 128
 
 
 def test_agreement_with_naive_product_filter():
@@ -115,15 +121,6 @@ def test_golden_depth_three_matches_naive():
     result = enumerate_configs(GOLDEN, depth=3)
     assert result.counts == tuple(counts)
     assert list(result.census.blocks) == blocks
-
-
-def test_counting_mode_matches_exact_recurrence():
-    for row in REFERENCE_ROWS:
-        m = row.parse()
-        series = run(m, TreeParams(2, 3), mode="exact")
-        result = enumerate_configs(m, depth=3, materialize=False)
-        assert result.counts == series.exact[3], row.name
-        assert result.census is None
 
 
 def test_census_blocks_are_valid_and_attributed():
@@ -152,19 +149,19 @@ def test_materialization_cap():
     with pytest.raises(TooLarge) as info:
         enumerate_configs(GOLDEN, depth=5)
     assert "63" in str(info.value)
-    # counting mode is held only to the exact node budget
-    assert enumerate_configs(GOLDEN, depth=5, materialize=False).total == golden_counts(5)[5]
+    # exact counts are held only to the exact node budget
+    assert sum(exact_level(GOLDEN.successor_table(), 2, [(1, 1)], 5)) == golden_counts(5)[5]
 
 
 @pytest.mark.parametrize(
     "produce",
     [
-        lambda depth: enumerate_configs(GOLDEN, 2, depth, materialize=False).total,
+        lambda depth: sum(exact_level(GOLDEN.successor_table(), 2, [(1, 1)], depth)),
         lambda depth: check_subadditivity(GOLDEN, 10, depth - 10).p_total,
         lambda depth: golden_counts(depth)[-1],
         lambda depth: golden_zero_rooted_counts(depth)[-1],
     ],
-    ids=["enumerate_configs", "check_subadditivity", "golden_counts", "golden_zero_rooted_counts"],
+    ids=["exact_level", "check_subadditivity", "golden_counts", "golden_zero_rooted_counts"],
 )
 def test_exact_counts_refuse_past_one_node_budget(produce):
     # node_count(2, 20) = 2097151 is the budget, so depth 21 is the first refused

@@ -3,7 +3,6 @@
 import json
 import math
 import time
-from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exceeds_golden_power, golden_ratios
-from treeshift import recurrence
+from treeshift import cli, recurrence
 from treeshift.matrix import parse_matrix
 from treeshift.oracle import TooLarge
 from treeshift.recurrence import (
+    GoldenQ,
     LogOverflow,
     TreeParams,
     UncertifiedFloat,
@@ -110,7 +110,7 @@ def test_run_reads_the_successor_table_once():
         calls.append(1)
         return GOLDEN.successor_table()
 
-    stub = SimpleNamespace(d=GOLDEN.d, symbols=GOLDEN.symbols, successor_table=successor_table)
+    stub = SimpleNamespace(d=GOLDEN.d, successor_table=successor_table)
     for mode in ("exact", "logdomain"):
         calls.clear()
         series = run(stub, TreeParams(2, 8), mode=mode)
@@ -471,10 +471,19 @@ def test_golden_q_refuses_an_uncertified_float():
         golden_q(0)
 
 
+def test_golden_q_step_sign_is_zero_on_overlapping_intervals():
+    q = GoldenQ(0, [None, 1, 3, 2], [None, 2, 4, 3], [None, None, None, None])
+    assert (q.step_sign(2), q.step_sign(3)) == (1, 0)
+
+
 def test_supergolden_root_residual():
+    # correctly rounded: x^3 - x^2 - 1 changes sign between the midpoints
+    # to the neighbouring floats
     x = supergolden_root()
-    assert abs(x**3 - x**2 - 1.0) < 1e-14
-    assert abs(x - 1.4655712318767682) < 1e-12
+    below = (Fraction(math.nextafter(x, 0)) + Fraction(x)) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, 2))) / 2
+    assert below**3 - below**2 - 1 < 0 < above**3 - above**2 - 1
+    assert x == 1.465571231876768
 
 
 def test_golden_power_bounds_verified_exactly():
@@ -496,9 +505,9 @@ def test_golden_power_bounds_verified_exactly():
 # serialization
 
 
-def test_csv_shape_and_values():
-    series = run(GOLDEN, TreeParams(2, 4))
-    lines = series.to_csv().strip().split("\n")
+def test_csv_shape_and_values(capsys):
+    assert cli.main(["analyze", "-m", "11,10", "-n", "4", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,p_log,h_n,a_n,h_acc,h2_n,log_x_1,log_x_2"
     assert len(lines) == 6
     first = lines[1].split(",")
@@ -506,25 +515,6 @@ def test_csv_shape_and_values():
     assert first[3] == ""  # a(0) undefined
     row4 = lines[5].split(",")
     assert abs(float(row4[1]) - math.log(golden_counts(4)[4])) < 1e-9
-
-
-def test_json_round_trip_exact_counts_as_strings():
-    series = run(GOLDEN, TreeParams(2, 4), mode="exact")
-    payload = json.loads(json.dumps(series.as_dict()))
-    assert payload["mode"] == "exact"
-    assert payload["exact"][4] == [str(x) for x in series.exact[4]]
-    assert int(payload["exact"][4][0]) == golden_zero_rooted_counts(4)[4]
-    approx = run(GOLDEN, TreeParams(2, 4))
-    assert approx.as_dict()["exact"] is None
-
-
-def test_json_exact_counts_past_the_int_string_digit_limit():
-    # level 14 of the golden mean has 7,242 digits, past CPython's default
-    # 4,300-digit limit on int-to-str conversion
-    series = run(GOLDEN, TreeParams(2, 14), mode="exact")
-    payload = json.loads(json.dumps(series.as_dict()))
-    assert len(payload["exact"][14][0]) > 4300
-    assert [[int(Decimal(s)) for s in row] for row in payload["exact"]] == [list(row) for row in series.exact]
 
 
 def test_series_accessors():

@@ -82,6 +82,8 @@ def test_minimal_sequence_prefixes():
     assert minimal_sequence(FIB, 1) == "0"
     assert minimal_sequence(FIB, 14) == "0" + mechanical_word(FIB, 13)
     assert minimal_sequence(FIB, 13) == "0010010100100"
+    with pytest.raises(ValueError):
+        minimal_sequence(FIB, 0)
 
 
 def test_precision_exhausted_for_coarse_decimal():
