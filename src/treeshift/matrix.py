@@ -7,7 +7,11 @@ of a node labeled i.
 
 Two text formats are accepted: comma-separated row strings of 0/1
 characters ("110,101,001") and a JSON array of arrays of 0/1 integers.
-Row and column positions in error messages are 1-based.
+The parsers only tokenize: the row-string parser refuses characters
+other than 0 and 1, the JSON parser refuses bad JSON and anything but an
+array of arrays. TransitionMatrix is the one validator of shape and
+entries, whether built from text or directly. Row and column positions
+in error messages are 1-based.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 
 class ParseError(ValueError):
-    """Matrix text that does not describe a square 0/1 matrix."""
+    """Input, text or rows, that does not describe a square 0/1 matrix."""
 
     def __init__(self, message: str, row: int | None = None, col: int | None = None):
         where = ""
@@ -58,9 +62,9 @@ class TransitionMatrix:
             raise ParseError("matrix needs at least one row")
         for i, row in enumerate(self.rows):
             if len(row) != d:
-                raise NonSquare(f"expected {d} entries, found {len(row)}", row=i + 1)
+                raise NonSquare(f"{d} rows but {len(row)} entries", row=i + 1)
             for j, e in enumerate(row):
-                if e not in (0, 1):
+                if type(e) is not int or e not in (0, 1):
                     raise BadChar(f"entry {e!r} is not 0 or 1", row=i + 1, col=j + 1)
         for i, row in enumerate(self.rows):
             if not any(row):
@@ -79,7 +83,8 @@ class TransitionMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        """From any sequence of rows; entries are validated, never converted."""
+        return cls(tuple(map(tuple, rows)))
 
     def successor_table(self) -> tuple[tuple[int, ...], ...]:
         """successor_table()[i] lists the j with entry (i, j) = 1, ascending."""
@@ -103,18 +108,12 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
 
 def _parse_row_string(text: str) -> TransitionMatrix:
-    tokens = [t.strip() for t in text.split(",")]
-    d = len(tokens)
     rows = []
-    for i, token in enumerate(tokens):
-        if len(token) != d:
-            raise NonSquare(f"{d} rows but {len(token)} entries", row=i + 1)
-        entries = []
+    for i, token in enumerate(t.strip() for t in text.split(",")):
         for j, ch in enumerate(token):
             if ch not in "01":
                 raise BadChar(f"character {ch!r} is not 0 or 1", row=i + 1, col=j + 1)
-            entries.append(int(ch))
-        rows.append(tuple(entries))
+        rows.append(tuple(map(int, token)))
     return TransitionMatrix.from_rows(rows)
 
 
@@ -125,15 +124,4 @@ def _parse_json(text: str) -> TransitionMatrix:
         raise ParseError(f"invalid JSON matrix: {exc}") from exc
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError("JSON matrix must be a non-empty array of arrays")
-    d = len(data)
-    rows = []
-    for i, row in enumerate(data):
-        if len(row) != d:
-            raise NonSquare(f"{d} rows but {len(row)} entries", row=i + 1)
-        entries = []
-        for j, e in enumerate(row):
-            if not isinstance(e, int) or isinstance(e, bool) or e not in (0, 1):
-                raise BadChar(f"entry {e!r} is not 0 or 1", row=i + 1, col=j + 1)
-            entries.append(e)
-        rows.append(tuple(entries))
-    return TransitionMatrix.from_rows(rows)
+    return TransitionMatrix.from_rows(data)

@@ -71,6 +71,8 @@ class DepthExceeded(ValueError):
 
 def node_count(arity: int, depth: int) -> int:
     """Nodes in a depth-`depth` initial subtree; 0 when depth is -1."""
+    if arity < 2:
+        raise ValueError("arity must be at least 2")
     return (arity ** (depth + 1) - 1) // (arity - 1)
 
 
@@ -107,8 +109,6 @@ class LabeledTree:
     labels: bytes
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError("arity must be at least 2")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         if len(self.labels) != node_count(self.arity, self.depth):

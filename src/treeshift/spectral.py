@@ -2,32 +2,32 @@
 
 The matrix is read as a directed graph on the symbols, with an edge
 i -> j when entry (i, j) = 1. Its strong components ("classes") give
-irreducibility, and the gcd of their cycle lengths gives the period. An
-irreducible matrix gets lambda and both eigenvectors from power
-iteration on the whole matrix; when the period exceeds 1 the iteration
-runs on M + I, which shifts the spectrum by exactly 1 and opens a
-spectral gap.
+irreducibility, and the gcd of their cycle lengths gives the period.
+Every class's diagonal block is iterated on its own, plus I unless the
+matrix is a single aperiodic class: the shift moves the spectrum by
+exactly 1 and opens a spectral gap, so every iterated block is
+primitive. A reducible matrix is never iterated as a whole, since tied
+or periodic classes make that iteration stall. The left Perron vector
+of a block comes from iterating the transpose of the same matrix.
 
-A reducible matrix is never iterated as a whole, since tied or periodic
-classes make that iteration stall. Each class's diagonal block is
-iterated on its own, shifted by +I so that it is primitive; lambda is
-the largest block radius. A class of radius lambda is distinguished on
-the right when no other class of radius lambda reaches it, and on the
-left when it reaches no other such class. The right eigenvector carries
-the Perron vector of each right-distinguished class on its symbols and
-is completed class by class, sinks first, by solving
-(lambda I - M_CC) x_C = M_C,rest x_rest; the left eigenvector is built
-the same way on the transposed graph. Hence a right entry is positive
-iff its symbol reaches a right-distinguished class, and a left entry is
-positive iff its symbol is reachable from a left-distinguished class
-(H. Schneider, "The influence of the marked reduced graph of a
-nonnegative matrix on the Jordan form and on related properties",
-Linear Algebra Appl. 84, 1986). Zero entries are exact, so the max/min
-ratio of the right eigenvector is +inf exactly when a symbol cannot
-reach a distinguished class. Several distinguished classes are each
-weighted by their spectral projection of the all-ones vector, which is
-where iteration from the uniform vector converges when no two classes
-of radius lambda are chained.
+An irreducible matrix takes lambda and both eigenvectors from its one
+block; otherwise lambda is the largest block radius. A class of radius
+lambda is distinguished on the right when no other class of radius
+lambda reaches it, and on the left when it reaches no other such class.
+The right eigenvector carries the Perron vector of each
+right-distinguished class on its symbols and is completed class by
+class, sinks first, by solving (lambda I - M_CC) x_C = M_C,rest x_rest;
+the left eigenvector is built the same way on the transposed graph.
+Hence a right entry is positive iff its symbol reaches a
+right-distinguished class, and a left entry is positive iff its symbol
+is reachable from a left-distinguished class (H. Schneider, "The
+influence of the marked reduced graph of a nonnegative matrix on the
+Jordan form and on related properties", Linear Algebra Appl. 84, 1986).
+Zero entries are exact, so the max/min ratio of the right eigenvector is
++inf exactly when a symbol cannot reach a distinguished class. Several
+distinguished classes are each weighted by their spectral projection of
+the all-ones vector, which is where iteration from the uniform vector
+converges when no two classes of radius lambda are chained.
 
 All logarithms are natural.
 """
@@ -91,8 +91,7 @@ def analyze_matrix(M: TransitionMatrix) -> SpectralData:
     succ, comps, period, a, blocks = _class_blocks(M)
     irreducible = len(comps) == 1
     if irreducible:
-        lam, right = blocks[0]
-        b = a + np.eye(M.d) if period > 1 else a
+        lam, right, b = blocks[0]
         _, left = _power_iteration(b.T)
     else:
         lam, right, left = _reducible_perron(a, succ, comps, blocks)
@@ -240,27 +239,24 @@ def _class_blocks(M: TransitionMatrix):
     """Classes of M and the Perron data of their diagonal blocks.
 
     Returns (succ, comps, period, a, blocks) with comps in Tarjan's
-    sinks-first order and blocks[c] = (radius, right iterate) of class c,
-    the iterate positive and summing to 1. An irreducible matrix is its
-    own single class, iterated shifted only when periodic; the blocks of
-    a reducible matrix are always shifted by +I, which makes each one
-    primitive. A class of one symbol without a self-loop has radius 0.
+    sinks-first order and blocks[c] = (radius, right iterate, iterated
+    matrix) of class c, the iterate positive and summing to 1. The
+    iterated matrix is the class's diagonal block plus I, unless M is a
+    single aperiodic class; either way it is primitive. A class of one
+    symbol without a self-loop iterates [1] and has radius 0.
     """
     succ = M.successor_table()
     comps = strong_components(succ)
     period = graph_period(succ, comps)
     a = np.array(M.rows, dtype=float)
-    if len(comps) == 1:
-        shift = period > 1
-        lam, x = _power_iteration(a + np.eye(M.d) if shift else a)
-        return succ, comps, period, a, [(lam - 1.0 if shift else lam, x)]
+    shift = len(comps) > 1 or period > 1
     blocks = []
     for comp in comps:
-        if len(comp) == 1 and a[comp[0], comp[0]] == 0.0:
-            blocks.append((0.0, np.ones(1)))
-            continue
-        lam, x = _power_iteration(a[np.ix_(comp, comp)] + np.eye(len(comp)))
-        blocks.append((lam - 1.0, x))
+        b = a[np.ix_(comp, comp)]
+        if shift:
+            b += np.eye(len(comp))
+        lam, x = _power_iteration(b)
+        blocks.append((lam - 1.0 if shift else lam, x, b))
     return succ, comps, period, a, blocks
 
 
@@ -276,7 +272,7 @@ def _reducible_perron(a, succ, comps, blocks):
     spectral projection of the all-ones vector when C is distinguished on
     both sides, a fixed positive convention otherwise.
     """
-    radii = [rad for rad, _ in blocks]
+    radii = [block[0] for block in blocks]
     lam = max(radii)
     top = [c for c, rad in enumerate(radii) if rad >= lam * (1.0 - 1e-8)]
     reach = {c: _reachable(succ, [comps[c][0]]) for c in top}
@@ -288,9 +284,8 @@ def _reducible_perron(a, succ, comps, blocks):
     right = np.zeros(len(a))
     left = np.zeros(len(a))
     for c in sorted(set(right_seeds) | set(left_seeds)):
-        comp = comps[c]
-        u = blocks[c][1]
-        _, v = _power_iteration((a[np.ix_(comp, comp)] + np.eye(len(comp))).T)
+        _, u, b = blocks[c]
+        _, v = _power_iteration(b.T)
         x = _class_solve(a, comps, sinks_first, lam, c, u, top)
         y = _class_solve(a.T, comps, sources_first, lam, c, v, top)
         scale = float(v @ u)

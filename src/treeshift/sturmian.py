@@ -167,12 +167,15 @@ class FactorOracle:
 def build_factor_oracle(params: SturmianParams) -> FactorOracle:
     """Harvest and validate the factor language up to ORACLE_LEN.
 
-    One oracle serves every tree of its slope: pass it to
-    `label_tree_random` to label several seeds without rebuilding it.
+    Every length n, the empty word at n = 0 included, follows one rule:
+    a factor w maps to the symbols c in "01" for which w + c is a
+    factor of length n + 1. One oracle serves every tree of its slope:
+    pass it to `label_tree_random` to label several seeds without
+    rebuilding it.
     """
     word = mechanical_word(params, HARVEST_WINDOW)
     by_length = []
-    for n in range(1, ORACLE_LEN + 2):
+    for n in range(ORACLE_LEN + 2):
         found = {word[i : i + n] for i in range(len(word) - n + 1)}
         if len(found) != n + 1:
             raise ComplexityViolation(
@@ -180,21 +183,17 @@ def build_factor_oracle(params: SturmianParams) -> FactorOracle:
                 "the slope may be rational or the harvest window too small"
             )
         by_length.append(found)
-    table = [{"": "01"}]
-    for n in range(1, ORACLE_LEN + 1):
-        longer = by_length[n]
-        entry = {}
-        for w in sorted(by_length[n - 1]):
-            succ = "".join(c for c in "01" if w + c in longer)
-            entry[w] = succ
-        table.append(entry)
-    for n in range(ORACLE_LEN + 1):
-        special = [w for w, succ in table[n].items() if len(succ) == 2]
+    table = tuple(
+        {w: "".join(c for c in "01" if w + c in longer) for w in sorted(shorter)}
+        for shorter, longer in zip(by_length, by_length[1:])
+    )
+    for n, entry in enumerate(table):
+        special = [w for w, succ in entry.items() if len(succ) == 2]
         if len(special) != 1:
             raise ComplexityViolation(
                 f"{len(special)} right-special factors of length {n}, expected 1"
             )
-    return FactorOracle(params.alpha, tuple(table))
+    return FactorOracle(params.alpha, table)
 
 
 def _check_depth(depth: int) -> None:
@@ -292,28 +291,25 @@ def _factor_table(oracle: FactorOracle, words: list[str]):
 
 
 def path_words(tree: LabeledTree, level: int) -> list[str]:
-    """Root-to-node words of one level, left to right."""
+    """Root-to-node words of one level, left to right, at any arity.
+
+    Node v of a level starting at lo extends the word of the
+    ((v - lo) // arity)-th node of the level above.
+    """
     if level < 0 or level > tree.depth:
         raise ValueError("level must lie within the tree depth")
     words = [str(tree.labels[0])]
-    start = 0
-    for _ in range(level):
-        start = 2 * start + 1
-        width = (start + 1) // 2
-        words = [
-            words[(v - start) // 2] + str(tree.labels[v])
-            for v in range(start, start + 2 * width)
-        ]
+    for l in range(1, level + 1):
+        lo, hi = level_bounds(tree.arity, l)
+        words = [words[(v - lo) // tree.arity] + str(tree.labels[v]) for v in range(lo, hi)]
     return words
 
 
 def left_edge_word(tree: LabeledTree) -> str:
-    out = []
-    v = 0
-    for _ in range(tree.depth + 1):
-        out.append(str(tree.labels[v]))
-        v = tree.arity * v + 1
-    return "".join(out)
+    """Labels down the leftmost path: the first node of every level."""
+    return "".join(
+        str(tree.labels[node_count(tree.arity, l - 1)]) for l in range(tree.depth + 1)
+    )
 
 
 def tree_complexity(tree: LabeledTree, n_max: int) -> list[int]:

@@ -72,9 +72,25 @@ def test_empty_input_rejected():
         parse_matrix("")
 
 
+def test_row_string_reports_a_bad_character_before_the_shape():
+    with pytest.raises(BadChar, match=r"^character 'x' is not 0 or 1 \(row 1, column 2\)$"):
+        parse_matrix("1x0,10")
+
+
+def test_direct_construction_is_validated_like_parsed_text():
+    with pytest.raises(NonSquare, match=r"^2 rows but 1 entries \(row 2\)$"):
+        TransitionMatrix(((1, 1), (1,)))
+    with pytest.raises(BadChar, match=r"^entry True is not 0 or 1 \(row 1, column 1\)$"):
+        TransitionMatrix(((True, False), (True, True)))
+
+
 def test_from_rows_validates():
     with pytest.raises(RowOrColumnZero):
         TransitionMatrix.from_rows([[0, 0], [1, 1]])
+    assert TransitionMatrix.from_rows([[1, 1], [1, 0]]).rows == ((1, 1), (1, 0))
+    for entry in (1.9, "1", True):
+        with pytest.raises(BadChar):
+            TransitionMatrix.from_rows([[entry, 0], [1, 1]])
 
 
 def test_successor_table_and_row_sums():

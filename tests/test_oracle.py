@@ -39,6 +39,23 @@ def test_node_count_and_level_bounds():
     assert level_bounds(3, 1) == (1, 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_configs(GOLDEN, 0, 2),
+        lambda: enumerate_configs(GOLDEN, 1, 2),
+        lambda: verify_phi_identity(GOLDEN, 1, 0),
+        lambda: check_subadditivity(GOLDEN, 1, 1, 1),
+        lambda: node_count(1, 3),
+    ],
+    ids=["enumerate_arity_0", "enumerate_arity_1", "phi_identity_arity_0",
+         "subadditivity_arity_1", "node_count_arity_1"],
+)
+def test_arity_below_two_is_refused_by_node_count(call):
+    with pytest.raises(ValueError, match="^arity must be at least 2$"):
+        call()
+
+
 def test_labeled_tree_basics():
     tree = LabeledTree.from_labels(2, 3, HAND_LABELS)
     assert tree.size == 15

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import fibonacci_word, fraction_mechanical_word
-from treeshift.oracle import DepthExceeded
+from treeshift.oracle import DepthExceeded, LabeledTree
 from treeshift.sturmian import (
     MAX_TREE_DEPTH,
     ORACLE_LEN,
@@ -179,6 +179,22 @@ def test_path_words_levels():
     assert path_words(tree, 2) == ["001", "001", "010", "010"]
     with pytest.raises(ValueError):
         path_words(tree, 3)
+
+
+def test_path_words_and_left_edge_follow_the_arity():
+    # labels equal node indices, so each word spells its root-to-node path
+    tree = LabeledTree(3, 2, bytes(range(13)))
+    walk = [[(str(tree.labels[0]), 0)]]
+    for _ in range(tree.depth):
+        walk.append(
+            [(w + str(tree.labels[c]), c) for w, v in walk[-1] for c in tree.children(v)]
+        )
+    for level, nodes in enumerate(walk):
+        assert path_words(tree, level) == [w for w, _ in nodes]
+    assert path_words(tree, 2) == [
+        "014", "015", "016", "027", "028", "029", "0310", "0311", "0312"
+    ]
+    assert left_edge_word(tree) == "014"
 
 
 def test_every_path_word_is_a_factor():
