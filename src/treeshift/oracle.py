@@ -27,6 +27,8 @@ possible keys than roots keeps its ids in a dense table indexed by
 key, so a chunk costs one gather; other levels keep them in dicts, fed
 the distinct keys of each chunk. Each distinct block is rebuilt once
 from one root that carries it, by slicing each level of the layout.
+numpy is imported inside the census functions alone, so listing, exact
+counts and LabeledTree run without loading it.
 
 The listed census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
@@ -41,8 +43,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .matrix import TransitionMatrix
 
@@ -222,6 +222,8 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     blocks, so the count is the number of distinct id_n, and each
     distinct block is rebuilt once from a root that carries it.
     """
+    import numpy as np
+
     if n > tree.depth:
         raise DepthExceeded(f"block depth {n} exceeds tree depth {tree.depth}")
     if n < 0:
@@ -257,6 +259,8 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
     key would not fit in int64, the children are folded in one at a
     time, and the partial key is interned before the next child joins.
     """
+    import numpy as np
+
     span = alphabet * width**k  # every key is below it
     out = np.empty(roots, dtype=np.min_scalar_type(min(roots, span) - 1))
     reps: list[int] = []
@@ -286,7 +290,7 @@ def _chunks(labels, child_ids, k: int, roots: int):
     for lo in range(0, roots, CENSUS_CHUNK):
         hi = min(lo + CENSUS_CHUNK, roots)
         kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
-        yield lo, hi, labels[lo:hi].astype(np.int64), kids
+        yield lo, hi, labels[lo:hi].astype("int64"), kids
 
 
 def _intern_dense(table, keys, reps: list, offset: int):
@@ -296,6 +300,8 @@ def _intern_dense(table, keys, reps: list, offset: int):
     keys are deduplicated, numbered in order of arrival, stored, and
     their first positions, plus `offset`, appended to `reps`.
     """
+    import numpy as np
+
     ids = table[keys]
     new = np.flatnonzero(ids < 0)
     if len(new):
@@ -314,6 +320,8 @@ def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
     the first position of each new key, plus `offset`, is appended to
     `reps`.
     """
+    import numpy as np
+
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     known = len(table)
     ids = np.fromiter(

@@ -29,6 +29,13 @@ distinguished classes are each weighted by their spectral projection of
 the all-ones vector, which is where iteration from the uniform vector
 converges when no two classes of radius lambda are chained.
 
+Everything runs in pure Python on lists of floats, without numpy. Every
+sum, in the matrix-vector products of the iteration included, adds its
+terms left to right, so the bits of a result do not depend on a BLAS
+kernel or on the Python version. The class solves use Gaussian
+elimination with partial pivoting in the operation order of LAPACK's
+dgetf2 and dgetrs.
+
 All logarithms are natural.
 """
 
@@ -38,8 +45,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .matrix import TransitionMatrix
 
@@ -57,6 +62,10 @@ class NoConvergence(RuntimeError):
         )
         self.iterations = iterations
         self.residual = residual
+
+
+class SingularSystem(ValueError):
+    """A class solve met an exactly zero pivot: its matrix is singular."""
 
 
 @dataclass(frozen=True)
@@ -92,21 +101,23 @@ def analyze_matrix(M: TransitionMatrix) -> SpectralData:
     irreducible = len(comps) == 1
     if irreducible:
         lam, right, b = blocks[0]
-        _, left = _power_iteration(b.T)
+        _, left = _power_iteration(_transpose(b))
     else:
         lam, right, left = _reducible_perron(a, succ, comps, blocks)
 
-    right = right / right.max()
-    left = left / left.sum()
+    rmax = max(right)
+    right = tuple(x / rmax for x in right)
+    total = _sum(left)
+    left = tuple(x / total for x in left)
 
-    rmin = right.min()
-    ratio = math.inf if rmin == 0.0 else float(right.max() / rmin)
+    rmin = min(right)
+    ratio = math.inf if rmin == 0.0 else max(right) / rmin
 
     return SpectralData(
-        spectral_radius=float(lam),
+        spectral_radius=lam,
         sft_entropy=math.log(lam),
-        left=tuple(float(x) for x in left),
-        right=tuple(float(x) for x in right),
+        left=left,
+        right=right,
         ratio=ratio,
         irreducible=irreducible,
         primitive=irreducible and period == 1,
@@ -238,25 +249,24 @@ def _reachable(succ, starts) -> set[int]:
 def _class_blocks(M: TransitionMatrix):
     """Classes of M and the Perron data of their diagonal blocks.
 
-    Returns (succ, comps, period, a, blocks) with comps in Tarjan's
-    sinks-first order and blocks[c] = (radius, right iterate, iterated
-    matrix) of class c, the iterate positive and summing to 1. The
-    iterated matrix is the class's diagonal block plus I, unless M is a
-    single aperiodic class; either way it is primitive. A class of one
-    symbol without a self-loop iterates [1] and has radius 0.
+    Returns (succ, comps, period, a, blocks) with a the rows of M as
+    floats, comps in Tarjan's sinks-first order and blocks[c] = (radius,
+    right iterate, iterated matrix) of class c, the iterate positive and
+    summing to 1. The iterated matrix is the class's diagonal block plus
+    I, unless M is a single aperiodic class; either way it is primitive.
+    A class of one symbol without a self-loop iterates [1] and has
+    radius 0.
     """
     succ = M.successor_table()
     comps = strong_components(succ)
     period = graph_period(succ, comps)
-    a = np.array(M.rows, dtype=float)
-    shift = len(comps) > 1 or period > 1
+    a = [[float(v) for v in row] for row in M.rows]
+    shift = 1.0 if len(comps) > 1 or period > 1 else 0.0
     blocks = []
     for comp in comps:
-        b = a[np.ix_(comp, comp)]
-        if shift:
-            b += np.eye(len(comp))
+        b = [[a[i][j] + (shift if i == j else 0.0) for j in comp] for i in comp]
         lam, x = _power_iteration(b)
-        blocks.append((lam - 1.0 if shift else lam, x, b))
+        blocks.append((lam - shift, x, b))
     return succ, comps, period, a, blocks
 
 
@@ -281,18 +291,21 @@ def _reducible_perron(a, succ, comps, blocks):
 
     sinks_first = range(len(comps))
     sources_first = range(len(comps) - 1, -1, -1)
-    right = np.zeros(len(a))
-    left = np.zeros(len(a))
+    a_t = _transpose(a)
+    right = [0.0] * len(a)
+    left = [0.0] * len(a)
     for c in sorted(set(right_seeds) | set(left_seeds)):
         _, u, b = blocks[c]
-        _, v = _power_iteration(b.T)
+        _, v = _power_iteration(_transpose(b))
         x = _class_solve(a, comps, sinks_first, lam, c, u, top)
-        y = _class_solve(a.T, comps, sources_first, lam, c, v, top)
-        scale = float(v @ u)
+        y = _class_solve(a_t, comps, sources_first, lam, c, v, top)
+        scale = _dot(v, u)
         if c in right_seeds:
-            right += x * (y.sum() / scale)
+            weight = _sum(y) / scale
+            right = [r + xi * weight for r, xi in zip(right, x)]
         if c in left_seeds:
-            left += y * (x.sum() / scale)
+            weight = _sum(x) / scale
+            left = [l + yi * weight for l, yi in zip(left, y)]
     return lam, right, left
 
 
@@ -303,17 +316,56 @@ def _class_solve(m, comps, order, lam, seed, vector, hold):
     from, so each unknown block solves (lam I - m_CC) z_C = m_C,rest z.
     Classes in `hold` other than the seed stay zero, and so does every
     class whose right-hand side is zero; every class actually solved has
-    radius below lam, so its system is nonsingular.
+    radius below lam, so its system is nonsingular, and SingularSystem
+    is raised if it is not.
     """
-    z = np.zeros(len(m))
+    z = [0.0] * len(m)
     for c in order:
         comp = comps[c]
         if c == seed:
-            z[comp] = vector
+            for i, v in zip(comp, vector):
+                z[i] = v
         elif c not in hold:
-            rhs = m[comp] @ z
-            if rhs.any():
-                z[comp] = np.linalg.solve(lam * np.eye(len(comp)) - m[np.ix_(comp, comp)], rhs)
+            rhs = [_dot(m[i], z) for i in comp]
+            if any(rhs):
+                block = [[(lam if i == j else 0.0) - m[i][j] for j in comp] for i in comp]
+                for i, v in zip(comp, _solve(block, rhs)):
+                    z[i] = v
+    return z
+
+
+def _solve(a, b):
+    """Solution of a z = b by Gaussian elimination with partial pivoting.
+
+    The operations and their order are those of LAPACK's dgetf2 and
+    dgetrs: per column, the first entry of largest magnitude is the
+    pivot, its row swaps into place, the column below it is scaled by
+    the pivot's reciprocal and the trailing block takes the rank-1
+    update; then a unit lower and an upper triangular solve, column by
+    column. Raises SingularSystem on an exactly zero pivot.
+    """
+    n = len(a)
+    lu = [list(row) for row in a]
+    z = list(b)
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(lu[i][j]))
+        if lu[p][j] == 0.0:
+            raise SingularSystem(f"singular {n}x{n} system: column {j + 1} has no pivot")
+        lu[j], lu[p] = lu[p], lu[j]
+        z[j], z[p] = z[p], z[j]
+        pivot_row = lu[j]
+        inverse = 1.0 / pivot_row[j]
+        for row in lu[j + 1 :]:
+            factor = row[j] = row[j] * inverse
+            for k in range(j + 1, n):
+                row[k] -= factor * pivot_row[k]
+    for k in range(n):
+        for i in range(k + 1, n):
+            z[i] -= z[k] * lu[i][k]
+    for k in range(n - 1, -1, -1):
+        z[k] /= lu[k][k]
+        for i in range(k):
+            z[i] -= z[k] * lu[i][k]
     return z
 
 
@@ -327,16 +379,47 @@ def _power_iteration(b):
     Returns (lambda, vector) with the vector normalized to sum 1;
     convergence is declared on the relative residual |b x - lambda x|.
     """
-    d = b.shape[0]
-    x = np.full(d, 1.0 / d)
+    d = len(b)
+    rows = [[(j, w) for j, w in enumerate(row) if w] for row in b]
+    x = [1.0 / d] * d
     lam = 1.0
     residual = math.inf
-    y = b @ x
+    y = _matvec(rows, x)
     for _ in range(MAX_ITER):
-        lam = y.sum()  # x sums to 1, so this is the Rayleigh-like quotient
-        x = y / lam
-        y = b @ x  # the residual's product is the next step's
-        residual = float(np.max(np.abs(y - lam * x)))
+        lam = _sum(y)  # x sums to 1, so this is the Rayleigh-like quotient
+        x = [v / lam for v in y]
+        y = _matvec(rows, x)  # the residual's product is the next step's
+        residual = max(abs(v - lam * u) for v, u in zip(y, x))
         if residual <= TOL * lam:
-            return float(lam), x
+            return lam, x
     raise NoConvergence(MAX_ITER, residual / lam)
+
+
+def _matvec(rows, x) -> list[float]:
+    """Product of a matrix, as (column, nonzero entry) pairs per row, with x.
+
+    Leaving out the zero entries changes no bit of a left-to-right sum.
+    """
+    y = []
+    for row in rows:
+        s = 0.0
+        for j, w in row:
+            s += w * x[j]
+        y.append(s)
+    return y
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum: `sum` compensates its rounding from Python 3.12 on."""
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+def _dot(u, v) -> float:
+    return _sum(p * q for p, q in zip(u, v))
+
+
+def _transpose(a) -> list[list[float]]:
+    return [list(col) for col in zip(*a)]

@@ -30,7 +30,9 @@ swap bit, the children's symbols and words; numpy then gathers those
 rows for every node of the level by its uint8 word id, into one
 preallocated label buffer. The random variant draws the m coins of a
 level with one getrandbits(32 m), which equals m single-bit draws; the
-lexicographic variant is the same step with no swaps.
+lexicographic variant is the same step with no swaps. numpy is imported
+by the labeling functions alone, so slopes, words and factor oracles run
+without loading it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .oracle import LabeledTree, blocks_in_tree, level_bounds, node_count
 
@@ -228,11 +228,13 @@ def label_tree_random(
     return _fill_tree(oracle, depth, coins=lambda m: _coin_bits(rng, m))
 
 
-def _no_swaps(m: int) -> np.ndarray:
+def _no_swaps(m: int):
+    import numpy as np
+
     return np.zeros(m, dtype=np.uint8)
 
 
-def _coin_bits(rng: random.Random, m: int) -> np.ndarray:
+def _coin_bits(rng: random.Random, m: int):
     """The bits of m successive rng.getrandbits(1) calls, drawn at once.
 
     getrandbits(1) is the top bit of one 32-bit output of the generator,
@@ -240,12 +242,16 @@ def _coin_bits(rng: random.Random, m: int) -> np.ndarray:
     least significant word. So the top bit of each little-endian word
     repeats the m single draws and leaves the generator in the same state.
     """
+    import numpy as np
+
     words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
     return (words >> 31).astype(np.uint8)
 
 
 def _fill_tree(oracle: FactorOracle, depth: int, coins) -> LabeledTree:
     """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
+    import numpy as np
+
     labels = np.empty(node_count(2, depth), dtype=np.uint8)
     labels[0] = 0  # the first symbol of every minimal sequence
     words = ["0"]
@@ -276,6 +282,8 @@ def _factor_table(oracle: FactorOracle, words: list[str]):
     child's symbol and word id, then the right child's, as four uint8
     rows; s = 1 swaps the two successors of a right-special word.
     """
+    import numpy as np
+
     next_index: dict[str, int] = {}
     special = []
     moves = []
@@ -294,22 +302,31 @@ def path_words(tree: LabeledTree, level: int) -> list[str]:
     """Root-to-node words of one level, left to right, at any arity.
 
     Node v of a level starting at lo extends the word of the
-    ((v - lo) // arity)-th node of the level above.
+    ((v - lo) // arity)-th node of the level above. Each label is one
+    digit, so labels above 9 are refused.
     """
     if level < 0 or level > tree.depth:
         raise ValueError("level must lie within the tree depth")
-    words = [str(tree.labels[0])]
+    symbols = _digits(tree.labels[: node_count(tree.arity, level)])
+    words = [symbols[0]]
     for l in range(1, level + 1):
         lo, hi = level_bounds(tree.arity, l)
-        words = [words[(v - lo) // tree.arity] + str(tree.labels[v]) for v in range(lo, hi)]
+        words = [words[(v - lo) // tree.arity] + symbols[v] for v in range(lo, hi)]
     return words
 
 
 def left_edge_word(tree: LabeledTree) -> str:
-    """Labels down the leftmost path: the first node of every level."""
-    return "".join(
-        str(tree.labels[node_count(tree.arity, l - 1)]) for l in range(tree.depth + 1)
-    )
+    """Labels down the leftmost path: the first node of every level, one digit each."""
+    edge = bytes(tree.labels[node_count(tree.arity, l - 1)] for l in range(tree.depth + 1))
+    return _digits(edge)
+
+
+def _digits(labels: bytes) -> str:
+    """One digit per label; a label above 9 would make two words collide."""
+    top = max(labels)
+    if top > 9:
+        raise ValueError(f"label {top} has no one-digit symbol")
+    return "".join(map(str, labels))
 
 
 def tree_complexity(tree: LabeledTree, n_max: int) -> list[int]:

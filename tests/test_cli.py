@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from treeshift import recurrence
+from treeshift import recurrence, spectral
 from treeshift.cli import main
 
 GOLDEN = "11,10"
@@ -140,6 +140,15 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_singular_class_solve_exits_2_with_one_error_line(capsys, monkeypatch):
+    # no valid matrix is known to reach a singular class solve; force one
+    solve = spectral._solve
+    monkeypatch.setattr(spectral, "_solve", lambda a, b: solve([[0.0]], [1.0]))
+    code, out, err = run_cli(capsys, "analyze", "-m", "111,110,001")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: singular") and err.count("\n") == 1
 
 
 def test_analyze_bad_matrix(capsys):

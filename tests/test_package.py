@@ -44,3 +44,25 @@ def test_cli_import_leaves_mpmath_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_leaves_numpy_unloaded_outside_sturmian():
+    # numpy is imported by the Sturmian labeling and census functions
+    # alone, so the other subcommands run in a fresh interpreter without it
+    path = [str(Path(treeshift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = """
+import contextlib, io, sys
+import treeshift.cli as cli
+runs = [["analyze", "-m", "011,111,101"], ["table"], ["golden"], ["kary"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+    loaded = "numpy" in sys.modules
+    sturmian = cli.main(["sturmian", "-n", "8", "--blocks", "3"])
+print(codes, loaded, sturmian)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0, 0, 0] False 0"

@@ -1,9 +1,11 @@
 """Spectral analysis: radii, eigenvectors, periods, certificates."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import char_poly, largest_real_root, permute_rows, valid_matrices
@@ -12,6 +14,7 @@ from treeshift.matrix import TransitionMatrix, parse_matrix
 from treeshift.reference import PLASTIC_MATRIX, REFERENCE_ROWS
 from treeshift.spectral import (
     NoConvergence,
+    SingularSystem,
     analyze_matrix,
     certified_radius_lower,
     graph_period,
@@ -158,6 +161,50 @@ def test_class_blocks_solve_stalled_inputs(text, right_support, left_support, ra
     assert tuple(i for i, x in enumerate(S.left) if x > 0.0) == left_support
     assert S.ratio == ratio or abs(S.ratio - ratio) <= 1e-9 * ratio
     assert not S.irreducible
+
+
+def test_solve_matches_numpy_on_random_systems():
+    # general dense systems, and the lam I - B systems of the class solve
+    rng = random.Random(7)
+    for d in range(1, 9):
+        for _ in range(40):
+            a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(d)])
+            b = np.array([[float(rng.random() < 0.5) for _ in range(d)] for _ in range(d)])
+            lam = max(abs(np.linalg.eigvals(b))) + rng.uniform(0.01, 1.0)
+            for system in (a, lam * np.eye(d) - b):
+                if np.linalg.cond(system) > 1e3:
+                    continue
+                rhs = [rng.uniform(-1.0, 1.0) for _ in range(d)]
+                want = np.linalg.solve(system, rhs)
+                got = spectral._solve(system.tolist(), rhs)
+                assert np.abs(np.array(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_singular_systems_raise_a_value_error():
+    # class 1 has radius lam = 1 itself, so lam I - m_CC is exactly zero
+    m = [[1.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(SingularSystem):
+        spectral._class_solve(m, [[0], [1]], [0, 1], 1.0, 0, [1.0], [0])
+    with pytest.raises(SingularSystem, match="column 2"):
+        spectral._solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    assert issubclass(SingularSystem, ValueError)
+
+
+def test_dense_primitive_64_symbols_within_budget():
+    # a random half-dense 64x64 matrix, made primitive by a cycle through
+    # every symbol and one self-loop, is analyzed within 2 s
+    rng = random.Random(64)
+    rows = [[int(rng.random() < 0.5) for _ in range(64)] for _ in range(64)]
+    for i in range(64):
+        rows[i][(i + 1) % 64] = 1
+    rows[0][0] = 1
+    m = TransitionMatrix.from_rows(rows)
+    start = time.perf_counter()
+    S = analyze_matrix(m)
+    assert time.perf_counter() - start < 2.0
+    assert S.primitive
+    radius = max(np.linalg.eigvals(np.array(rows, dtype=float)).real)
+    assert abs(S.spectral_radius - radius) <= 1e-10 * radius
 
 
 def test_graph_structure_helpers():

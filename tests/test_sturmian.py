@@ -182,8 +182,8 @@ def test_path_words_levels():
 
 
 def test_path_words_and_left_edge_follow_the_arity():
-    # labels equal node indices, so each word spells its root-to-node path
-    tree = LabeledTree(3, 2, bytes(range(13)))
+    # labels are node indices mod 10, so each word spells its root-to-node path
+    tree = LabeledTree(3, 2, bytes(v % 10 for v in range(13)))
     walk = [[(str(tree.labels[0]), 0)]]
     for _ in range(tree.depth):
         walk.append(
@@ -192,9 +192,24 @@ def test_path_words_and_left_edge_follow_the_arity():
     for level, nodes in enumerate(walk):
         assert path_words(tree, level) == [w for w, _ in nodes]
     assert path_words(tree, 2) == [
-        "014", "015", "016", "027", "028", "029", "0310", "0311", "0312"
+        "014", "015", "016", "027", "028", "029", "030", "031", "032"
     ]
     assert left_edge_word(tree) == "014"
+
+
+def test_path_words_refuse_labels_past_nine():
+    # joined without a separator, [1, 11] and [11, 1] would both spell "111"
+    for labels in ([1, 11, 0], [11, 1, 0]):
+        tree = LabeledTree.from_labels(2, 1, labels)
+        with pytest.raises(ValueError, match="one-digit"):
+            path_words(tree, 1)
+        with pytest.raises(ValueError, match="one-digit"):
+            left_edge_word(tree)
+    # only the labels a word reads are checked
+    tree = LabeledTree(3, 2, bytes(range(13)))
+    assert path_words(tree, 1) == ["01", "02", "03"]
+    with pytest.raises(ValueError, match="one-digit"):
+        path_words(tree, 2)
 
 
 def test_every_path_word_is_a_factor():
