@@ -436,9 +436,15 @@ def _sturmian_params(args) -> SturmianParams:
     return SturmianParams.fibonacci()
 
 
-def _labels(tree: LabeledTree) -> str:
-    """The 0/1 labels of a binary-alphabet tree as one string."""
-    return codecs.charmap_decode(tree.labels, "strict", "01")[0]
+def _labels(tree: LabeledTree, fmt: str) -> str:
+    """The 0/1 labels of a binary-alphabet tree as one string.
+
+    Only JSON prints them whole; CSV prints none and the table passes
+    them to `_shown`, so other formats decode the LABEL_PREFIX + 1 that
+    `_shown` needs to cut them the same way.
+    """
+    labels = tree.labels if fmt == "json" else tree.labels[: LABEL_PREFIX + 1]
+    return codecs.charmap_decode(labels, "strict", "01")[0]
 
 
 def _shown(labels: str) -> str:
@@ -468,7 +474,7 @@ def cmd_sturmian(args) -> Report:
 
     if args.mode == "lex":
         tree = label_tree_lex(params, depth)
-        labels = _labels(tree)
+        labels = _labels(tree, args.format)
         left = left_edge_word(tree)
         minimal = minimal_sequence(params, depth + 1)
         edge_ok = left == minimal
@@ -498,7 +504,7 @@ def cmd_sturmian(args) -> Report:
     per_seed = []
     for seed in seeds:
         tree = label_tree_random(params, depth, seed, oracle)
-        per_seed.append((seed, tree_complexity(tree, n_blocks), _labels(tree)))
+        per_seed.append((seed, tree_complexity(tree, n_blocks), _labels(tree, args.format)))
     summary = []
     for n in range(n_blocks + 1):
         values = [pt[n] for _, pt, _ in per_seed]

@@ -27,8 +27,12 @@ possible keys than roots keeps its ids in a dense table indexed by
 key, so a chunk costs one gather; other levels keep them in dicts, fed
 the distinct keys of each chunk. Each distinct block is rebuilt once
 from one root that carries it, by slicing each level of the layout.
-numpy is imported inside the census functions alone, so listing, exact
-counts and LabeledTree run without loading it.
+A tree may carry a WordGraph, level-ordered nodes that each stand for
+tree nodes of one level with equal subtrees; the census of such a tree,
+a lexicographic Sturmian tree above all, runs the same interning over
+the graph's few hundred nodes instead of the tree's. numpy is imported
+inside the census functions alone, so listing, exact counts and
+LabeledTree run without loading it.
 
 The listed census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
@@ -42,7 +46,8 @@ m dividing the total depth, by the telescoped power of p(m).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 from .matrix import TransitionMatrix
 
@@ -101,12 +106,34 @@ def exact_level(succ, arity: int, levels: list, n: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class WordGraph:
+    """Level-ordered nodes, each standing for equal subtrees of one tree level.
+
+    Node i carries labels[i]; its children are the nodes children[k i]
+    .. children[k i + k - 1], and nodes of the deepest level have none.
+    first[i] is the breadth-first index of the first tree node it stands
+    for. In a lexicographic Sturmian tree the subtree below a node
+    depends only on its level and root-to-node word, so one node per
+    path word of each level suffices: a few hundred nodes at any depth.
+    """
+
+    labels: bytes
+    children: tuple[int, ...]
+    first: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class LabeledTree:
-    """A fully labeled initial subtree, labels as symbol indices."""
+    """A fully labeled initial subtree, labels as symbol indices.
+
+    `graph`, when given, is the tree's WordGraph, which the census runs
+    on; it takes no part in equality or hashing.
+    """
 
     arity: int
     depth: int
     labels: bytes
+    graph: WordGraph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 0:
@@ -220,7 +247,11 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     id_j(v) the id of (label[v], id_{j-1} of the k children of v), over
     the roots whose depth-j block fits in the tree. Equal ids mean equal
     blocks, so the count is the number of distinct id_n, and each
-    distinct block is rebuilt once from a root that carries it.
+    distinct block is rebuilt once from a root that carries it. A tree
+    that carries its WordGraph, as a lexicographic Sturmian tree does,
+    is interned over the graph's nodes, which give the same blocks, and
+    each graph node's block is rebuilt from the first tree node it
+    stands for.
     """
     import numpy as np
 
@@ -229,15 +260,23 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     if n < 0:
         raise ValueError("block depth must be nonnegative")
     k = tree.arity
-    labels = np.frombuffer(tree.labels, dtype=np.uint8)
+    graph = tree.graph
+    nodes = tree if graph is None else graph
+    children = None if graph is None else np.array(graph.children, dtype=np.intp).reshape(-1, k)
+    labels = np.frombuffer(nodes.labels, dtype=np.uint8)
     alphabet = int(labels.max()) + 1
     # the roots of the distinct depth-0 blocks: one node per symbol used
-    reps = [v for v in map(tree.labels.find, range(alphabet)) if v >= 0]
+    reps = [v for v in map(nodes.labels.find, range(alphabet)) if v >= 0]
     ids, width = labels, alphabet
     for j in range(1, n + 1):
-        ids, width, reps = _intern_level(
-            labels, ids, width, alphabet, k, node_count(k, tree.depth - j)
-        )
+        roots = node_count(k, tree.depth - j)
+        if graph is not None:
+            # graph nodes are level-ordered, so those of levels <= depth - j
+            # are the ones standing for tree nodes below that bound
+            roots = bisect_left(graph.first, roots)
+        ids, width, reps = _intern_level(labels, ids, width, alphabet, k, roots, children)
+    if graph is not None:
+        reps = [graph.first[v] for v in reps]
     # the descendants of v at relative level j are the k^j nodes from
     # k^j v + node_count(k, j - 1) on
     offsets = [(k**j, node_count(k, j - 1), node_count(k, j)) for j in range(n + 1)]
@@ -248,32 +287,36 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     return BlockCensus(k, n, alphabet, tuple(blocks))
 
 
-def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: int):
+def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: int, children):
     """id_j of the first `roots` nodes from id_{j-1}, which takes `width` values.
 
-    Returns the ids in the smallest unsigned dtype that holds them, the
-    number of distinct ids, and one root per id. Each root's key packs
-    its label and its children's ids. Where the key span is no larger
-    than the root count, every key fits in int64 and indexes a dense
-    table of ids. Otherwise the keys go to running dicts; where a whole
-    key would not fit in int64, the children are folded in one at a
-    time, and the partial key is interned before the next child joins.
+    `children` holds each node's k child indices in its rows, or is None
+    for the breadth-first layout, where node i's children are k i + 1
+    .. k i + k. Returns the ids in the smallest unsigned dtype that
+    holds them, the number of distinct ids, and one root per id. Each
+    root's key packs its label and its children's ids. Where the key
+    span is no larger than the root count, every key fits in int64 and
+    indexes a dense table of ids. Otherwise the keys go to running
+    dicts; where a whole key would not fit in int64, the children are
+    folded in one at a time, and the partial key is interned before the
+    next child joins.
     """
     import numpy as np
 
     span = alphabet * width**k  # every key is below it
     out = np.empty(roots, dtype=np.min_scalar_type(min(roots, span) - 1))
     reps: list[int] = []
+    chunks = _chunks(labels, child_ids, k, roots, children)
     if span <= roots:
         # ids below span, and -1 for unseen keys
         table = np.full(span, -1, dtype=np.min_scalar_type(-span))
-        for lo, hi, key, kids in _chunks(labels, child_ids, k, roots):
+        for lo, hi, key, kids in chunks:
             for c in range(k):
                 key = key * width + kids[:, c]
             out[lo:hi] = _intern_dense(table, key, reps, lo)
     else:
         tables = [{} for _ in range(k + 1)]  # one per partial fold, the last for id_j
-        for lo, hi, key, kids in _chunks(labels, child_ids, k, roots):
+        for lo, hi, key, kids in chunks:
             span = alphabet  # key < span
             for c in range(k):
                 if span * width > _KEY_LIMIT:
@@ -285,11 +328,14 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
     return out, len(reps), reps
 
 
-def _chunks(labels, child_ids, k: int, roots: int):
+def _chunks(labels, child_ids, k: int, roots: int, children):
     """Per CENSUS_CHUNK roots: bounds, labels as int64 keys, children's ids."""
     for lo in range(0, roots, CENSUS_CHUNK):
         hi = min(lo + CENSUS_CHUNK, roots)
-        kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
+        if children is None:
+            kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
+        else:
+            kids = child_ids[children[lo:hi]]
         yield lo, hi, labels[lo:hi].astype("int64"), kids
 
 

@@ -30,9 +30,13 @@ swap bit, the children's symbols and words; numpy then gathers those
 rows for every node of the level by its uint8 word id, into one
 preallocated label buffer. The random variant draws the m coins of a
 level with one getrandbits(32 m), which equals m single-bit draws; the
-lexicographic variant is the same step with no swaps. numpy is imported
-by the labeling functions alone, so slopes, words and factor oracles run
-without loading it.
+lexicographic variant is the same step with no swaps, and it also
+records its word graph: per level, each path word's label, its two
+children's words and the first node that carries it. Below a lex node
+the labels depend only on its level and path word, so the block census
+of a lex tree runs on that graph of a few hundred nodes and adds nothing
+per tree node. numpy is imported by the labeling functions alone, so
+slopes, words and factor oracles run without loading it.
 """
 
 from __future__ import annotations
@@ -41,15 +45,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .oracle import LabeledTree, blocks_in_tree, level_bounds, node_count
+from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_count
 
 # Labeling peaks near 2.75 bytes per node (the label buffer, its bytes
 # copy, one level of uint8 gathers) and keeps 1: 5.6 MiB at depth 20,
-# 88 MiB at depth 24 (33.5M nodes). A census of the tree adds under one
-# byte per node on top, 24 MiB at depth 24 for blocks of depth 4, plus
-# a level's dense id table: no more entries than the level has roots,
-# each at most an int32, and under 2,000 entries on Sturmian trees of
-# depth 20 with blocks up to depth 12.
+# 88 MiB at depth 24 (33.5M nodes). A census of a lex tree runs on its
+# word graph and adds nothing per tree node. A census of a random tree
+# adds under one byte per node on top, 24 MiB at depth 24 for blocks of
+# depth 4, plus a level's dense id table: no more entries than the level
+# has roots, each at most an int32, and under 2,000 entries on Sturmian
+# trees of depth 20 with blocks up to depth 12.
 MAX_TREE_DEPTH = 24
 # Every factor oracle harvests HARVEST_WINDOW symbols and is validated
 # up to length ORACLE_LEN, whatever the tree; a labeling reads factors
@@ -174,9 +179,14 @@ def build_factor_oracle(params: SturmianParams) -> FactorOracle:
     rebuilding it.
     """
     word = mechanical_word(params, HARVEST_WINDOW)
+    # A shorter factor is a prefix of a longest window, or a window that
+    # starts in the tail too short for a longest one.
+    top = ORACLE_LEN + 1
+    longest = {word[i : i + top] for i in range(len(word) - top + 1)}
+    tail = word[len(word) - top + 1 :]
     by_length = []
-    for n in range(ORACLE_LEN + 2):
-        found = {word[i : i + n] for i in range(len(word) - n + 1)}
+    for n in range(top + 1):
+        found = {w[:n] for w in longest} | {tail[i : i + n] for i in range(len(tail) - n + 1)}
         if len(found) != n + 1:
             raise ComplexityViolation(
                 f"found {len(found)} factors of length {n}, expected {n + 1}; "
@@ -206,7 +216,7 @@ def _check_depth(depth: int) -> None:
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
     """Label the binary tree, splitting right-special nodes as 0 left, 1 right."""
     _check_depth(depth)
-    return _fill_tree(build_factor_oracle(params), depth, coins=_no_swaps)
+    return _fill_tree(build_factor_oracle(params), depth)
 
 
 def label_tree_random(
@@ -228,12 +238,6 @@ def label_tree_random(
     return _fill_tree(oracle, depth, coins=lambda m: _coin_bits(rng, m))
 
 
-def _no_swaps(m: int):
-    import numpy as np
-
-    return np.zeros(m, dtype=np.uint8)
-
-
 def _coin_bits(rng: random.Random, m: int):
     """The bits of m successive rng.getrandbits(1) calls, drawn at once.
 
@@ -248,21 +252,29 @@ def _coin_bits(rng: random.Random, m: int):
     return (words >> 31).astype(np.uint8)
 
 
-def _fill_tree(oracle: FactorOracle, depth: int, coins) -> LabeledTree:
-    """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
+def _fill_tree(oracle: FactorOracle, depth: int, coins=None) -> LabeledTree:
+    """Label level by level; `coins(m)` gives the swap bits of m right-special nodes.
+
+    Without coins nothing is swapped, the lexicographic rule, and the
+    tree carries its WordGraph: one node per path word of each level.
+    """
     import numpy as np
 
     labels = np.empty(node_count(2, depth), dtype=np.uint8)
     labels[0] = 0  # the first symbol of every minimal sequence
     words = ["0"]
     ids = np.zeros(1, dtype=np.uint8)  # path-word id of every node of the level
+    # the word graph so far: each word's label, its children's graph
+    # indices, and the breadth-first index of its first node
+    graph_labels, graph_children, first = [0], [], [0]
     for level in range(depth):
-        special, moves, words = _factor_table(oracle, words)
+        special, moves, next_words = _factor_table(oracle, words)
         left_symbol, left_word, right_symbol, right_word = moves
         # state 2f + s: path word f, children swapped when s = 1
         state = ids << 1
-        split = special[ids]
-        state[split] |= coins(int(np.count_nonzero(split)))
+        if coins is not None:
+            split = special[ids]
+            state[split] |= coins(int(np.count_nonzero(split)))
         lo, hi = level_bounds(2, level + 1)
         children = labels[lo:hi].reshape(-1, 2)
         children[:, 0] = left_symbol[state]
@@ -272,7 +284,23 @@ def _fill_tree(oracle: FactorOracle, depth: int, coins) -> LabeledTree:
             ids[:, 0] = left_word[state]
             ids[:, 1] = right_word[state]
             ids = ids.reshape(-1)
-    return LabeledTree(2, depth, labels.tobytes())
+        if coins is None:
+            # the first node of a word is the first child, 2v + 1 + side,
+            # of the first node v of a word above that leads to it
+            base = len(first)
+            below = [hi] * len(next_words)
+            unswapped = zip(left_word[::2].tolist(), right_word[::2].tolist())
+            for v, pair in zip(first[base - len(words) :], unswapped):
+                for side, g in enumerate(pair):
+                    graph_children.append(base + g)
+                    below[g] = min(below[g], 2 * v + 1 + side)
+            graph_labels += [int(w[-1]) for w in next_words]
+            first += below
+        words = next_words
+    graph = None
+    if coins is None:
+        graph = WordGraph(bytes(graph_labels), tuple(graph_children), tuple(first))
+    return LabeledTree(2, depth, labels.tobytes(), graph)
 
 
 def _factor_table(oracle: FactorOracle, words: list[str]):

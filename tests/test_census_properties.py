@@ -4,10 +4,13 @@
 lists; `blocks_in_tree` must return the same blocks, count and alphabet
 size for every block depth, whether the tree shares most of its
 subtrees or none of them, whichever id table a level is interned
-through, and whether or not the symbols used are contiguous.
+through, and whether or not the symbols used are contiguous. The
+census of a lexicographic Sturmian tree, which runs on its word graph,
+must equal the census of the same labels without the graph.
 """
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -17,6 +20,12 @@ from hypothesis import strategies as st
 from oracles import node_count, window_census
 from treeshift import oracle
 from treeshift.oracle import LabeledTree, blocks_in_tree
+from treeshift.sturmian import (
+    SturmianParams,
+    label_tree_lex,
+    label_tree_random,
+    tree_complexity,
+)
 
 
 @st.composite
@@ -125,3 +134,40 @@ def test_census_on_each_side_of_the_dense_table(tree, tables, monkeypatch):
         assert_census_matches(tree, n)
     assert set(calls) == tables
 
+
+
+@st.composite
+def lex_trees(draw):
+    terms = [0] + draw(st.lists(st.integers(1, 4), min_size=40, max_size=40))
+    depth = draw(st.integers(0, 16))
+    return label_tree_lex(SturmianParams.from_continued_fraction(terms), depth)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lex_trees())
+def test_graph_census_equals_tree_census(tree):
+    # at most level + 2 path words per level
+    assert len(tree.graph.labels) <= sum(level + 2 for level in range(tree.depth + 1))
+    plain = LabeledTree(2, tree.depth, tree.labels)
+    for n in range(tree.depth + 1):
+        census, reference = blocks_in_tree(tree, n), blocks_in_tree(plain, n)
+        assert census.blocks == reference.blocks
+        assert census.count == reference.count
+        assert census.alphabet_size == reference.alphabet_size
+
+
+def test_word_graph_takes_no_part_in_equality():
+    params = SturmianParams.fibonacci()
+    tree = label_tree_lex(params, 8)
+    plain = LabeledTree(2, 8, tree.labels)
+    assert tree.graph is not None and plain.graph is None
+    assert tree == plain and hash(tree) == hash(plain) and repr(tree) == repr(plain)
+    assert label_tree_random(params, 8, seed=1).graph is None
+
+
+def test_lex_census_of_every_block_depth_at_depth_20_within_budget():
+    tree = label_tree_lex(SturmianParams.fibonacci(), 20)
+    start = time.perf_counter()
+    profile = tree_complexity(tree, 20)
+    assert time.perf_counter() - start < 1.0
+    assert profile[:4] == [2, 4, 6, 9] and profile[-1] == 1

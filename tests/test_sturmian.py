@@ -8,6 +8,7 @@ import pytest
 from oracles import fibonacci_word, fraction_mechanical_word
 from treeshift.oracle import DepthExceeded, LabeledTree
 from treeshift.sturmian import (
+    HARVEST_WINDOW,
     MAX_TREE_DEPTH,
     ORACLE_LEN,
     ComplexityViolation,
@@ -146,6 +147,32 @@ def test_oracle_complexity_and_factors():
     assert not oracle.is_factor("11")
     with pytest.raises(ValueError):
         oracle.is_factor("0" * 31)
+
+
+@pytest.mark.parametrize(
+    "terms", [[0, 2] + [1] * 78, [0] + [1, 3, 2, 1, 1, 2, 3, 3, 1, 2] * 4, [0] + [4, 1] * 20]
+)
+def test_oracle_factors_are_every_window_of_the_harvest(terms):
+    # the oracle harvests shorter factors from prefixes of the longest
+    # windows; the reference slices every window of every length
+    params = SturmianParams.from_continued_fraction(terms)
+    word, refused_at = fraction_mechanical_word(params.alpha, params.alpha_error, HARVEST_WINDOW)
+    assert refused_at is None
+    oracle = build_factor_oracle(params)
+    for n in range(ORACLE_LEN + 1):
+        assert oracle.factors(n) == sorted({word[i : i + n] for i in range(len(word) - n + 1)})
+
+
+def test_oracle_harvest_reads_the_windows_that_start_in_the_tail():
+    # this word alternates 0 and 1 until a "00" at index 980, past the
+    # start of the last longest window, so only the tail windows see it
+    params = SturmianParams.from_continued_fraction([0, 2, 490] + [1] * 20)
+    word = mechanical_word(params, HARVEST_WINDOW)
+    assert word.find("00") == 980 and HARVEST_WINDOW - 980 < ORACLE_LEN + 1
+    counts = [len({word[i : i + n] for i in range(len(word) - n + 1)}) for n in range(22)]
+    assert counts == list(range(1, 22)) + [21]
+    with pytest.raises(ComplexityViolation, match="found 21 factors of length 21,"):
+        build_factor_oracle(params)
 
 
 def test_oracle_successors_close_under_extension():
