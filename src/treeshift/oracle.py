@@ -144,27 +144,9 @@ class LabeledTree:
                 f"got {len(self.labels)}"
             )
 
-    @classmethod
-    def from_labels(cls, arity: int, depth: int, labels) -> "LabeledTree":
-        return cls(arity, depth, bytes(labels))
-
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def children(self, i: int) -> range:
-        return range(self.arity * i + 1, self.arity * i + self.arity + 1)
-
-    def internal_nodes(self) -> range:
-        return range(node_count(self.arity, self.depth - 1))
-
-    def is_valid_for(self, M: TransitionMatrix) -> bool:
-        for u in self.internal_nodes():
-            row = M.rows[self.labels[u]]
-            for w in self.children(u):
-                if not row[self.labels[w]]:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)

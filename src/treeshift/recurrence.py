@@ -158,9 +158,6 @@ class EntropySeries:
     def n_max(self) -> int:
         return len(self.p_log) - 1
 
-    def final_h(self) -> float:
-        return self.h[-1]
-
     def final_h_acc(self) -> float:
         return self.h_acc[-1] if self.h_acc[-1] is not None else self.h[-1]
 
@@ -168,10 +165,6 @@ class EntropySeries:
         """log x_i(n) / k^(n+1) for each symbol."""
         scale = self.arity ** (n + 1)
         return tuple(y / scale for y in self.symbol_logs[n])
-
-    def spread(self, n: int) -> float:
-        norm = self.normalized_symbol_logs(n)
-        return max(norm) - min(norm)
 
 
 def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logdomain") -> EntropySeries:
@@ -410,7 +403,8 @@ def golden_q(n_max: int) -> GoldenQ:
     """q(n) from the exact map q(1) = 5/4, q(n+1) = 1 + 1/q(n)^2.
 
     The map follows from p(n+1) = p(n)^2 + p(n-1)^4 and runs on integer
-    intervals with 256 + n_max fractional bits. It is decreasing, so
+    intervals with a fixed precision of 256 + n_max fractional bits,
+    returned as GoldenQ.bits. It is decreasing, so
     each new lower end comes from the old upper end, rounded down, and
     each new upper end from the old lower end, rounded up. Near its
     fixed point the map contracts by about 0.64 per level, which keeps
@@ -420,12 +414,9 @@ def golden_q(n_max: int) -> GoldenQ:
     depth. Each q(n) is rounded once by int/int division, which rounds
     correctly; UncertifiedFloat is raised if the two ends round apart.
     """
-    return _golden_q(n_max, 256 + n_max)
-
-
-def _golden_q(n_max: int, bits: int) -> GoldenQ:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    bits = 256 + n_max
     one = 1 << bits
     cube = one << 2 * bits
     lo = hi = 5 << (bits - 2)  # q(1) = 5/4 exactly

@@ -157,16 +157,8 @@ class FactorOracle:
     def complexity(self, n: int) -> int:
         return len(self.table[n])
 
-    def factors(self, n: int) -> list[str]:
-        return sorted(self.table[n])
-
     def successors(self, w: str) -> str:
         return self.table[len(w)][w]
-
-    def is_factor(self, w: str) -> bool:
-        if len(w) > ORACLE_LEN:
-            raise ValueError(f"oracle only covers lengths up to {ORACLE_LEN}")
-        return w in self.table[len(w)]
 
 
 def build_factor_oracle(params: SturmianParams) -> FactorOracle:

@@ -216,27 +216,29 @@ def window_census(labels: bytes, arity: int, depth: int, n: int):
     return sorted(seen), max(labels) + 1
 
 
+def is_valid_labeling(rows, arity: int, depth: int, labels) -> bool:
+    """Whether every child's label is allowed after its parent's in `rows`.
+
+    `labels` is a depth-`depth` breadth-first layout; the children of
+    node i are arity*i+1 .. arity*i+arity.
+    """
+    for i in range(node_count(arity, depth - 1)):
+        row = rows[labels[i]]
+        for c in range(arity * i + 1, arity * i + arity + 1):
+            if not row[labels[c]]:
+                return False
+    return True
+
+
 def naive_enumerate(rows, arity: int, depth: int):
     """All valid labelings by brute product filtering.
 
     Returns (per_root_counts, sorted_blocks). Only viable for tiny trees.
     """
-    d = len(rows)
-    total = node_count(arity, depth)
-    internal = node_count(arity, depth - 1)
-    counts = [0] * d
+    counts = [0] * len(rows)
     blocks = []
-    for labels in itertools.product(range(d), repeat=total):
-        ok = True
-        for i in range(internal):
-            row = rows[labels[i]]
-            for c in range(arity * i + 1, arity * i + arity + 1):
-                if not row[labels[c]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for labels in itertools.product(range(len(rows)), repeat=node_count(arity, depth)):
+        if is_valid_labeling(rows, arity, depth, labels):
             counts[labels[0]] += 1
             blocks.append(bytes(labels))
     return counts, sorted(blocks)

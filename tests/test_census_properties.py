@@ -44,7 +44,7 @@ def labeled_trees(draw):
         # a short period along the breadth-first order: heavy sharing
         period = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=5))
         labels = [period[v % len(period)] for v in range(size)]
-    return LabeledTree.from_labels(arity, depth, labels)
+    return LabeledTree(arity, depth, bytes(labels))
 
 
 def assert_census_matches(tree: LabeledTree, n: int) -> None:
@@ -66,8 +66,8 @@ def test_census_matches_window_reference(tree):
 @pytest.mark.parametrize("arity, depth", [(2, 6), (3, 6)])
 def test_census_of_trees_with_all_blocks_distinct(arity, depth):
     rng = random.Random(arity)
-    tree = LabeledTree.from_labels(
-        arity, depth, [rng.randrange(4) for _ in range(node_count(arity, depth))]
+    tree = LabeledTree(
+        arity, depth, bytes(rng.randrange(4) for _ in range(node_count(arity, depth)))
     )
     distinct = 0
     for n in range(depth + 1):
@@ -84,21 +84,21 @@ def test_census_folding_one_child_at_a_time(arity, monkeypatch):
     rng = random.Random(7)
     for depth in range(5):
         labels = [rng.randrange(3) for _ in range(node_count(arity, depth))]
-        tree = LabeledTree.from_labels(arity, depth, labels)
+        tree = LabeledTree(arity, depth, bytes(labels))
         for n in range(depth + 1):
             assert_census_matches(tree, n)
 
 
 def periodic_tree(arity, depth, period):
-    return LabeledTree.from_labels(
-        arity, depth, [period[v % len(period)] for v in range(node_count(arity, depth))]
+    return LabeledTree(
+        arity, depth, bytes(period[v % len(period)] for v in range(node_count(arity, depth)))
     )
 
 
 def random_tree(arity, depth, symbols, seed):
     rng = random.Random(seed)
-    return LabeledTree.from_labels(
-        arity, depth, [rng.choice(symbols) for _ in range(node_count(arity, depth))]
+    return LabeledTree(
+        arity, depth, bytes(rng.choice(symbols) for _ in range(node_count(arity, depth)))
     )
 
 

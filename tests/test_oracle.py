@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import naive_enumerate
+from oracles import is_valid_labeling, naive_enumerate
 from treeshift.matrix import parse_matrix
 from treeshift.oracle import (
     MATERIALIZE_CAP,
@@ -57,24 +57,21 @@ def test_arity_below_two_is_refused_by_node_count(call):
 
 
 def test_labeled_tree_basics():
-    tree = LabeledTree.from_labels(2, 3, HAND_LABELS)
+    tree = LabeledTree(2, 3, HAND_LABELS)
     assert tree.size == 15
-    assert list(tree.children(0)) == [1, 2]
-    assert list(tree.children(2)) == [5, 6]
-    assert list(tree.internal_nodes()) == list(range(7))
-    assert tree.is_valid_for(GOLDEN)
+    assert is_valid_labeling(GOLDEN.rows, 2, 3, tree.labels)
     # a 1 above a 1 is forbidden in the golden mean shift
-    assert not LabeledTree.from_labels(2, 1, [1, 1, 0]).is_valid_for(GOLDEN)
+    assert not is_valid_labeling(GOLDEN.rows, 2, 1, [1, 1, 0])
     with pytest.raises(ValueError):
-        LabeledTree.from_labels(2, 3, HAND_LABELS[:-1])
+        LabeledTree(2, 3, HAND_LABELS[:-1])
     with pytest.raises(ValueError, match="arity"):
-        LabeledTree.from_labels(1, 0, [0])
+        LabeledTree(1, 0, bytes([0]))
     with pytest.raises(ValueError, match="depth"):
-        LabeledTree.from_labels(2, -1, [])
+        LabeledTree(2, -1, bytes())
 
 
 def test_hand_tree_window_census():
-    tree = LabeledTree.from_labels(2, 3, HAND_LABELS)
+    tree = LabeledTree(2, 3, HAND_LABELS)
     census = blocks_in_tree(tree, 1)
     assert census.count == 4
     assert census.blocks == (
@@ -87,14 +84,14 @@ def test_hand_tree_window_census():
 
 def test_constant_tree_has_one_block_per_depth():
     full = parse_matrix("11,11")
-    tree = LabeledTree.from_labels(2, 3, bytes(15))
+    tree = LabeledTree(2, 3, bytes(15))
     for n in range(4):
         assert blocks_in_tree(tree, n).count == 1
-    assert tree.is_valid_for(full)
+    assert is_valid_labeling(full.rows, 2, 3, tree.labels)
 
 
 def test_blocks_in_tree_depth_errors():
-    tree = LabeledTree.from_labels(2, 3, HAND_LABELS)
+    tree = LabeledTree(2, 3, HAND_LABELS)
     with pytest.raises(DepthExceeded):
         blocks_in_tree(tree, 4)
     with pytest.raises(ValueError):
@@ -146,7 +143,7 @@ def test_census_blocks_are_valid_and_attributed():
         result = enumerate_configs(m, depth=2)
         per_root = [0] * m.d
         for block in result.census.blocks:
-            assert LabeledTree.from_labels(2, 2, block).is_valid_for(m), row.name
+            assert is_valid_labeling(m.rows, 2, 2, LabeledTree(2, 2, block).labels), row.name
             per_root[block[0]] += 1
         assert tuple(per_root) == result.counts, row.name
 

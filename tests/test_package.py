@@ -1,7 +1,9 @@
-"""The package's export list, and what importing the CLI loads."""
+"""The package's exports and their callers, the README example, and what the CLI loads."""
 
 import ast
+import contextlib
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -24,6 +26,49 @@ def test_all_is_sorted_complete_and_resolves():
         for alias in node.names
     }
     assert set(names) == imported
+
+
+def test_every_public_name_in_src_has_a_caller():
+    # A public def or class in a module of the package must be named
+    # somewhere in the package's modules, the acceptance gate or the
+    # benchmark; a member that only the other tests call belongs in the
+    # tests. Names are matched as names, so a member that shares its
+    # name with a used one (such as a method called `children` beside
+    # WordGraph.children) passes unseen.
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(p for p in (root / "src" / "treeshift").glob("*.py") if p.name != "__init__.py")
+    callers = modules + [root / "tests" / "test_acceptance.py"] + sorted((root / "perfbench").glob("*.py"))
+    defined = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.add(node.name)
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update({node.name, node.asname or node.name})
+    assert sorted(defined - used) == []
+
+
+def test_readme_library_example_runs():
+    # the one python block under "## Library" prints the values its comments give
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    lines = [line.split() for line in out.getvalue().splitlines()]
+    assert len(lines) == 3
+    assert lines[0][0].startswith("0.5088988")
+    assert lines[1][0].startswith("1.618") and lines[1][1].startswith("0.7218")
+    assert lines[2] == ["2306"]
 
 
 def test_star_import_carries_every_exception():

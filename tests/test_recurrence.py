@@ -19,8 +19,8 @@ from treeshift.recurrence import (
     LogOverflow,
     TreeParams,
     UncertifiedFloat,
+    _certified,
     _certified_log,
-    _golden_q,
     _power_step,
     accelerated_entropy,
     auto_depth,
@@ -67,7 +67,7 @@ def test_params_depth_limit_keeps_scale_finite():
         with pytest.raises(ValueError, match=f"n \\+ 1 <= {deepest + 1}"):
             TreeParams(k, deepest + 1)
     series = run(GOLDEN, TreeParams(2, 1022))
-    assert abs(series.final_h() - series.h[-2]) < 1e-12
+    assert abs(series.h[-1] - series.h[-2]) < 1e-12
 
 
 def test_log_domain_overflow_names_the_first_level():
@@ -372,7 +372,8 @@ def test_spread_contracts_for_primitive_matrices():
         if not analyze_matrix(m).primitive:
             continue
         series = run(m, TreeParams(2, 15))
-        assert series.spread(15) <= series.spread(5) + 1e-12, row.name
+        spread = [max(norm) - min(norm) for norm in map(series.normalized_symbol_logs, (5, 15))]
+        assert spread[1] <= spread[0] + 1e-12, row.name
 
 
 def test_accelerated_series_settles_no_slower_than_plain():
@@ -450,6 +451,7 @@ def test_golden_q_matches_big_integer_ratios():
 def test_golden_q_intervals_contain_exact_ratios():
     p = golden_counts(12)
     q = golden_q(12)
+    assert q.bits == 256 + 12
     scale = 1 << q.bits
     for n in range(1, 13):
         exact = Fraction(p[n], p[n - 1] ** 2)
@@ -464,9 +466,10 @@ def test_golden_q_reciprocal_rounds_correctly():
 
 
 def test_golden_q_refuses_an_uncertified_float():
-    # at 40 fractional bits the interval of q(2) = 1.64 straddles two floats
-    with pytest.raises(UncertifiedFloat, match=r"q\(2\)"):
-        _golden_q(30, 40)
+    # the two ends of an interval that straddles two floats round apart
+    assert _certified(1.64, 1.64, "q(2)") == 1.64
+    with pytest.raises(UncertifiedFloat, match=r"^q\(2\) is not certified to one float$"):
+        _certified(1.64, math.nextafter(1.64, 2.0), "q(2)")
     with pytest.raises(ValueError):
         golden_q(0)
 
@@ -519,8 +522,7 @@ def test_csv_shape_and_values(capsys):
 
 def test_series_accessors():
     series = run(GOLDEN, TreeParams(2, 8))
-    assert series.final_h() == series.h[8]
+    assert series.h[-1] == series.h[8]
     assert series.final_h_acc() == series.h_acc[8]
     norm = series.normalized_symbol_logs(8)
     assert len(norm) == 2
-    assert series.spread(8) == max(norm) - min(norm)
