@@ -430,7 +430,7 @@ def cmd_kary(args) -> Report:
 
 
 def _sturmian_params(args) -> SturmianParams:
-    if args.alpha_cf:
+    if args.alpha_cf is not None:
         terms = _parse_int_list(args.alpha_cf, "--alpha-cf")
         return SturmianParams.from_continued_fraction(terms)
     return SturmianParams.fibonacci()

@@ -25,14 +25,18 @@ equal ids mean equal blocks. The work per level is one pass over the
 roots in numpy chunks, whatever the block depth. A level with no more
 possible keys than roots keeps its ids in a dense table indexed by
 key, so a chunk costs one gather; other levels keep them in dicts, fed
-the distinct keys of each chunk. Each distinct block is rebuilt once
-from one root that carries it, by slicing each level of the layout.
-A tree may carry a WordGraph, level-ordered nodes that each stand for
-tree nodes of one level with equal subtrees; the census of such a tree,
-a lexicographic Sturmian tree above all, runs the same interning over
-the graph's few hundred nodes instead of the tree's. numpy is imported
-inside the census functions alone, so listing, exact counts and
-LabeledTree run without loading it.
+the distinct keys of each chunk. Each tree keeps the levels it has
+interned, so a profile over n = 0 .. n_max interns every level once,
+and a census deeper than the last resumes from it. The count comes
+from the interning alone; the blocks themselves are rebuilt, each from
+one root that carries it by slicing each level of the layout, only
+when a census's `blocks` is read. A tree may carry a WordGraph,
+level-ordered nodes that each stand for tree nodes of one level with
+equal subtrees; the census of such a tree, a lexicographic Sturmian
+tree above all, runs the same interning over the graph's few hundred
+nodes instead of the tree's. numpy is imported inside the census
+functions alone, so listing, exact counts and LabeledTree run without
+loading it.
 
 The listed census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
@@ -47,7 +51,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .matrix import TransitionMatrix
 
@@ -127,13 +133,19 @@ class LabeledTree:
     """A fully labeled initial subtree, labels as symbol indices.
 
     `graph`, when given, is the tree's WordGraph, which the census runs
-    on; it takes no part in equality or hashing.
+    on. `interned` is the census's memo for this object: entry j is
+    (ids, width, reps) of census level j, as `_intern_level` returns
+    them, for every level interned so far, with the ids of the deepest
+    level only and None above it. Neither takes part in equality,
+    hashing or repr, and a tree equal as a value has a memo of its own,
+    since a tree with a graph interns over other nodes than one without.
     """
 
     arity: int
     depth: int
     labels: bytes
     graph: WordGraph | None = field(default=None, compare=False, repr=False)
+    interned: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 0:
@@ -149,23 +161,30 @@ class LabeledTree:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
 class BlockCensus:
-    """All distinct blocks of one depth, sorted by encoding."""
+    """All distinct blocks of one depth, sorted by encoding.
 
-    arity: int
-    depth: int
-    alphabet_size: int
-    blocks: tuple[bytes, ...]
+    Given its `blocks`, a census checks at once that they are strictly
+    ascending. `blocks_in_tree` gives instead their `count` and
+    `rebuild`, a function that returns them in any order; they are
+    sorted and checked the same way when `blocks` is first read, so a
+    census read only for its count builds no block.
+    """
 
-    def __post_init__(self):
-        for prev, cur in zip(self.blocks, self.blocks[1:]):
-            if prev >= cur:
-                raise ValueError("census blocks must be strictly ascending")
+    def __init__(self, arity: int, depth: int, alphabet_size: int,
+                 blocks: tuple[bytes, ...] | None = None, *, count: int = 0,
+                 rebuild: Callable[[], list[bytes]] | None = None):
+        self.arity = arity
+        self.depth = depth
+        self.alphabet_size = alphabet_size
+        if blocks is None:
+            self.count, self._rebuild = count, rebuild
+        else:
+            self.count, self.blocks = len(blocks), _ascending(blocks)
 
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
+    @cached_property
+    def blocks(self) -> tuple[bytes, ...]:
+        return _ascending(tuple(sorted(self._rebuild())))
 
     def terminal_counts(self, block: bytes) -> tuple[int, ...]:
         """Per-symbol counts over the deepest level of one block."""
@@ -174,6 +193,13 @@ class BlockCensus:
         for b in block[lo:hi]:
             counts[b] += 1
         return tuple(counts)
+
+
+def _ascending(blocks: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    for prev, cur in zip(blocks, blocks[1:]):
+        if prev >= cur:
+            raise ValueError("census blocks must be strictly ascending")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -228,12 +254,14 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     Subtrees are interned level by level: id_0(v) is the label of v and
     id_j(v) the id of (label[v], id_{j-1} of the k children of v), over
     the roots whose depth-j block fits in the tree. Equal ids mean equal
-    blocks, so the count is the number of distinct id_n, and each
-    distinct block is rebuilt once from a root that carries it. A tree
-    that carries its WordGraph, as a lexicographic Sturmian tree does,
-    is interned over the graph's nodes, which give the same blocks, and
-    each graph node's block is rebuilt from the first tree node it
-    stands for.
+    blocks, so the count is the number of distinct id_n. The levels are
+    kept in `tree.interned`: a census no deeper than the deepest kept
+    level interns nothing, and a deeper one resumes from it. A tree that
+    carries its WordGraph, as a lexicographic Sturmian tree does, is
+    interned over the graph's nodes, which give the same blocks. The
+    blocks are rebuilt only when the census's `blocks` is read, each
+    from one root that carries it: for a graph node, the first tree node
+    it stands for.
     """
     import numpy as np
 
@@ -244,29 +272,41 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     k = tree.arity
     graph = tree.graph
     nodes = tree if graph is None else graph
-    children = None if graph is None else np.array(graph.children, dtype=np.intp).reshape(-1, k)
     labels = np.frombuffer(nodes.labels, dtype=np.uint8)
-    alphabet = int(labels.max()) + 1
-    # the roots of the distinct depth-0 blocks: one node per symbol used
-    reps = [v for v in map(nodes.labels.find, range(alphabet)) if v >= 0]
-    ids, width = labels, alphabet
-    for j in range(1, n + 1):
-        roots = node_count(k, tree.depth - j)
-        if graph is not None:
-            # graph nodes are level-ordered, so those of levels <= depth - j
-            # are the ones standing for tree nodes below that bound
-            roots = bisect_left(graph.first, roots)
-        ids, width, reps = _intern_level(labels, ids, width, alphabet, k, roots, children)
-    if graph is not None:
-        reps = [graph.first[v] for v in reps]
+    levels = tree.interned
+    if not levels:
+        alphabet = int(labels.max()) + 1
+        # the roots of the distinct depth-0 blocks: one node per symbol used
+        reps = [v for v in map(nodes.labels.find, range(alphabet)) if v >= 0]
+        levels.append((labels, alphabet, reps))
+    alphabet = levels[0][1]
+    if n >= len(levels):
+        children = None if graph is None else np.array(graph.children, dtype=np.intp).reshape(-1, k)
+        ids, width, _ = levels[-1]
+        for j in range(len(levels), n + 1):
+            roots = node_count(k, tree.depth - j)
+            if graph is not None:
+                # graph nodes are level-ordered, so those of levels <= depth - j
+                # are the ones standing for tree nodes below that bound
+                roots = bisect_left(graph.first, roots)
+            ids, width, reps = _intern_level(labels, ids, width, alphabet, k, roots, children)
+            levels[-1] = (None,) + levels[-1][1:]
+            levels.append((ids, width, reps))
+    reps = levels[n][2]
+    return BlockCensus(k, n, alphabet, count=len(reps), rebuild=partial(_blocks_at, tree, n, reps))
+
+
+def _blocks_at(tree: LabeledTree, n: int, reps: list[int]) -> list[bytes]:
+    """The depth-n block below each of the census's `reps`, read from the layout."""
+    k = tree.arity
+    roots = reps if tree.graph is None else [tree.graph.first[v] for v in reps]
     # the descendants of v at relative level j are the k^j nodes from
     # k^j v + node_count(k, j - 1) on
     offsets = [(k**j, node_count(k, j - 1), node_count(k, j)) for j in range(n + 1)]
-    blocks = sorted(
+    return [
         b"".join([tree.labels[s * v + lo : s * v + hi] for s, lo, hi in offsets])
-        for v in reps
-    )
-    return BlockCensus(k, n, alphabet, tuple(blocks))
+        for v in roots
+    ]
 
 
 def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: int, children):

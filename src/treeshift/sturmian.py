@@ -54,7 +54,8 @@ from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_c
 # adds under one byte per node on top, 24 MiB at depth 24 for blocks of
 # depth 4, plus a level's dense id table: no more entries than the level
 # has roots, each at most an int32, and under 2,000 entries on Sturmian
-# trees of depth 20 with blocks up to depth 12.
+# trees of depth 20 with blocks up to depth 12. The tree keeps the
+# deepest level's ids and one root per distinct block of every level.
 MAX_TREE_DEPTH = 24
 # Every factor oracle harvests HARVEST_WINDOW symbols and is validated
 # up to length ORACLE_LEN, whatever the tree; a labeling reads factors
@@ -350,5 +351,9 @@ def _digits(labels: bytes) -> str:
 
 
 def tree_complexity(tree: LabeledTree, n_max: int) -> list[int]:
-    """p(n) of the tree for n = 0 .. n_max, one interned census per n."""
+    """p(n) of the tree for n = 0 .. n_max, one census per n.
+
+    The tree keeps the levels its censuses intern, so the profile
+    interns each of levels 1 .. n_max once, and builds no block.
+    """
     return [blocks_in_tree(tree, n).count for n in range(n_max + 1)]

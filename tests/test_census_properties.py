@@ -6,7 +6,10 @@ size for every block depth, whether the tree shares most of its
 subtrees or none of them, whichever id table a level is interned
 through, and whether or not the symbols used are contiguous. The
 census of a lexicographic Sturmian tree, which runs on its word graph,
-must equal the census of the same labels without the graph.
+must equal the census of the same labels without the graph. A tree
+keeps the levels its censuses intern: in whatever order the block
+depths come, each census must equal that of a fresh copy of the tree,
+and a profile must intern each level once and build no block.
 """
 
 import random
@@ -163,6 +166,57 @@ def test_word_graph_takes_no_part_in_equality():
     assert tree.graph is not None and plain.graph is None
     assert tree == plain and hash(tree) == hash(plain) and repr(tree) == repr(plain)
     assert label_tree_random(params, 8, seed=1).graph is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_census_in_any_order_equals_census_of_a_fresh_tree(data):
+    tree = data.draw(st.one_of(labeled_trees(), lex_trees()))
+    depths = data.draw(st.lists(st.integers(0, tree.depth), min_size=1, max_size=8))
+    # the drawn depths skip and repeat; then the same ones descending
+    for n in depths + sorted(depths, reverse=True):
+        census = blocks_in_tree(tree, n)
+        fresh = blocks_in_tree(LabeledTree(tree.arity, tree.depth, tree.labels, tree.graph), n)
+        assert census.count == fresh.count
+        assert census.blocks == fresh.blocks
+        assert census.alphabet_size == fresh.alphabet_size
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        label_tree_lex(SturmianParams.fibonacci(), 12),
+        label_tree_random(SturmianParams.fibonacci(), 12, seed=1),
+        random_tree(3, 6, (0, 1, 2), 5),
+    ],
+)
+def test_profile_interns_each_level_once_and_builds_no_block(tree, monkeypatch):
+    calls = Counter()
+    for name in ("_intern_level", "_blocks_at"):
+        monkeypatch.setattr(oracle, name, _counted(getattr(oracle, name), name, calls))
+    n_max = 6
+    profile = tree_complexity(tree, n_max)
+    assert calls == {"_intern_level": n_max}
+    # a census no deeper than the memo interns nothing, and builds its
+    # blocks once, on their first read
+    census = blocks_in_tree(tree, n_max - 1)
+    assert census.count == profile[n_max - 1]
+    assert census.blocks is census.blocks and len(census.blocks) == census.count
+    assert calls == {"_intern_level": n_max, "_blocks_at": 1}
+
+
+def test_census_memo_takes_no_part_in_equality():
+    tree = label_tree_lex(SturmianParams.fibonacci(), 8)
+    plain = LabeledTree(2, 8, tree.labels)
+    blocks_in_tree(tree, 4)
+    assert len(tree.interned) == 5 and plain.interned == []
+    assert tree == plain and hash(tree) == hash(plain) and repr(tree) == repr(plain)
+    # equal as values, the two intern over different nodes: the graph's
+    # few, or the tree's 31 roots of a depth-4 block
+    blocks_in_tree(plain, 4)
+    assert len(tree.interned[4][0]) < len(plain.interned[4][0]) == node_count(2, 4)
+    expected, _ = window_census(tree.labels, 2, 8, 4)
+    assert blocks_in_tree(tree, 4).blocks == blocks_in_tree(plain, 4).blocks == tuple(expected)
 
 
 def test_lex_census_of_every_block_depth_at_depth_20_within_budget():

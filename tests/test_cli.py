@@ -133,6 +133,8 @@ def test_analyze_single_symbol_leaves_h2_undefined(capsys):
         (("analyze", "-m", "[]"), "non-empty array of arrays"),
         (("sturmian", "--mode", "random", "--seed", ","), "--seed expects at least one integer"),
         (("kary", "-k", "1"), "every arity must be at least 2"),
+        # an empty term list is refused, not read as the Fibonacci slope
+        (("sturmian", "--depth=12", "--alpha-cf="), "--alpha-cf expects at least one integer"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
