@@ -440,10 +440,14 @@ def _labels(tree: LabeledTree, fmt: str) -> str:
     """The 0/1 labels of a binary-alphabet tree as one string.
 
     Only JSON prints them whole; CSV prints none and the table passes
-    them to `_shown`, so other formats decode the LABEL_PREFIX + 1 that
-    `_shown` needs to cut them the same way.
+    them to `_shown`, so other formats read only the LABEL_PREFIX + 1
+    that `_shown` needs to cut them the same way, which a lex tree reads
+    off its word graph.
     """
-    labels = tree.labels if fmt == "json" else tree.labels[: LABEL_PREFIX + 1]
+    if fmt == "json":
+        labels = tree.labels
+    else:
+        labels = tree.labels_at(range(min(LABEL_PREFIX + 1, tree.size)))
     return codecs.charmap_decode(labels, "strict", "01")[0]
 
 

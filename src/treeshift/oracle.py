@@ -30,13 +30,15 @@ interned, so a profile over n = 0 .. n_max interns every level once,
 and a census deeper than the last resumes from it. The count comes
 from the interning alone; the blocks themselves are rebuilt, each from
 one root that carries it by slicing each level of the layout, only
-when a census's `blocks` is read. A tree may carry a WordGraph,
-level-ordered nodes that each stand for tree nodes of one level with
-equal subtrees; the census of such a tree, a lexicographic Sturmian
-tree above all, runs the same interning over the graph's few hundred
-nodes instead of the tree's. numpy is imported inside the census
-functions alone, so listing, exact counts and LabeledTree run without
-loading it.
+when a census's `blocks` is read. A tree may be given a WordGraph
+instead of its labels: level-ordered nodes that each stand for tree
+nodes of one level with equal subtrees. The census of such a tree, a
+lexicographic Sturmian tree above all, runs the same interning over the
+graph's few hundred nodes instead of the tree's; a prefix of its labels
+or its left edge is read off the graph, and the full labels are built
+from the graph once, when they are first read. numpy is imported inside
+the census functions and WordGraph.expand alone, so listing, exact
+counts and LabeledTree run without loading it.
 
 The listed census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
@@ -51,8 +53,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .matrix import TransitionMatrix
@@ -66,6 +68,10 @@ MATERIALIZE_CAP = 40
 # chunks keep those transients at a few hundred kilobytes.
 CENSUS_CHUNK = 4096
 _KEY_LIMIT = 2**63 - 1  # interned keys are int64
+# WordGraph.expand gathers this many tree nodes at a time, their graph
+# ids widened to intp for np.take: 512 KiB of indices, where the
+# deepest level of a depth-24 tree at once would take 64 MiB.
+EXPAND_CHUNK = 1 << 16
 
 
 class TooLarge(ValueError):
@@ -120,45 +126,118 @@ class WordGraph:
     first[i] is the breadth-first index of the first tree node it stands
     for. In a lexicographic Sturmian tree the subtree below a node
     depends only on its level and root-to-node word, so one node per
-    path word of each level suffices: a few hundred nodes at any depth.
+    path word of each level suffices: a few hundred nodes at any depth,
+    from which `expand` builds the tree's labels when they are read.
     """
 
     labels: bytes
     children: tuple[int, ...]
     first: tuple[int, ...]
 
+    def expand(self, arity: int, depth: int) -> bytes:
+        """The breadth-first labels of the depth-`depth` tree the graph stands for.
 
-@dataclass(frozen=True)
+        Level by level, each tree node's graph id picks one row of the
+        children's labels and one row of the children's ids, both tables
+        viewed as one fixed-width item per graph node, so a level costs
+        two np.take calls per EXPAND_CHUNK nodes; the deepest level gets
+        its labels only. Memory peaks at 2 bytes per node, the label
+        buffer and its bytes copy, since the ids of a level take less.
+        """
+        import numpy as np
+
+        k = arity
+        labels = np.empty(node_count(k, depth), dtype=np.uint8)
+        labels[0] = self.labels[0]
+        kids = np.array(self.children, dtype=np.min_scalar_type(len(self.labels) - 1)).reshape(-1, k)
+        child_rows = kids.view(f"V{kids.itemsize * k}").ravel()
+        label_rows = np.frombuffer(self.labels, dtype=np.uint8)[kids].view(f"V{k}").ravel()
+        ids = np.zeros(1, dtype=kids.dtype)  # graph ids of the level's tree nodes
+        index = np.empty(min(EXPAND_CHUNK, node_count(k, depth)), dtype=np.intp)
+        for level in range(depth):
+            lo, hi = level_bounds(k, level + 1)
+            below = np.empty(hi - lo, dtype=kids.dtype) if level + 1 < depth else None
+            for c in range(0, len(ids), EXPAND_CHUNK):
+                part = index[: min(EXPAND_CHUNK, len(ids) - c)]
+                part[:] = ids[c : c + len(part)]
+                span = slice(k * c, k * (c + len(part)))
+                np.take(label_rows, part, out=labels[lo:hi][span].view(label_rows.dtype))
+                if below is not None:
+                    np.take(child_rows, part, out=below[span].view(child_rows.dtype))
+            ids = below
+        return labels.tobytes()
+
+
 class LabeledTree:
-    """A fully labeled initial subtree, labels as symbol indices.
+    """A labeled initial subtree, labels as symbol indices.
 
-    `graph`, when given, is the tree's WordGraph, which the census runs
-    on. `interned` is the census's memo for this object: entry j is
+    A tree is given its breadth-first `labels`, or only its `graph`, the
+    WordGraph its census runs on. A graph tree builds its `labels` from
+    the graph at most once, on their first read; `labels_at`, which
+    prefixes and the left edge read, takes them from the graph until
+    then. `interned` is the census's memo for this object: entry j is
     (ids, width, reps) of census level j, as `_intern_level` returns
     them, for every level interned so far, with the ids of the deepest
-    level only and None above it. Neither takes part in equality,
-    hashing or repr, and a tree equal as a value has a memo of its own,
+    level only and None above it. Equality, hashing and repr read the
+    labels alone, and a tree equal as a value has a memo of its own,
     since a tree with a graph interns over other nodes than one without.
     """
 
-    arity: int
-    depth: int
-    labels: bytes
-    graph: WordGraph | None = field(default=None, compare=False, repr=False)
-    interned: list = field(default_factory=list, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, arity: int, depth: int, labels: bytes | None = None,
+                 graph: WordGraph | None = None):
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if len(self.labels) != node_count(self.arity, self.depth):
-            raise ValueError(
-                f"expected {node_count(self.arity, self.depth)} labels, "
-                f"got {len(self.labels)}"
-            )
+        size = node_count(arity, depth)
+        if labels is None and graph is None:
+            raise ValueError("a tree needs its labels or its word graph")
+        if labels is not None and len(labels) != size:
+            raise ValueError(f"expected {size} labels, got {len(labels)}")
+        self.arity = arity
+        self.depth = depth
+        self.graph = graph
+        self.interned: list = []
+        self._labels = labels
+
+    @property
+    def labels(self) -> bytes:
+        if self._labels is None:
+            self._labels = self.graph.expand(self.arity, self.depth)
+        return self._labels
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return node_count(self.arity, self.depth)
+
+    def labels_at(self, nodes: Iterable[int]) -> bytes:
+        """The labels of the breadth-first `nodes`, without building the others.
+
+        Before `labels` is read, a graph tree finds each node's graph
+        node from its parent's: v = k u + 1 + c is child c of u. The
+        graph nodes found are kept, so a prefix or a left edge costs one
+        step per node.
+        """
+        if self._labels is not None:
+            return bytes(map(self._labels.__getitem__, nodes))
+        k, graph, found = self.arity, self.graph, {0: 0}
+
+        def locate(v: int) -> int:
+            if v not in found:
+                u, c = divmod(v - 1, k)
+                found[v] = graph.children[k * locate(u) + c]
+            return found[v]
+
+        return bytes(graph.labels[locate(v)] for v in nodes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.depth, self.labels) == (other.arity, other.depth, other.labels)
+
+    def __hash__(self):
+        return hash((self.arity, self.depth, self.labels))
+
+    def __repr__(self):
+        return f"LabeledTree(arity={self.arity}, depth={self.depth}, labels={self.labels!r})"
 
 
 class BlockCensus:

@@ -24,19 +24,21 @@ the children: the lexicographic variant puts 0 left and 1 right, the
 random variant flips a seeded fair coin per such node in breadth-first
 order. Every root-to-node path is a factor by construction.
 
-A level is labeled in one step: Python walks only the level's path
-words (at most level + 2, so at most 26) to tabulate, for each word and
-swap bit, the children's symbols and words; numpy then gathers those
-rows for every node of the level by its uint8 word id, into one
-preallocated label buffer. The random variant draws the m coins of a
-level with one getrandbits(32 m), which equals m single-bit draws; the
-lexicographic variant is the same step with no swaps, and it also
-records its word graph: per level, each path word's label, its two
-children's words and the first node that carries it. Below a lex node
-the labels depend only on its level and path word, so the block census
-of a lex tree runs on that graph of a few hundred nodes and adds nothing
-per tree node. numpy is imported by the labeling functions alone, so
-slopes, words and factor oracles run without loading it.
+A lexicographic tree is built as its word graph alone: Python walks
+each level's path words (at most level + 2, so at most 26) and records
+per word its label, its two children's words and the first node that
+carries it. Below a lex node the labels depend only on its level and
+path word, so the block census runs on that graph of a few hundred
+nodes, and the table and CSV outputs read the first labels and the left
+edge off it; the full label buffer is expanded from the graph only when
+it is read, as JSON output does. A random tree is labeled one level in
+one step: Python tabulates, for each path word and swap bit, the
+children's symbols and words; numpy then gathers those rows for every
+node of the level by its uint8 word id, into one preallocated label
+buffer. The m coins of a level come from one getrandbits(32 m), which
+equals m single-bit draws. numpy is imported by the random labeler, the
+expansion and the census alone, so slopes, words, factor oracles and the
+word graph of a lex tree are built without loading it.
 """
 
 from __future__ import annotations
@@ -47,10 +49,13 @@ from fractions import Fraction
 
 from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_count
 
-# Labeling peaks near 2.75 bytes per node (the label buffer, its bytes
-# copy, one level of uint8 gathers) and keeps 1: 5.6 MiB at depth 20,
-# 88 MiB at depth 24 (33.5M nodes). A census of a lex tree runs on its
-# word graph and adds nothing per tree node. A census of a random tree
+# A lex tree keeps its word graph, a few hundred nodes at any depth; its
+# census and its table and CSV outputs add nothing per tree node.
+# Labeling a random tree peaks near 2.75 bytes per node (the label
+# buffer, its bytes copy, one level of uint8 gathers): 5.6 MiB at depth
+# 20, 88 MiB at depth 24 (33.5M nodes). Expanding a lex tree's labels,
+# as JSON output does, peaks at 2 bytes per node, 64 MiB at depth 24.
+# Either keeps 1 byte per node. A census of a random tree
 # adds under one byte per node on top, 24 MiB at depth 24 for blocks of
 # depth 4, plus a level's dense id table: no more entries than the level
 # has roots, each at most an int32, and under 2,000 entries on Sturmian
@@ -207,9 +212,32 @@ def _check_depth(depth: int) -> None:
 
 
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
-    """Label the binary tree, splitting right-special nodes as 0 left, 1 right."""
+    """Label the binary tree, splitting right-special nodes as 0 left, 1 right.
+
+    The tree is given its WordGraph alone, one node per path word of
+    each level, walked here in Python: a node's word w has children
+    w + c for the first and the last successor c of w. A level's words
+    are listed in the order their first tree nodes come, so the first
+    time a word is reached, as left child before right of the words in
+    that order, is at its first node.
+    """
     _check_depth(depth)
-    return _fill_tree(build_factor_oracle(params), depth)
+    oracle = build_factor_oracle(params)
+    words = ["0"]  # the first symbol of every minimal sequence
+    labels, children, first = [0], [], [0]
+    for _ in range(depth):
+        base = len(first)
+        index: dict[str, int] = {}
+        for w, v in zip(words, first[base - len(words) :]):
+            succ = oracle.successors(w)
+            for side, c in enumerate(succ[0] + succ[-1]):
+                g = index.setdefault(w + c, len(index))
+                children.append(base + g)
+                if base + g == len(first):
+                    first.append(2 * v + 1 + side)
+                    labels.append(int(c))
+        words = list(index)
+    return LabeledTree(2, depth, graph=WordGraph(bytes(labels), tuple(children), tuple(first)))
 
 
 def label_tree_random(
@@ -245,29 +273,21 @@ def _coin_bits(rng: random.Random, m: int):
     return (words >> 31).astype(np.uint8)
 
 
-def _fill_tree(oracle: FactorOracle, depth: int, coins=None) -> LabeledTree:
-    """Label level by level; `coins(m)` gives the swap bits of m right-special nodes.
-
-    Without coins nothing is swapped, the lexicographic rule, and the
-    tree carries its WordGraph: one node per path word of each level.
-    """
+def _fill_tree(oracle: FactorOracle, depth: int, coins) -> LabeledTree:
+    """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
     import numpy as np
 
     labels = np.empty(node_count(2, depth), dtype=np.uint8)
     labels[0] = 0  # the first symbol of every minimal sequence
     words = ["0"]
     ids = np.zeros(1, dtype=np.uint8)  # path-word id of every node of the level
-    # the word graph so far: each word's label, its children's graph
-    # indices, and the breadth-first index of its first node
-    graph_labels, graph_children, first = [0], [], [0]
     for level in range(depth):
-        special, moves, next_words = _factor_table(oracle, words)
+        special, moves, words = _factor_table(oracle, words)
         left_symbol, left_word, right_symbol, right_word = moves
         # state 2f + s: path word f, children swapped when s = 1
         state = ids << 1
-        if coins is not None:
-            split = special[ids]
-            state[split] |= coins(int(np.count_nonzero(split)))
+        split = special[ids]
+        state[split] |= coins(int(np.count_nonzero(split)))
         lo, hi = level_bounds(2, level + 1)
         children = labels[lo:hi].reshape(-1, 2)
         children[:, 0] = left_symbol[state]
@@ -277,23 +297,7 @@ def _fill_tree(oracle: FactorOracle, depth: int, coins=None) -> LabeledTree:
             ids[:, 0] = left_word[state]
             ids[:, 1] = right_word[state]
             ids = ids.reshape(-1)
-        if coins is None:
-            # the first node of a word is the first child, 2v + 1 + side,
-            # of the first node v of a word above that leads to it
-            base = len(first)
-            below = [hi] * len(next_words)
-            unswapped = zip(left_word[::2].tolist(), right_word[::2].tolist())
-            for v, pair in zip(first[base - len(words) :], unswapped):
-                for side, g in enumerate(pair):
-                    graph_children.append(base + g)
-                    below[g] = min(below[g], 2 * v + 1 + side)
-            graph_labels += [int(w[-1]) for w in next_words]
-            first += below
-        words = next_words
-    graph = None
-    if coins is None:
-        graph = WordGraph(bytes(graph_labels), tuple(graph_children), tuple(first))
-    return LabeledTree(2, depth, labels.tobytes(), graph)
+    return LabeledTree(2, depth, labels.tobytes())
 
 
 def _factor_table(oracle: FactorOracle, words: list[str]):
@@ -328,7 +332,7 @@ def path_words(tree: LabeledTree, level: int) -> list[str]:
     """
     if level < 0 or level > tree.depth:
         raise ValueError("level must lie within the tree depth")
-    symbols = _digits(tree.labels[: node_count(tree.arity, level)])
+    symbols = _digits(tree.labels_at(range(node_count(tree.arity, level))))
     words = [symbols[0]]
     for l in range(1, level + 1):
         lo, hi = level_bounds(tree.arity, l)
@@ -338,8 +342,7 @@ def path_words(tree: LabeledTree, level: int) -> list[str]:
 
 def left_edge_word(tree: LabeledTree) -> str:
     """Labels down the leftmost path: the first node of every level, one digit each."""
-    edge = bytes(tree.labels[node_count(tree.arity, l - 1)] for l in range(tree.depth + 1))
-    return _digits(edge)
+    return _digits(tree.labels_at(node_count(tree.arity, l - 1) for l in range(tree.depth + 1)))
 
 
 def _digits(labels: bytes) -> str:

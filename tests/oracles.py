@@ -5,7 +5,8 @@ avoiding the code paths under test: characteristic polynomials are
 expanded exactly over the rationals, block counts come from filtering
 the full product space, tree censuses from one window per root, golden
 mean q ratios from big-integer division, the Fibonacci word from its
-substitution rule, and mechanical words from Fraction arithmetic.
+substitution rule, mechanical words from Fraction arithmetic, and
+lexicographic Sturmian trees node by node from their path words.
 """
 
 from __future__ import annotations
@@ -214,6 +215,22 @@ def window_census(labels: bytes, arity: int, depth: int, n: int):
             window.extend(labels[v] for v in level)
         seen.add(bytes(window))
     return sorted(seen), max(labels) + 1
+
+
+def lex_tree_labels(successors, depth: int) -> bytes:
+    """Breadth-first labels of the depth-`depth` lexicographic Sturmian tree.
+
+    `successors(w)` gives the symbols that may follow the factor w, "0",
+    "1" or "01". The root is 0. Walking the tree breadth first, node v's
+    children 2v+1 and 2v+2 both copy the one successor of v's path word,
+    or, below a right-special word, take 0 left and 1 right.
+    """
+    words = ["0"]
+    for v in range(node_count(2, depth - 1)):
+        succ = successors(words[v])
+        words.append(words[v] + succ[0])
+        words.append(words[v] + succ[-1])
+    return bytes(int(w[-1]) for w in words)
 
 
 def is_valid_labeling(rows, arity: int, depth: int, labels) -> bool:

@@ -6,7 +6,10 @@ size for every block depth, whether the tree shares most of its
 subtrees or none of them, whichever id table a level is interned
 through, and whether or not the symbols used are contiguous. The
 census of a lexicographic Sturmian tree, which runs on its word graph,
-must equal the census of the same labels without the graph. A tree
+must equal the census of the same labels without the graph, and the
+tree's labels, their prefixes and its left edge, whether read off the
+graph or from the labels it expands, must equal those of a node-by-node
+reference labeler. A tree
 keeps the levels its censuses intern: in whatever order the block
 depths come, each census must equal that of a fresh copy of the tree,
 and a profile must intern each level once and build no block.
@@ -20,13 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import node_count, window_census
+from oracles import lex_tree_labels, node_count, window_census
 from treeshift import oracle
 from treeshift.oracle import LabeledTree, blocks_in_tree
 from treeshift.sturmian import (
     SturmianParams,
+    build_factor_oracle,
     label_tree_lex,
     label_tree_random,
+    left_edge_word,
     tree_complexity,
 )
 
@@ -140,10 +145,30 @@ def test_census_on_each_side_of_the_dense_table(tree, tables, monkeypatch):
 
 
 @st.composite
-def lex_trees(draw):
+def lex_slopes(draw):
     terms = [0] + draw(st.lists(st.integers(1, 4), min_size=40, max_size=40))
-    depth = draw(st.integers(0, 16))
-    return label_tree_lex(SturmianParams.from_continued_fraction(terms), depth)
+    return SturmianParams.from_continued_fraction(terms)
+
+
+@st.composite
+def lex_trees(draw, slopes=lex_slopes()):
+    return label_tree_lex(draw(slopes), draw(st.integers(0, 16)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lex_tree_reads_equal_the_node_by_node_reference(data):
+    params = data.draw(lex_slopes())
+    tree = data.draw(lex_trees(st.just(params)))
+    expected = lex_tree_labels(build_factor_oracle(params).successors, tree.depth)
+    edge = "".join(str(expected[node_count(2, l - 1)]) for l in range(tree.depth + 1))
+    prefixes = sorted({*range(min(tree.size, 300) + 1), tree.size})
+    # read off the word graph first, then again from the expanded labels
+    for _ in range(2):
+        for m in prefixes:
+            assert tree.labels_at(range(m)) == expected[:m]
+        assert left_edge_word(tree) == edge
+        assert tree.labels == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

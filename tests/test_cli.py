@@ -388,6 +388,43 @@ def test_sturmian_random_builds_one_factor_oracle_per_report(capsys, monkeypatch
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("fmt, expansions", [("csv", 0), ("table", 0), ("json", 1)])
+def test_sturmian_lex_expands_its_word_graph_only_for_json(capsys, monkeypatch, fmt, expansions):
+    from treeshift.oracle import WordGraph
+
+    calls = []
+    real = WordGraph.expand
+
+    def counted(graph, arity, depth):
+        calls.append(depth)
+        return real(graph, arity, depth)
+
+    monkeypatch.setattr(WordGraph, "expand", counted)
+    code, out, _ = run_cli(capsys, "sturmian", "-n", "10", "--blocks", "4", "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) == expansions
+
+
+def test_sturmian_lex_csv_at_the_depth_cap_within_budget(capsys):
+    import tracemalloc
+
+    args = ("sturmian", "-n", "24", "--blocks", "4", "--format", "csv")
+    run_cli(capsys, "sturmian", "-n", "4", "--format", "csv")  # loads numpy
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *args)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        run_cli(capsys, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("n,p_tau\n0,2\n")
+    # the 33.5M labels of the tree would take 32 MiB on their own
+    assert elapsed < 0.25
+    assert peak < 8 * 2**20
+
+
 def test_sturmian_custom_slope(capsys):
     # a deep convergent, so the q^2 error bound survives the harvest window
     terms = "0,3" + ",1" * 30
