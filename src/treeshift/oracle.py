@@ -36,7 +36,9 @@ nodes of one level with equal subtrees. The census of such a tree, a
 lexicographic Sturmian tree above all, runs the same interning over the
 graph's few hundred nodes instead of the tree's; a prefix of its labels
 or its left edge is read off the graph, and the full labels are built
-from the graph once, when they are first read. numpy is imported inside
+from the graph once, when they are first read. Expanded with coins
+that swap the children of some nodes, the same graph gives the labels
+of a random Sturmian tree, which keeps no graph. numpy is imported inside
 the census functions and WordGraph.expand alone, so listing, exact
 counts and LabeledTree run without loading it.
 
@@ -127,44 +129,59 @@ class WordGraph:
     for. In a lexicographic Sturmian tree the subtree below a node
     depends only on its level and root-to-node word, so one node per
     path word of each level suffices: a few hundred nodes at any depth,
-    from which `expand` builds the tree's labels when they are read.
+    from which `expand` builds the tree's labels when they are read. A
+    random Sturmian tree is the same graph expanded with a seeded coin
+    per node whose two children differ, which swaps them.
     """
 
     labels: bytes
     children: tuple[int, ...]
     first: tuple[int, ...]
 
-    def expand(self, arity: int, depth: int) -> bytes:
+    def expand(self, arity: int, depth: int, coins=None) -> bytes:
         """The breadth-first labels of the depth-`depth` tree the graph stands for.
 
-        Level by level, each tree node's graph id picks one row of the
-        children's labels and one row of the children's ids, both tables
-        viewed as one fixed-width item per graph node, so a level costs
-        two np.take calls per EXPAND_CHUNK nodes; the deepest level gets
-        its labels only. Memory peaks at 2 bytes per node, the label
-        buffer and its bytes copy, since the ids of a level take less.
+        Level by level, each tree node's state picks one row of the
+        children's labels and one row of the children's states, both
+        tables viewed as one fixed-width item per state, so a level
+        costs two np.take calls per EXPAND_CHUNK nodes; the deepest
+        level gets its labels only. Without `coins` a node's state is
+        its graph id. With them, row 2g + s holds node g's children,
+        reversed when s = 1, and a node's state is 2 id + s: `coins(m)`
+        gives the bits s of the next m nodes whose two children differ,
+        drawn chunk by chunk in breadth-first order, and the other nodes
+        take s = 0. Memory peaks near 2 bytes per node, the label buffer
+        and its bytes copy, since the states of a level take less.
         """
         import numpy as np
 
         k = arity
         labels = np.empty(node_count(k, depth), dtype=np.uint8)
         labels[0] = self.labels[0]
-        kids = np.array(self.children, dtype=np.min_scalar_type(len(self.labels) - 1)).reshape(-1, k)
-        child_rows = kids.view(f"V{kids.itemsize * k}").ravel()
+        kids = np.array(self.children, dtype=np.intp).reshape(-1, k)
+        shift = int(coins is not None)  # a state is id << shift, plus its coin
+        if shift:
+            kids = np.stack([kids, kids[:, ::-1]], axis=1).reshape(-1, k)
+            split = kids[:, 0] != kids[:, -1]  # the states that draw a coin
+        child_states = (kids << shift).astype(np.min_scalar_type((len(self.labels) - 1) << shift))
+        child_rows = child_states.view(f"V{child_states.itemsize * k}").ravel()
         label_rows = np.frombuffer(self.labels, dtype=np.uint8)[kids].view(f"V{k}").ravel()
-        ids = np.zeros(1, dtype=kids.dtype)  # graph ids of the level's tree nodes
+        states = np.zeros(1, dtype=child_states.dtype)  # of the level's tree nodes
         index = np.empty(min(EXPAND_CHUNK, node_count(k, depth)), dtype=np.intp)
         for level in range(depth):
             lo, hi = level_bounds(k, level + 1)
-            below = np.empty(hi - lo, dtype=kids.dtype) if level + 1 < depth else None
-            for c in range(0, len(ids), EXPAND_CHUNK):
-                part = index[: min(EXPAND_CHUNK, len(ids) - c)]
-                part[:] = ids[c : c + len(part)]
+            below = np.empty(hi - lo, dtype=states.dtype) if level + 1 < depth else None
+            for c in range(0, len(states), EXPAND_CHUNK):
+                part = index[: min(EXPAND_CHUNK, len(states) - c)]
+                part[:] = states[c : c + len(part)]
+                if shift:
+                    drawn = split[part]
+                    part[drawn] |= coins(np.count_nonzero(drawn))
                 span = slice(k * c, k * (c + len(part)))
                 np.take(label_rows, part, out=labels[lo:hi][span].view(label_rows.dtype))
                 if below is not None:
                     np.take(child_rows, part, out=below[span].view(child_rows.dtype))
-            ids = below
+            states = below
         return labels.tobytes()
 
 

@@ -24,21 +24,24 @@ the children: the lexicographic variant puts 0 left and 1 right, the
 random variant flips a seeded fair coin per such node in breadth-first
 order. Every root-to-node path is a factor by construction.
 
-A lexicographic tree is built as its word graph alone: Python walks
-each level's path words (at most level + 2, so at most 26) and records
-per word its label, its two children's words and the first node that
-carries it. Below a lex node the labels depend only on its level and
-path word, so the block census runs on that graph of a few hundred
-nodes, and the table and CSV outputs read the first labels and the left
-edge off it; the full label buffer is expanded from the graph only when
-it is read, as JSON output does. A random tree is labeled one level in
-one step: Python tabulates, for each path word and swap bit, the
-children's symbols and words; numpy then gathers those rows for every
-node of the level by its uint8 word id, into one preallocated label
-buffer. The m coins of a level come from one getrandbits(32 m), which
-equals m single-bit draws. numpy is imported by the random labeler, the
-expansion and the census alone, so slopes, words, factor oracles and the
-word graph of a lex tree are built without loading it.
+Both variants start from one word graph, walked in Python: per level,
+one node per path word (at most level + 2, so at most 26), with its
+label, its two children's words and the first node that carries it. A
+lexicographic tree is that graph alone. Below a lex node the labels
+depend only on its level and path word, so the block census runs on
+that graph of a few hundred nodes, and the table and CSV outputs read
+the first labels and the left edge off it; the full label buffer is
+expanded from the graph only when it is read, as JSON output does. A
+random tree is the same graph expanded at once with its coins: a tree
+node's state is its path word and its swap bit, each state picks the
+row of its children's labels and states, and numpy gathers those rows
+for every node of a level into one preallocated label buffer. The
+coins are drawn chunk by chunk, m at a time from one getrandbits(32 m),
+which equals m single-bit draws. The random tree keeps no graph, since
+its subtrees depend on the coins, so its census runs on its labels.
+numpy is imported by the expansion, the coins and the census alone, so
+slopes, words, factor oracles and the word graph of a lex tree are
+built without loading it.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_c
 
 # A lex tree keeps its word graph, a few hundred nodes at any depth; its
 # census and its table and CSV outputs add nothing per tree node.
-# Labeling a random tree peaks near 2.75 bytes per node (the label
-# buffer, its bytes copy, one level of uint8 gathers): 5.6 MiB at depth
-# 20, 88 MiB at depth 24 (33.5M nodes). Expanding a lex tree's labels,
-# as JSON output does, peaks at 2 bytes per node, 64 MiB at depth 24.
-# Either keeps 1 byte per node. A census of a random tree
+# Expanding labels from the graph, for a random tree or a lex tree's
+# JSON, peaks near 2 bytes per node (the label buffer and its bytes
+# copy; a level's states take less) plus a chunk's 512 KiB of indices:
+# 4.6 MiB at depth 20, 65 MiB at depth 24 (33.5M nodes). Either tree
+# keeps 1 byte per node. A census of a random tree
 # adds under one byte per node on top, 24 MiB at depth 24 for blocks of
 # depth 4, plus a level's dense id table: no more entries than the level
 # has roots, each at most an int32, and under 2,000 entries on Sturmian
@@ -204,25 +207,50 @@ def build_factor_oracle(params: SturmianParams) -> FactorOracle:
     return FactorOracle(params.alpha, table)
 
 
-def _check_depth(depth: int) -> None:
+def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
+    """Label the binary tree, splitting right-special nodes as 0 left, 1 right.
+
+    The tree is given its WordGraph alone, from `_word_graph`.
+    """
+    return LabeledTree(2, depth, graph=_word_graph(build_factor_oracle(params), depth))
+
+
+def label_tree_random(
+    params: SturmianParams, depth: int, seed: int = 0, oracle: FactorOracle | None = None
+) -> LabeledTree:
+    """Label the binary tree, splitting right-special nodes by a seeded coin.
+
+    One fair bit is drawn per right-special node in breadth-first
+    order; bit 0 assigns (0 left, 1 right), bit 1 the reverse. The
+    same seed always reproduces the same tree. The labels are expanded
+    from the lex word graph with these coins, and the tree keeps no
+    graph: below a node its subtree depends on the coins, not only on
+    its path word. `oracle` is the `build_factor_oracle(params)`, built
+    here when not given.
+    """
+    if oracle is None:
+        oracle = build_factor_oracle(params)
+    elif oracle.alpha != params.alpha:
+        raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
+    rng = random.Random(seed)
+    labels = _word_graph(oracle, depth).expand(2, depth, lambda m: _coin_bits(rng, m))
+    return LabeledTree(2, depth, labels)
+
+
+def _word_graph(oracle: FactorOracle, depth: int) -> WordGraph:
+    """The lex tree's WordGraph: one node per path word of each level.
+
+    Walked in Python, a node's word w has children w + c for the first
+    and the last successor c of w, the same node when w is not right
+    special. A level's words are listed in the order their first tree
+    nodes come, so the first time a word is reached, as left child
+    before right of the words in that order, is at its first node.
+    Depths outside 0 .. MAX_TREE_DEPTH are refused.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_TREE_DEPTH:
         raise ValueError(f"depth {depth} is above the cap of {MAX_TREE_DEPTH}")
-
-
-def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
-    """Label the binary tree, splitting right-special nodes as 0 left, 1 right.
-
-    The tree is given its WordGraph alone, one node per path word of
-    each level, walked here in Python: a node's word w has children
-    w + c for the first and the last successor c of w. A level's words
-    are listed in the order their first tree nodes come, so the first
-    time a word is reached, as left child before right of the words in
-    that order, is at its first node.
-    """
-    _check_depth(depth)
-    oracle = build_factor_oracle(params)
     words = ["0"]  # the first symbol of every minimal sequence
     labels, children, first = [0], [], [0]
     for _ in range(depth):
@@ -237,26 +265,7 @@ def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
                     first.append(2 * v + 1 + side)
                     labels.append(int(c))
         words = list(index)
-    return LabeledTree(2, depth, graph=WordGraph(bytes(labels), tuple(children), tuple(first)))
-
-
-def label_tree_random(
-    params: SturmianParams, depth: int, seed: int = 0, oracle: FactorOracle | None = None
-) -> LabeledTree:
-    """Label the binary tree, splitting right-special nodes by a seeded coin.
-
-    One fair bit is drawn per right-special node in breadth-first
-    order; bit 0 assigns (0 left, 1 right), bit 1 the reverse. The
-    same seed always reproduces the same tree. `oracle` is the
-    `build_factor_oracle(params)`, built here when not given.
-    """
-    _check_depth(depth)
-    if oracle is None:
-        oracle = build_factor_oracle(params)
-    elif oracle.alpha != params.alpha:
-        raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
-    rng = random.Random(seed)
-    return _fill_tree(oracle, depth, coins=lambda m: _coin_bits(rng, m))
+    return WordGraph(bytes(labels), tuple(children), tuple(first))
 
 
 def _coin_bits(rng: random.Random, m: int):
@@ -269,58 +278,7 @@ def _coin_bits(rng: random.Random, m: int):
     """
     import numpy as np
 
-    words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
-    return (words >> 31).astype(np.uint8)
-
-
-def _fill_tree(oracle: FactorOracle, depth: int, coins) -> LabeledTree:
-    """Label level by level; `coins(m)` gives the swap bits of m right-special nodes."""
-    import numpy as np
-
-    labels = np.empty(node_count(2, depth), dtype=np.uint8)
-    labels[0] = 0  # the first symbol of every minimal sequence
-    words = ["0"]
-    ids = np.zeros(1, dtype=np.uint8)  # path-word id of every node of the level
-    for level in range(depth):
-        special, moves, words = _factor_table(oracle, words)
-        left_symbol, left_word, right_symbol, right_word = moves
-        # state 2f + s: path word f, children swapped when s = 1
-        state = ids << 1
-        split = special[ids]
-        state[split] |= coins(int(np.count_nonzero(split)))
-        lo, hi = level_bounds(2, level + 1)
-        children = labels[lo:hi].reshape(-1, 2)
-        children[:, 0] = left_symbol[state]
-        children[:, 1] = right_symbol[state]
-        if level + 1 < depth:
-            ids = np.empty_like(children)
-            ids[:, 0] = left_word[state]
-            ids[:, 1] = right_word[state]
-            ids = ids.reshape(-1)
-    return LabeledTree(2, depth, labels.tobytes())
-
-
-def _factor_table(oracle: FactorOracle, words: list[str]):
-    """Where each path word of a level leads, and the words one level down.
-
-    Returns a right-special flag per word, and per state 2f + s the left
-    child's symbol and word id, then the right child's, as four uint8
-    rows; s = 1 swaps the two successors of a right-special word.
-    """
-    import numpy as np
-
-    next_index: dict[str, int] = {}
-    special = []
-    moves = []
-    for w in words:
-        pairs = [
-            (int(c), next_index.setdefault(w + c, len(next_index)))
-            for c in oracle.successors(w)
-        ]
-        special.append(len(pairs) == 2)
-        moves.append(pairs[0] + pairs[-1])
-        moves.append(pairs[-1] + pairs[0])
-    return np.array(special), np.array(moves, dtype=np.uint8).T.copy(), list(next_index)
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> 31
 
 
 def path_words(tree: LabeledTree, level: int) -> list[str]:

@@ -6,12 +6,14 @@ expanded exactly over the rationals, block counts come from filtering
 the full product space, tree censuses from one window per root, golden
 mean q ratios from big-integer division, the Fibonacci word from its
 substitution rule, mechanical words from Fraction arithmetic, and
-lexicographic Sturmian trees node by node from their path words.
+lexicographic and seeded random Sturmian trees node by node from their
+path words.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 
@@ -228,6 +230,24 @@ def lex_tree_labels(successors, depth: int) -> bytes:
     words = ["0"]
     for v in range(node_count(2, depth - 1)):
         succ = successors(words[v])
+        words.append(words[v] + succ[0])
+        words.append(words[v] + succ[-1])
+    return bytes(int(w[-1]) for w in words)
+
+
+def random_tree_labels(successors, depth: int, seed: int) -> bytes:
+    """Breadth-first labels of the depth-`depth` random Sturmian tree of `seed`.
+
+    As `lex_tree_labels`, but each node whose path word is right-special,
+    taken breadth first, draws one random.Random(seed).getrandbits(1);
+    bit 1 puts 1 left and 0 right.
+    """
+    rng = random.Random(seed)
+    words = ["0"]
+    for v in range(node_count(2, depth - 1)):
+        succ = successors(words[v])
+        if len(succ) == 2 and rng.getrandbits(1):
+            succ = succ[::-1]
         words.append(words[v] + succ[0])
         words.append(words[v] + succ[-1])
     return bytes(int(w[-1]) for w in words)

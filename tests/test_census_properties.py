@@ -9,10 +9,12 @@ census of a lexicographic Sturmian tree, which runs on its word graph,
 must equal the census of the same labels without the graph, and the
 tree's labels, their prefixes and its left edge, whether read off the
 graph or from the labels it expands, must equal those of a node-by-node
-reference labeler. A tree
-keeps the levels its censuses intern: in whatever order the block
-depths come, each census must equal that of a fresh copy of the tree,
-and a profile must intern each level once and build no block.
+reference labeler. So must a seeded random tree's labels, expanded from
+the same graph with a coin per right-special node, however many nodes
+an expansion chunk holds. A tree keeps the levels its censuses intern:
+in whatever order the block depths come, each census must equal that
+of a fresh copy of the tree, and a profile must intern each level once
+and build no block.
 """
 
 import random
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lex_tree_labels, node_count, window_census
+from oracles import lex_tree_labels, node_count, random_tree_labels, window_census
 from treeshift import oracle
 from treeshift.oracle import LabeledTree, blocks_in_tree
 from treeshift.sturmian import (
@@ -169,6 +171,35 @@ def test_lex_tree_reads_equal_the_node_by_node_reference(data):
             assert tree.labels_at(range(m)) == expected[:m]
         assert left_edge_word(tree) == edge
         assert tree.labels == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lex_slopes(), st.integers(0, 14), st.integers(0, 2**64))
+def test_random_tree_equals_the_node_by_node_reference(params, depth, seed):
+    expected = random_tree_labels(build_factor_oracle(params).successors, depth, seed)
+    assert label_tree_random(params, depth, seed).labels == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lex_trees())
+def test_expand_with_zero_coins_equals_expand_without(tree):
+    import numpy as np
+
+    zeros = tree.graph.expand(2, tree.depth, lambda m: np.zeros(m, dtype=np.uint8))
+    assert zeros == tree.graph.expand(2, tree.depth)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5, 12])
+def test_random_labels_do_not_depend_on_the_expand_chunk(depth, monkeypatch):
+    # 3-node chunks draw a level's coins in many calls, some of them
+    # for no node, and must give the bits of one draw per level
+    slopes = [
+        SturmianParams.fibonacci(),
+        SturmianParams.from_continued_fraction([0, 1, 3] + [1, 2] * 20),
+    ]
+    default = [label_tree_random(p, depth, seed) for p in slopes for seed in range(3)]
+    monkeypatch.setattr(oracle, "EXPAND_CHUNK", 3)
+    assert [label_tree_random(p, depth, seed) for p in slopes for seed in range(3)] == default
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -388,21 +388,36 @@ def test_sturmian_random_builds_one_factor_oracle_per_report(capsys, monkeypatch
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("fmt, expansions", [("csv", 0), ("table", 0), ("json", 1)])
-def test_sturmian_lex_expands_its_word_graph_only_for_json(capsys, monkeypatch, fmt, expansions):
+def _count_expansions(monkeypatch) -> list:
     from treeshift.oracle import WordGraph
 
     calls = []
     real = WordGraph.expand
 
-    def counted(graph, arity, depth):
+    def counted(graph, arity, depth, coins=None):
         calls.append(depth)
-        return real(graph, arity, depth)
+        return real(graph, arity, depth, coins)
 
     monkeypatch.setattr(WordGraph, "expand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt, expansions", [("csv", 0), ("table", 0), ("json", 1)])
+def test_sturmian_lex_expands_its_word_graph_only_for_json(capsys, monkeypatch, fmt, expansions):
+    calls = _count_expansions(monkeypatch)
     code, out, _ = run_cli(capsys, "sturmian", "-n", "10", "--blocks", "4", "--format", fmt)
     assert code == 0 and out
     assert len(calls) == expansions
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+def test_sturmian_random_expands_the_word_graph_once_per_seed(capsys, monkeypatch, fmt):
+    # a random tree's labels are the graph expanded with its coins, read in every format
+    calls = _count_expansions(monkeypatch)
+    args = ("--mode", "random", "-n", "10", "--blocks", "4", "--seed", "1,2,3", "--format", fmt)
+    code, out, _ = run_cli(capsys, "sturmian", *args)
+    assert code == 0 and out
+    assert calls == [10, 10, 10]
 
 
 def test_sturmian_lex_csv_at_the_depth_cap_within_budget(capsys):

@@ -56,6 +56,32 @@ def test_every_public_name_in_src_has_a_caller():
     assert sorted(defined - used) == []
 
 
+def test_every_private_name_in_src_is_referenced_in_src():
+    # A private def or class anywhere in the package, or a module-level
+    # _NAME, must be read somewhere in the package's modules: a helper
+    # left behind when its caller is deleted fails here. Dunder names
+    # are called by Python itself and are not checked; names are
+    # matched as names, as above.
+    root = Path(__file__).resolve().parents[1]
+    trees = [ast.parse(p.read_text()) for p in sorted((root / "src" / "treeshift").glob("*.py"))]
+    defined = set()
+    used = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                used.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert sorted(private - used) == []
+
+
 def test_readme_library_example_runs():
     # the one python block under "## Library" prints the values its comments give
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -286,6 +286,21 @@ def test_shared_oracle_labels_the_same_trees():
         label_tree_random(FIB, MAX_TREE_DEPTH + 1, 0, oracle)
 
 
+def test_random_labeling_peaks_below_2_5_bytes_per_node():
+    import tracemalloc
+
+    oracle = build_factor_oracle(FIB)
+    label_tree_random(FIB, 4, 0, oracle)  # loads numpy
+    tracemalloc.start()
+    try:
+        tree = label_tree_random(FIB, 20, 1, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the label buffer and its bytes copy take 2 bytes per node
+    assert peak < 2.5 * tree.size
+
+
 def test_one_oracle_serves_every_depth():
     # a labeling reads factors up to its depth, all inside the oracle
     assert ORACLE_LEN >= MAX_TREE_DEPTH
