@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Context
 from typing import Sequence
 
 from .matrix import TransitionMatrix
@@ -475,23 +476,27 @@ class PowerBoundCheck:
 
 
 def golden_power_bounds(a_seq: Sequence[int]) -> list[PowerBoundCheck]:
-    """Compare each A(n), n >= 4, against gamma^(2^(n+1) - 1).
+    """Compare each A(n), n >= 4, against gamma^E with E = 2^(n+1) - 1.
 
-    The comparison runs in mpmath with at least 2^(n+1) bits (plus a
-    guard), enough that A(n) is represented exactly and the rounding of
-    the gamma power cannot flip the verdict.
+    With Fibonacci and Lucas numbers, 2 gamma^E = L_E + F_E sqrt(5), so
+    power = floor(2 gamma^E * 2^b) is L_E * 2^b plus one isqrt, where
+    b = precision_bits >= 2^(n+1) + 64 fractional bits. gamma^E is
+    irrational, so A(n) >= gamma^E exactly when A(n) * 2^(b+1) > power:
+    the verdict is exact at every input. The log margin
+    ln A(n) - E ln gamma is the 50-digit decimal logarithm of the same
+    ratio, rounded to a float.
     """
-    import mpmath  # slow to import, and only this function needs it
-
+    context = Context(prec=50)
     checks = []
+    index, fib, fib_next = 0, 0, 1  # F_index and F_(index + 1)
     for n in range(4, len(a_seq)):
         exponent = 2 ** (n + 1) - 1
+        while index < exponent:
+            index, fib, fib_next = index + 1, fib_next, fib + fib_next
         bits = max(2 ** (n + 1), 64) + 64
-        with mpmath.workprec(bits):
-            gamma = (1 + mpmath.sqrt(5)) / 2
-            power = gamma**exponent
-            value = mpmath.mpf(a_seq[n])
-            holds = value >= power
-            log_margin = float(mpmath.log(value) - exponent * mpmath.log(gamma))
-        checks.append(PowerBoundCheck(n, exponent, bool(holds), log_margin, bits))
+        lucas = 2 * fib_next - fib
+        power = (lucas << bits) + math.isqrt(5 * fib**2 << 2 * bits)
+        value = a_seq[n] << (bits + 1)
+        log_margin = float(context.ln(context.divide(value, power)))
+        checks.append(PowerBoundCheck(n, exponent, value > power, log_margin, bits))
     return checks

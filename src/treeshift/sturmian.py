@@ -10,10 +10,10 @@ correct or the computation refuses with PrecisionExhausted.
 Factors are harvested from the first HARVEST_WINDOW symbols into a
 FactorOracle that knows every factor up to length ORACLE_LEN and its
 valid successor symbols, the same for every tree of the slope. For
-an irrational slope the factor counts must hit p(n) = n + 1 exactly,
-with exactly one right-special factor (two successors) per length; any
-deviation raises ComplexityViolation, which is also how rational slopes
-and too-small harvest windows are caught.
+an irrational slope the factor counts must hit p(n) = n + 1 exactly;
+any deviation raises ComplexityViolation, which is also how rational
+slopes and too-small harvest windows are caught. Full counts leave
+exactly one right-special factor (two successors) per length.
 
 The tree labelings follow one growth rule: the root carries the first
 symbol of the lexicographically minimal sequence of the system (0
@@ -194,16 +194,14 @@ def build_factor_oracle(params: SturmianParams) -> FactorOracle:
                 "the slope may be rational or the harvest window too small"
             )
         by_length.append(found)
+    # A mechanical word is balanced, so it has at most n + 1 factors of
+    # length n, and full counts mean the harvest holds the whole language.
+    # Every factor then extends to the right, and n + 2 extensions of
+    # n + 1 factors leave exactly one right-special factor per length.
     table = tuple(
         {w: "".join(c for c in "01" if w + c in longer) for w in sorted(shorter)}
         for shorter, longer in zip(by_length, by_length[1:])
     )
-    for n, entry in enumerate(table):
-        special = [w for w, succ in entry.items() if len(succ) == 2]
-        if len(special) != 1:
-            raise ComplexityViolation(
-                f"{len(special)} right-special factors of length {n}, expected 1"
-            )
     return FactorOracle(params.alpha, table)
 
 

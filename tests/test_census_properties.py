@@ -14,7 +14,8 @@ the same graph with a coin per right-special node, however many nodes
 an expansion chunk holds. A tree keeps the levels its censuses intern:
 in whatever order the block depths come, each census must equal that
 of a fresh copy of the tree, and a profile must intern each level once
-and build no block.
+and build no block. Every factor oracle has exactly one right-special
+factor per length and no factor without a successor.
 """
 
 import random
@@ -150,6 +151,16 @@ def test_census_on_each_side_of_the_dense_table(tree, tables, monkeypatch):
 def lex_slopes(draw):
     terms = [0] + draw(st.lists(st.integers(1, 4), min_size=40, max_size=40))
     return SturmianParams.from_continued_fraction(terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lex_slopes())
+def test_oracle_has_one_right_special_factor_per_length(params):
+    # the factor oracle does not check this itself: it follows from the
+    # full factor counts of a balanced word
+    for n, entry in enumerate(build_factor_oracle(params).table):
+        assert len(entry) == n + 1
+        assert sorted(len(successors) for successors in entry.values()) == [1] * n + [2]
 
 
 @st.composite

@@ -5,6 +5,7 @@ import contextlib
 import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,16 +106,44 @@ def test_star_import_carries_every_exception():
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath is imported by the one function that needs it, so a fresh
-    # interpreter importing the CLI does not pay for it
+    # mpmath is a test-only oracle: the golden power bounds are decided
+    # in integers, so a fresh interpreter that imports the CLI and runs
+    # a golden report never loads it
     path = [str(Path(treeshift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, treeshift.cli; print('mpmath' in sys.modules)"
+    code = """
+import contextlib, io, sys
+import treeshift.cli as cli
+loaded = "mpmath" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["golden", "-n", "10", "--format", "json"])
+print(loaded, code, "mpmath" in sys.modules)
+"""
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False 0 False"
+
+
+def test_imports_match_declared_dependencies():
+    # every module the package imports, nested imports included, is
+    # relative, in the standard library or a declared dependency, and
+    # every declared dependency is imported; the list is read with a
+    # regex, since tomllib arrived only in Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(), re.M | re.S)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+    imported = set()
+    for path in sorted((root / "src" / "treeshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    assert sorted(third_party - declared) == []
+    assert sorted(declared - third_party) == []
 
 
 def test_cli_leaves_numpy_unloaded_outside_sturmian():

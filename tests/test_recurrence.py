@@ -6,11 +6,12 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exceeds_golden_power, golden_ratios
+from oracles import exceeds_golden_power, fib_lucas, golden_ratios
 from treeshift import cli, recurrence
 from treeshift.matrix import parse_matrix
 from treeshift.oracle import TooLarge
@@ -501,7 +502,29 @@ def test_golden_power_bounds_verified_exactly():
         # independent integer-only confirmation via Fibonacci/Lucas pairs
         assert exceeds_golden_power(a[c.level], c.exponent) == c.holds
         assert c.log_margin > 0.0
+        # independent margin from mpmath at four times the working bits
+        with mpmath.workprec(4 * c.precision_bits):
+            gamma = (1 + mpmath.sqrt(5)) / 2
+            expected = float(mpmath.log(a[c.level]) - c.exponent * mpmath.log(gamma))
+        assert c.log_margin == expected, c.level
     assert margins == sorted(margins)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_golden_power_bounds_exact_at_the_boundary(n):
+    # E is odd, so gamma^E = L_E + gamma^(-E): L_E falls short of the
+    # power by a share of about gamma^(-2E), which from n = 7 on is below
+    # 2^-precision_bits, and L_E + 1 exceeds it
+    exponent = 2 ** (n + 1) - 1
+    _, lucas = fib_lucas(exponent)
+    for value in (lucas, lucas + 1):
+        check = golden_power_bounds([1, 4, 25, 1681] + [1] * (n - 4) + [value])[-1]
+        assert check.holds == exceeds_golden_power(value, exponent), value - lucas
+        # the true margin can lie below 1e-49, so 0.0 is allowed on either side
+        if check.holds:
+            assert check.log_margin >= 0.0
+        else:
+            assert check.log_margin <= 0.0
 
 
 # ---------------------------------------------------------------------------
