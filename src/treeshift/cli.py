@@ -7,13 +7,16 @@ once and returns a Report holding the exit status and the table, CSV and
 JSON forms, formatted only here; `main` prints the one --format names.
 Exit code 0 means all evaluated checks passed, 1 means some numeric check
 failed, 2 means the input was unusable. All output is deterministic for
-fixed flags and seeds; --out redirects the report to a file.
+fixed flags and seeds; --out redirects the report to a file. The
+argument parser is built once per process, on the first `main` call;
+importing the module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import json
 import math
 import sys
@@ -548,7 +551,14 @@ def cmd_sturmian(args) -> Report:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Parsing returns a fresh Namespace and leaves the parser as it was,
+    and help and usage text are formatted when printed, so they still
+    wrap to the terminal width of the moment.
+    """
     parser = argparse.ArgumentParser(
         prog="treeshift",
         description="Entropy of tree shifts of finite type.",

@@ -26,7 +26,9 @@ order. Every root-to-node path is a factor by construction.
 
 Both variants start from one word graph, walked in Python: per level,
 one node per path word (at most level + 2, so at most 26), with its
-label, its two children's words and the first node that carries it. A
+label, its two children's words and the first node that carries it.
+A random labeling keeps the graph with its factor oracle, so the seeds
+of one report share one walk. A
 lexicographic tree is that graph alone. Below a lex node the labels
 depend only on its level and path word, so the block census runs on
 that graph of a few hundred nodes, and the table and CSV outputs read
@@ -157,11 +159,14 @@ class FactorOracle:
 
     alpha is the slope whose language the oracle holds. table[n] maps
     each length-n factor to its successors as a sorted string ("0", "1"
-    or "01"); the empty factor at n = 0 is included.
+    or "01"); the empty factor at n = 0 is included. `_graphs` keeps the
+    word graph of each depth labeled from the oracle; it takes no part
+    in equality.
     """
 
     alpha: Fraction
     table: tuple[dict, ...] = field(repr=False)
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def complexity(self, n: int) -> int:
         return len(self.table[n])
@@ -224,14 +229,17 @@ def label_tree_random(
     from the lex word graph with these coins, and the tree keeps no
     graph: below a node its subtree depends on the coins, not only on
     its path word. `oracle` is the `build_factor_oracle(params)`, built
-    here when not given.
+    here when not given; it keeps the graph, so seeds that share the
+    oracle walk it once.
     """
     if oracle is None:
         oracle = build_factor_oracle(params)
     elif oracle.alpha != params.alpha:
         raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
+    if depth not in oracle._graphs:
+        oracle._graphs[depth] = _word_graph(oracle, depth)
     rng = random.Random(seed)
-    labels = _word_graph(oracle, depth).expand(2, depth, lambda m: _coin_bits(rng, m))
+    labels = oracle._graphs[depth].expand(2, depth, lambda m: _coin_bits(rng, m))
     return LabeledTree(2, depth, labels)
 
 

@@ -420,6 +420,24 @@ def test_sturmian_random_expands_the_word_graph_once_per_seed(capsys, monkeypatc
     assert calls == [10, 10, 10]
 
 
+def test_sturmian_random_walks_the_word_graph_once_for_all_seeds(capsys, monkeypatch):
+    # the seeds share one factor oracle, which keeps the graph walked for the first
+    from treeshift import sturmian
+
+    walks = []
+    real = sturmian._word_graph
+
+    def counted(oracle, depth):
+        walks.append(depth)
+        return real(oracle, depth)
+
+    monkeypatch.setattr(sturmian, "_word_graph", counted)
+    args = ("--mode", "random", "-n", "16", "--blocks", "4", "--seed", "1,2,3", "--format", "csv")
+    code, out, _ = run_cli(capsys, "sturmian", *args)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert walks == [16]
+
+
 def test_sturmian_lex_csv_at_the_depth_cap_within_budget(capsys):
     import tracemalloc
 

@@ -9,12 +9,14 @@ from the package of its parent commit, here called PARENT:
     PYTHONPATH=old/src python tests/test_cli_pinned.py > tests/data/cli_pinned.json
 
 Argparse usage errors are left out: their line wrapping follows the
-terminal width.
+terminal width. Every call in a process shares one parser, so the
+commands are also replayed in one process in shuffled orders.
 """
 
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -79,6 +81,32 @@ def test_pinned_file_covers_the_command_set():
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"]))
 def test_output_matches_pinned_bytes(entry):
     assert capture(entry["argv"]) == entry
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shuffled_replay_in_one_process_matches_pinned_bytes(seed):
+    # the parser is shared by every call in a process, so no call may
+    # leave state behind for the next: the errors are shuffled in among
+    # the valid commands, and each output must still be its pin
+    entries = random.Random(seed).sample(ENTRIES, len(ENTRIES))
+    errors = [entry["code"] == 2 for entry in entries]
+    assert any(a and not b for a, b in zip(errors, errors[1:]))
+    assert [capture(entry["argv"]) for entry in entries] == entries
+
+
+def test_help_wraps_to_the_columns_of_each_call(monkeypatch):
+    # help text is formatted when it is printed, so it reads COLUMNS at
+    # call time although the parser was built before
+    def help_at(columns: int) -> str:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        result = capture(["analyze", "--help"])
+        assert result["code"] == 0 and result["stderr"] == ""
+        return result["stdout"]
+
+    narrow, wide = help_at(50), help_at(150)
+    assert narrow != wide
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+    assert help_at(50) == narrow
 
 
 if __name__ == "__main__":

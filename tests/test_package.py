@@ -166,3 +166,38 @@ print(codes, loaded, sturmian)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[0, 0, 0, 0] False 0"
+
+
+def test_cli_builds_its_parser_once_per_process():
+    # importing the CLI builds no parser, so the cold import stays cheap;
+    # the first main call builds the top parser, the shared output flags
+    # and one parser per subcommand, and later calls reuse them
+    path = [str(Path(treeshift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import treeshift.cli as cli
+counts = [len(built)]
+runs = [
+    ["kary", "-n", "6"],
+    ["golden", "-n", "6", "--format", "json"],
+    ["sturmian", "-n", "6", "--format", "csv"],
+    ["analyze", "-m", "11,10", "-n", "4", "--format", "table"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        code = cli.main(argv)
+        counts.append(len(built) if code == 0 else None)
+print(*counts)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "7", "7", "7", "7"]

@@ -311,6 +311,14 @@ def test_one_oracle_serves_every_depth():
             assert shared == label_tree_random(FIB, depth, seed), (depth, seed)
 
 
+def test_walked_word_graphs_take_no_part_in_oracle_equality():
+    # the oracle keeps the graph of each depth labeled from it
+    oracle = build_factor_oracle(FIB)
+    label_tree_random(FIB, 12, 0, oracle)
+    assert oracle == build_factor_oracle(FIB)
+    assert repr(oracle) == repr(build_factor_oracle(FIB))
+
+
 def test_leaf_multiset_invariant_across_seeds():
     reference = sorted(path_words(label_tree_lex(FIB, 10), 10))
     for seed in range(10):
