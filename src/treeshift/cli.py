@@ -465,6 +465,7 @@ def cmd_sturmian(args) -> Report:
     if args.blocks < 0:
         raise ValueError("--blocks must be nonnegative")
     n_blocks = min(args.blocks, depth)
+    seeds = _parse_int_list(args.seed, "--seed")  # checked in lex mode too, which ignores it
     word = mechanical_word(params, WORD_PREFIX)
     common = {
         "mode": args.mode,
@@ -506,7 +507,6 @@ def cmd_sturmian(args) -> Report:
         )
         return Report(0 if edge_ok else 1, payload, csv, table)
 
-    seeds = _parse_int_list(args.seed, "--seed")
     oracle = build_factor_oracle(params)
     per_seed = []
     for seed in seeds:

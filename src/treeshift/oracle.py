@@ -12,10 +12,13 @@ enumerate_configs lists every valid labeling by level composition: a
 depth-(n+1) block is a root symbol over k independently chosen valid
 depth-n blocks whose roots follow it, which also makes the construction
 emit each block exactly once. Listing is refused above MATERIALIZE_CAP
-nodes. Exact counts without the blocks come from `exact_level` alone:
-it runs the same composition as a per-symbol dynamic program over exact
-integers, is also the exact recurrence of `recurrence.run`, and refuses
-trees of more than EXACT_NODE_BUDGET nodes.
+nodes. The per-symbol lists are kept as built: like every census, the
+listing's blocks are sorted and checked only when its `blocks` is read,
+so a caller that reads only its counts sorts nothing. Exact counts
+without the blocks come from `exact_level` alone: it runs the same
+composition as a per-symbol dynamic program over exact integers, is
+also the exact recurrence of `recurrence.run`, and refuses trees of
+more than EXACT_NODE_BUDGET nodes.
 
 blocks_in_tree takes the census of a labeled tree by hash-consing
 (Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
@@ -260,27 +263,27 @@ class LabeledTree:
 class BlockCensus:
     """All distinct blocks of one depth, sorted by encoding.
 
-    Given its `blocks`, a census checks at once that they are strictly
-    ascending. `blocks_in_tree` gives instead their `count` and
-    `rebuild`, a function that returns them in any order; they are
-    sorted and checked the same way when `blocks` is first read, so a
-    census read only for its count builds no block.
+    A census is given its `count` and `rebuild`, a function that returns
+    its blocks in any order. They are built, sorted and checked to be
+    distinct only when `blocks` is first read, so a census read only for
+    its count builds no block.
     """
 
-    def __init__(self, arity: int, depth: int, alphabet_size: int,
-                 blocks: tuple[bytes, ...] | None = None, *, count: int = 0,
-                 rebuild: Callable[[], list[bytes]] | None = None):
+    def __init__(self, arity: int, depth: int, alphabet_size: int, count: int,
+                 rebuild: Callable[[], Iterable[bytes]]):
         self.arity = arity
         self.depth = depth
         self.alphabet_size = alphabet_size
-        if blocks is None:
-            self.count, self._rebuild = count, rebuild
-        else:
-            self.count, self.blocks = len(blocks), _ascending(blocks)
+        self.count = count
+        self._rebuild = rebuild
 
     @cached_property
     def blocks(self) -> tuple[bytes, ...]:
-        return _ascending(tuple(sorted(self._rebuild())))
+        blocks = tuple(sorted(self._rebuild()))
+        for prev, cur in zip(blocks, blocks[1:]):
+            if prev >= cur:
+                raise ValueError("census blocks must be distinct")
+        return blocks
 
     def terminal_counts(self, block: bytes) -> tuple[int, ...]:
         """Per-symbol counts over the deepest level of one block."""
@@ -289,13 +292,6 @@ class BlockCensus:
         for b in block[lo:hi]:
             counts[b] += 1
         return tuple(counts)
-
-
-def _ascending(blocks: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    for prev, cur in zip(blocks, blocks[1:]):
-        if prev >= cur:
-            raise ValueError("census blocks must be strictly ascending")
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -321,8 +317,8 @@ def enumerate_configs(M: TransitionMatrix, arity: int = 2, depth: int = 0) -> En
     for level in range(depth):
         per_symbol = _compose_blocks(succ, per_symbol, level, arity)
     counts = tuple(len(blocks) for blocks in per_symbol)
-    blocks = sorted(b for blocks in per_symbol for b in blocks)
-    census = BlockCensus(arity, depth, M.d, tuple(blocks))
+    listed = partial(itertools.chain.from_iterable, per_symbol)
+    census = BlockCensus(arity, depth, M.d, sum(counts), listed)
     return EnumerationResult(arity, depth, counts, sum(counts), census)
 
 
@@ -389,7 +385,7 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
             levels[-1] = (None,) + levels[-1][1:]
             levels.append((ids, width, reps))
     reps = levels[n][2]
-    return BlockCensus(k, n, alphabet, count=len(reps), rebuild=partial(_blocks_at, tree, n, reps))
+    return BlockCensus(k, n, alphabet, len(reps), partial(_blocks_at, tree, n, reps))
 
 
 def _blocks_at(tree: LabeledTree, n: int, reps: list[int]) -> list[bytes]:

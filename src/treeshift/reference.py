@@ -128,24 +128,24 @@ def _estimates(M: TransitionMatrix, n_max: int) -> tuple[SpectralData, float, fl
     return spectral, h_tree, upper_bound(spectral)
 
 
-def evaluate_row(row: ReferenceRow, n_max: int = 15) -> ReferenceResult:
-    spectral, h_tree, bound = _estimates(row.parse(), n_max)
-    order_ok = all(ok for _, ok in order_checks(spectral, h_tree, bound))
-    return ReferenceResult(
-        row,
-        spectral.sft_entropy,
-        h_tree,
-        bound,
-        _close(spectral.sft_entropy, row.sft_entropy, SFT_TOL),
-        _close(h_tree, row.tree_entropy, TREE_TOL),
-        _close(bound, row.upper, UPPER_TOL),
-        order_ok,
-    )
-
-
 def compute_reference_table(n_max: int = 15) -> list[ReferenceResult]:
     """Evaluate every benchmark row at the given series depth."""
-    return [evaluate_row(row, n_max) for row in REFERENCE_ROWS]
+    results = []
+    for row in REFERENCE_ROWS:
+        spectral, h_tree, bound = _estimates(row.parse(), n_max)
+        results.append(
+            ReferenceResult(
+                row,
+                spectral.sft_entropy,
+                h_tree,
+                bound,
+                _close(spectral.sft_entropy, row.sft_entropy, SFT_TOL),
+                _close(h_tree, row.tree_entropy, TREE_TOL),
+                _close(bound, row.upper, UPPER_TOL),
+                all(ok for _, ok in order_checks(spectral, h_tree, bound)),
+            )
+        )
+    return results
 
 
 def plastic_report(n_max: int = 15) -> dict:

@@ -8,12 +8,13 @@ arithmetic and certified against the error bound, so a word is either
 correct or the computation refuses with PrecisionExhausted.
 
 Factors are harvested from the first HARVEST_WINDOW symbols into a
-FactorOracle that knows every factor up to length ORACLE_LEN and its
-valid successor symbols, the same for every tree of the slope. For
-an irrational slope the factor counts must hit p(n) = n + 1 exactly;
-any deviation raises ComplexityViolation, which is also how rational
-slopes and too-small harvest windows are caught. Full counts leave
-exactly one right-special factor (two successors) per length.
+FactorOracle: one set of every factor up to length ORACLE_LEN + 1, from
+which the valid successor symbols of a factor up to ORACLE_LEN are
+read, the same for every tree of the slope. For an irrational slope
+the factor counts must hit p(n) = n + 1 exactly; any deviation raises
+ComplexityViolation, which is also how rational slopes and too-small
+harvest windows are caught. Full counts leave exactly one
+right-special factor (two successors) per length.
 
 The tree labelings follow one growth rule: the root carries the first
 symbol of the lexicographically minimal sequence of the system (0
@@ -49,6 +50,7 @@ built without loading it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,59 +157,60 @@ def minimal_sequence(params: SturmianParams, length: int) -> str:
 
 @dataclass(frozen=True)
 class FactorOracle:
-    """Factors up to ORACLE_LEN with their valid successor symbols.
+    """Factors up to ORACLE_LEN + 1 of one slope, as one set.
 
-    alpha is the slope whose language the oracle holds. table[n] maps
-    each length-n factor to its successors as a sorted string ("0", "1"
-    or "01"); the empty factor at n = 0 is included. `_graphs` keeps the
-    word graph of each depth labeled from the oracle; it takes no part
-    in equality.
+    alpha is the slope whose language the oracle holds. `factors` holds
+    every factor of length at most ORACLE_LEN + 1, the empty word
+    included, and both methods read it: a factor w of length at most
+    ORACLE_LEN has as successors the symbols c for which w + c is in it.
+    A word that is no factor raises KeyError, a length outside
+    0 .. ORACLE_LEN IndexError. `_graphs` keeps the word graph of each
+    depth labeled from the oracle; it takes no part in equality.
     """
 
     alpha: Fraction
-    table: tuple[dict, ...] = field(repr=False)
+    factors: frozenset[str] = field(repr=False)
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def complexity(self, n: int) -> int:
-        return len(self.table[n])
+        if not 0 <= n <= ORACLE_LEN:
+            raise IndexError(f"length {n} is outside 0 .. {ORACLE_LEN}")
+        return sum(len(w) == n for w in self.factors)
 
     def successors(self, w: str) -> str:
-        return self.table[len(w)][w]
+        if len(w) > ORACLE_LEN:
+            raise IndexError(f"length {len(w)} is outside 0 .. {ORACLE_LEN}")
+        if w not in self.factors:
+            raise KeyError(w)
+        return "".join(c for c in "01" if w + c in self.factors)
 
 
 def build_factor_oracle(params: SturmianParams) -> FactorOracle:
-    """Harvest and validate the factor language up to ORACLE_LEN.
+    """Harvest and validate the factor language up to ORACLE_LEN + 1.
 
-    Every length n, the empty word at n = 0 included, follows one rule:
-    a factor w maps to the symbols c in "01" for which w + c is a
-    factor of length n + 1. One oracle serves every tree of its slope:
-    pass it to `label_tree_random` to label several seeds without
-    rebuilding it.
+    The factors are the prefixes of every window of ORACLE_LEN + 1
+    symbols, the windows that start near the end of the harvest cut
+    short by it, so they are all the harvest's factors up to that
+    length. Their lengths are counted once, and the first length n
+    without n + 1 factors raises ComplexityViolation. One oracle serves
+    every tree of its slope: pass it to `label_tree_random` to label
+    several seeds without rebuilding it.
     """
     word = mechanical_word(params, HARVEST_WINDOW)
-    # A shorter factor is a prefix of a longest window, or a window that
-    # starts in the tail too short for a longest one.
-    top = ORACLE_LEN + 1
-    longest = {word[i : i + top] for i in range(len(word) - top + 1)}
-    tail = word[len(word) - top + 1 :]
-    by_length = []
-    for n in range(top + 1):
-        found = {w[:n] for w in longest} | {tail[i : i + n] for i in range(len(tail) - n + 1)}
-        if len(found) != n + 1:
+    windows = {word[i : i + ORACLE_LEN + 1] for i in range(len(word))}
+    factors = frozenset(w[:n] for w in windows for n in range(len(w) + 1))
+    counts = Counter(map(len, factors))
+    for n in range(ORACLE_LEN + 2):
+        if counts[n] != n + 1:
             raise ComplexityViolation(
-                f"found {len(found)} factors of length {n}, expected {n + 1}; "
+                f"found {counts[n]} factors of length {n}, expected {n + 1}; "
                 "the slope may be rational or the harvest window too small"
             )
-        by_length.append(found)
     # A mechanical word is balanced, so it has at most n + 1 factors of
     # length n, and full counts mean the harvest holds the whole language.
     # Every factor then extends to the right, and n + 2 extensions of
     # n + 1 factors leave exactly one right-special factor per length.
-    table = tuple(
-        {w: "".join(c for c in "01" if w + c in longer) for w in sorted(shorter)}
-        for shorter, longer in zip(by_length, by_length[1:])
-    )
-    return FactorOracle(params.alpha, table)
+    return FactorOracle(params.alpha, factors)
 
 
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:

@@ -30,6 +30,7 @@ from oracles import lex_tree_labels, node_count, random_tree_labels, window_cens
 from treeshift import oracle
 from treeshift.oracle import LabeledTree, blocks_in_tree
 from treeshift.sturmian import (
+    ORACLE_LEN,
     SturmianParams,
     build_factor_oracle,
     label_tree_lex,
@@ -158,9 +159,11 @@ def lex_slopes(draw):
 def test_oracle_has_one_right_special_factor_per_length(params):
     # the factor oracle does not check this itself: it follows from the
     # full factor counts of a balanced word
-    for n, entry in enumerate(build_factor_oracle(params).table):
+    oracle = build_factor_oracle(params)
+    for n in range(ORACLE_LEN + 1):
+        entry = [w for w in oracle.factors if len(w) == n]
         assert len(entry) == n + 1
-        assert sorted(len(successors) for successors in entry.values()) == [1] * n + [2]
+        assert sorted(len(oracle.successors(w)) for w in entry) == [1] * n + [2]
 
 
 @st.composite

@@ -135,6 +135,9 @@ def test_analyze_single_symbol_leaves_h2_undefined(capsys):
         (("kary", "-k", "1"), "every arity must be at least 2"),
         # an empty term list is refused, not read as the Fibonacci slope
         (("sturmian", "--depth=12", "--alpha-cf="), "--alpha-cf expects at least one integer"),
+        # lex mode ignores a valid seed list but refuses a malformed one
+        (("sturmian", "-n", "3", "--seed", "abc"), "--seed expects comma-separated integers"),
+        (("sturmian", "-n", "3", "--seed=,"), "--seed expects at least one integer"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from oracles import is_valid_labeling, naive_enumerate
+from treeshift import cli
 from treeshift.matrix import parse_matrix
 from treeshift.oracle import (
     MATERIALIZE_CAP,
@@ -186,11 +187,28 @@ def test_exact_counts_refuse_past_one_node_budget(produce):
     assert produce(20) > 0
 
 
-def test_census_requires_sorted_blocks():
+def test_census_sorts_rebuilt_blocks_and_refuses_duplicates_on_read():
+    assert BlockCensus(2, 0, 2, 2, lambda: [b"\x01", b"\x00"]).blocks == (b"\x00", b"\x01")
+    duplicated = BlockCensus(2, 0, 2, 2, lambda: [b"\x00", b"\x00"])
     with pytest.raises(ValueError):
-        BlockCensus(2, 0, 2, (b"\x01", b"\x00"))
-    with pytest.raises(ValueError):
-        BlockCensus(2, 0, 2, (b"\x00", b"\x00"))
+        duplicated.blocks
+
+
+def test_listings_read_for_totals_build_no_blocks(capsys, monkeypatch):
+    listed = []
+
+    def recorded(*args):
+        listed.append(enumerate_configs(*args))
+        return listed[-1]
+
+    monkeypatch.setattr(cli, "enumerate_configs", recorded)
+    assert cli.main(["golden", "-n", "21"]) == 0
+    capsys.readouterr()
+    listed.append(enumerate_configs(GOLDEN, 2, 3))
+    assert listed[-1].total == 2306
+    assert len(listed) == 5
+    for result in listed:
+        assert "blocks" not in result.census.__dict__
 
 
 def test_terminal_counts_cover_leaf_level():

@@ -4,15 +4,16 @@ import math
 
 from treeshift import reference
 from treeshift.recurrence import TreeParams, run
-from treeshift.reference import REFERENCE_ROWS, compute_reference_table, evaluate_row, plastic_report
+from treeshift.reference import REFERENCE_ROWS, compute_reference_table, plastic_report
 from treeshift.spectral import analyze_matrix, upper_bound
 
 
-def test_evaluate_row_reports_its_parts():
-    for row in (REFERENCE_ROWS[0], REFERENCE_ROWS[-2]):
+def test_reference_table_reports_each_rows_parts():
+    results = compute_reference_table(10)
+    for i in (0, -2):
+        row, result = REFERENCE_ROWS[i], results[i]
         m = row.parse()
         S = analyze_matrix(m)
-        result = evaluate_row(row, 10)
         assert result.row is row
         assert result.computed_sft == S.sft_entropy
         assert result.computed_tree == run(m, TreeParams(2, 10)).final_h_acc()

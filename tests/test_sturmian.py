@@ -138,13 +138,13 @@ def test_oracle_complexity_and_factors():
     oracle = build_factor_oracle(FIB)
     for n in range(31):
         assert oracle.complexity(n) == n + 1
-    assert sorted(oracle.table[1]) == ["0", "1"]
-    assert sorted(oracle.table[2]) == ["00", "01", "10"]
+    assert sorted(w for w in oracle.factors if len(w) == 1) == ["0", "1"]
+    assert sorted(w for w in oracle.factors if len(w) == 2) == ["00", "01", "10"]
     assert oracle.successors("") == "01"
     assert oracle.successors("0") == "01"
     assert oracle.successors("1") == "0"
-    assert "00100" in oracle.table[5]
-    assert "11" not in oracle.table[2]
+    assert "00100" in oracle.factors
+    assert "11" not in oracle.factors
 
 
 @pytest.mark.parametrize(
@@ -157,8 +157,8 @@ def test_oracle_factors_are_every_window_of_the_harvest(terms):
     word, refused_at = fraction_mechanical_word(params.alpha, params.alpha_error, HARVEST_WINDOW)
     assert refused_at is None
     oracle = build_factor_oracle(params)
-    for n in range(ORACLE_LEN + 1):
-        assert sorted(oracle.table[n]) == sorted({word[i : i + n] for i in range(len(word) - n + 1)})
+    windows = {word[i : i + n] for n in range(ORACLE_LEN + 2) for i in range(len(word) - n + 1)}
+    assert oracle.factors == windows
 
 
 def test_oracle_harvest_reads_the_windows_that_start_in_the_tail():
@@ -175,10 +175,23 @@ def test_oracle_harvest_reads_the_windows_that_start_in_the_tail():
 
 def test_oracle_successors_close_under_extension():
     oracle = build_factor_oracle(FIB)
-    for n in range(ORACLE_LEN):
-        for w in oracle.table[n]:
+    for w in oracle.factors:
+        if len(w) < ORACLE_LEN:
             for c in oracle.successors(w):
-                assert w + c in oracle.table[n + 1]
+                assert w + c in oracle.factors
+
+
+def test_oracle_refuses_non_factors_and_lengths_past_its_own():
+    oracle = build_factor_oracle(FIB)
+    with pytest.raises(KeyError):
+        oracle.successors("11")
+    # the longest factors are held, but past the lengths the oracle answers for
+    longest = mechanical_word(FIB, ORACLE_LEN + 1)
+    assert longest in oracle.factors
+    with pytest.raises(IndexError):
+        oracle.successors(longest)
+    with pytest.raises(IndexError):
+        oracle.complexity(ORACLE_LEN + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +258,7 @@ def test_every_path_word_is_a_factor():
     for tree in (lex, rnd):
         for level in range(9):
             for w in path_words(tree, level):
-                assert w in oracle.table[len(w)]
+                assert w in oracle.factors
 
 
 def test_lex_tree_complexity_profile():
