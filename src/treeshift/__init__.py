@@ -7,144 +7,38 @@ number of valid labelings of the depth-n initial subtree, entropy
 estimates from those counts, spectral data of M with the induced
 bounds, exhaustive small-depth oracles, and Sturmian-word labelings of
 the binary tree.
+
+The package root holds the five names of the README's library example
+and every exception class of the package's modules, so that
+`from treeshift import *` carries each refusal. Every other name is
+imported from its module, as in `from treeshift.oracle import
+blocks_in_tree`.
 """
 
-from .matrix import (
-    BadChar,
-    NonSquare,
-    ParseError,
-    RowOrColumnZero,
-    TransitionMatrix,
-    parse_matrix,
-)
-from .oracle import (
-    BlockCensus,
-    DepthExceeded,
-    EnumerationResult,
-    IdentityReport,
-    LabeledTree,
-    SubadditivityReport,
-    TooLarge,
-    blocks_in_tree,
-    check_subadditivity,
-    enumerate_configs,
-    node_count,
-    verify_phi_identity,
-)
-from .recurrence import (
-    EntropySeries,
-    GoldenQ,
-    LogOverflow,
-    PowerBoundCheck,
-    TreeParams,
-    UncertifiedFloat,
-    accelerated_entropy,
-    auto_depth,
-    golden_counts,
-    golden_power_bounds,
-    golden_q,
-    golden_zero_rooted_counts,
-    kary_bounds,
-    level_entropy,
-    log_deviation,
-    run,
-    supergolden_root,
-)
-from .reference import (
-    PLASTIC_MATRIX,
-    REFERENCE_ROWS,
-    ReferenceResult,
-    ReferenceRow,
-    compute_reference_table,
-    plastic_report,
-)
-from .spectral import (
-    NoConvergence,
-    SingularSystem,
-    SpectralData,
-    analyze_matrix,
-    certified_radius_lower,
-    graph_period,
-    strong_components,
-    upper_bound,
-)
-from .sturmian import (
-    ComplexityViolation,
-    FactorOracle,
-    PrecisionExhausted,
-    SturmianParams,
-    build_factor_oracle,
-    label_tree_lex,
-    label_tree_random,
-    left_edge_word,
-    mechanical_word,
-    minimal_sequence,
-    path_words,
-    tree_complexity,
-)
+from .matrix import BadChar, NonSquare, ParseError, RowOrColumnZero, parse_matrix
+from .oracle import DepthExceeded, TooLarge
+from .recurrence import LogOverflow, TreeParams, UncertifiedFloat, run
+from .spectral import NoConvergence, SingularSystem, analyze_matrix, upper_bound
+from .sturmian import ComplexityViolation, PrecisionExhausted
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadChar",
-    "BlockCensus",
     "ComplexityViolation",
     "DepthExceeded",
-    "EntropySeries",
-    "EnumerationResult",
-    "FactorOracle",
-    "GoldenQ",
-    "IdentityReport",
-    "LabeledTree",
     "LogOverflow",
     "NoConvergence",
     "NonSquare",
-    "PLASTIC_MATRIX",
     "ParseError",
-    "PowerBoundCheck",
     "PrecisionExhausted",
-    "REFERENCE_ROWS",
-    "ReferenceResult",
-    "ReferenceRow",
     "RowOrColumnZero",
     "SingularSystem",
-    "SpectralData",
-    "SturmianParams",
-    "SubadditivityReport",
     "TooLarge",
-    "TransitionMatrix",
     "TreeParams",
     "UncertifiedFloat",
-    "accelerated_entropy",
     "analyze_matrix",
-    "auto_depth",
-    "blocks_in_tree",
-    "build_factor_oracle",
-    "certified_radius_lower",
-    "check_subadditivity",
-    "compute_reference_table",
-    "enumerate_configs",
-    "golden_counts",
-    "golden_power_bounds",
-    "golden_q",
-    "golden_zero_rooted_counts",
-    "graph_period",
-    "kary_bounds",
-    "label_tree_lex",
-    "label_tree_random",
-    "left_edge_word",
-    "level_entropy",
-    "log_deviation",
-    "mechanical_word",
-    "minimal_sequence",
-    "node_count",
     "parse_matrix",
-    "path_words",
-    "plastic_report",
     "run",
-    "strong_components",
-    "supergolden_root",
-    "tree_complexity",
     "upper_bound",
-    "verify_phi_identity",
 ]

@@ -28,8 +28,6 @@ class ParseError(ValueError):
         if row is not None:
             where = f" (row {row}" + (f", column {col}" if col is not None else "") + ")"
         super().__init__(message + where)
-        self.row = row
-        self.col = col
 
 
 class NonSquare(ParseError):

@@ -198,8 +198,9 @@ class LabeledTree:
     then. `interned` is the census's memo for this object: entry j is
     (ids, width, reps) of census level j, as `_intern_level` returns
     them, for every level interned so far, with the ids of the deepest
-    level only and None above it. Equality, hashing and repr read the
-    labels alone, and a tree equal as a value has a memo of its own,
+    level only and None above it. A tree compares, hashes and prints as
+    an object, so none of them builds its labels; two trees agree when
+    their arity, depth and `labels` do. Each tree has a memo of its own,
     since a tree with a graph interns over other nodes than one without.
     """
 
@@ -247,17 +248,6 @@ class LabeledTree:
             return found[v]
 
         return bytes(graph.labels[locate(v)] for v in nodes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arity, self.depth, self.labels) == (other.arity, other.depth, other.labels)
-
-    def __hash__(self):
-        return hash((self.arity, self.depth, self.labels))
-
-    def __repr__(self):
-        return f"LabeledTree(arity={self.arity}, depth={self.depth}, labels={self.labels!r})"
 
 
 class BlockCensus:

@@ -211,9 +211,11 @@ def test_random_labels_do_not_depend_on_the_expand_chunk(depth, monkeypatch):
         SturmianParams.fibonacci(),
         SturmianParams.from_continued_fraction([0, 1, 3] + [1, 2] * 20),
     ]
-    default = [label_tree_random(p, depth, seed) for p in slopes for seed in range(3)]
+    default = [label_tree_random(p, depth, seed).labels for p in slopes for seed in range(3)]
     monkeypatch.setattr(oracle, "EXPAND_CHUNK", 3)
-    assert [label_tree_random(p, depth, seed) for p in slopes for seed in range(3)] == default
+    chunked = [label_tree_random(p, depth, seed) for p in slopes for seed in range(3)]
+    assert all((t.arity, t.depth) == (2, depth) for t in chunked)
+    assert [t.labels for t in chunked] == default
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -232,9 +234,11 @@ def test_graph_census_equals_tree_census(tree):
 def test_word_graph_takes_no_part_in_equality():
     params = SturmianParams.fibonacci()
     tree = label_tree_lex(params, 8)
+    repr(tree)
+    assert tree._labels is None  # a repr builds no labels
     plain = LabeledTree(2, 8, tree.labels)
     assert tree.graph is not None and plain.graph is None
-    assert tree == plain and hash(tree) == hash(plain) and repr(tree) == repr(plain)
+    assert (tree.arity, tree.depth, tree.labels) == (plain.arity, plain.depth, plain.labels)
     assert label_tree_random(params, 8, seed=1).graph is None
 
 
@@ -280,8 +284,8 @@ def test_census_memo_takes_no_part_in_equality():
     plain = LabeledTree(2, 8, tree.labels)
     blocks_in_tree(tree, 4)
     assert len(tree.interned) == 5 and plain.interned == []
-    assert tree == plain and hash(tree) == hash(plain) and repr(tree) == repr(plain)
-    # equal as values, the two intern over different nodes: the graph's
+    assert (tree.arity, tree.depth, tree.labels) == (plain.arity, plain.depth, plain.labels)
+    # with the same labels, the two intern over different nodes: the graph's
     # few, or the tree's 31 roots of a depth-4 block
     blocks_in_tree(plain, 4)
     assert len(tree.interned[4][0]) < len(plain.interned[4][0]) == node_count(2, 4)

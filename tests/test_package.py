@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import importlib
 import inspect
 import io
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -96,6 +98,33 @@ def test_readme_library_example_runs():
     assert lines[0][0].startswith("0.5088988")
     assert lines[1][0].startswith("1.618") and lines[1][1].startswith("0.7218")
     assert lines[2] == ["2306"]
+
+
+def test_root_holds_the_readme_library_names_and_every_exception():
+    # the package root is the import path of the names the README's
+    # "Library" example imports and of each exception class a module
+    # defines; every other name is imported from its own module alone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    library = {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "treeshift"
+        for alias in node.names
+    }
+    exceptions = set()
+    for info in pkgutil.iter_modules(treeshift.__path__):
+        module = importlib.import_module(f"treeshift.{info.name}")
+        exceptions.update(
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        )
+    assert library and exceptions
+    assert treeshift.__all__ == sorted(library | exceptions)
 
 
 def test_star_import_carries_every_exception():

@@ -286,7 +286,9 @@ def test_random_labeling_deterministic_per_seed():
 def test_shared_oracle_labels_the_same_trees():
     oracle = build_factor_oracle(FIB)
     for seed in range(4):
-        assert label_tree_random(FIB, 10, seed, oracle) == label_tree_random(FIB, 10, seed)
+        shared = label_tree_random(FIB, 10, seed, oracle)
+        own = label_tree_random(FIB, 10, seed)
+        assert (shared.arity, shared.depth, shared.labels) == (own.arity, own.depth, own.labels)
     other = SturmianParams.from_continued_fraction([0, 3, 1, 2, 1, 1, 4] + [1] * 30)
     with pytest.raises(ValueError, match="built for slope"):
         label_tree_random(other, 10, 0, oracle)
@@ -321,7 +323,9 @@ def test_one_oracle_serves_every_depth():
     for depth in (0, 1, 16):
         for seed in range(3):
             shared = label_tree_random(FIB, depth, seed, oracle)
-            assert shared == label_tree_random(FIB, depth, seed), (depth, seed)
+            own = label_tree_random(FIB, depth, seed)
+            assert (shared.arity, shared.depth) == (own.arity, own.depth) == (2, depth)
+            assert shared.labels == own.labels, (depth, seed)
 
 
 def test_walked_word_graphs_take_no_part_in_oracle_equality():
