@@ -24,26 +24,21 @@ blocks_in_tree takes the census of a labeled tree by hash-consing
 (Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
 by level, every root whose block fits gets the id of the tuple of its
 label and its children's previous ids, interned in a running table, so
-equal ids mean equal blocks. The work per level is one pass over the
-roots in numpy chunks, whatever the block depth. A level with no more
-possible keys than roots keeps its ids in a dense table indexed by
-key, so a chunk costs one gather; other levels keep them in dicts, fed
-the distinct keys of each chunk. Each tree keeps the levels it has
-interned, so a profile over n = 0 .. n_max interns every level once,
-and a census deeper than the last resumes from it. The count comes
-from the interning alone; the blocks themselves are rebuilt, each from
-one root that carries it by slicing each level of the layout, only
-when a census's `blocks` is read. A tree may be given a WordGraph
-instead of its labels: level-ordered nodes that each stand for tree
-nodes of one level with equal subtrees. The census of such a tree, a
-lexicographic Sturmian tree above all, runs the same interning over the
-graph's few hundred nodes instead of the tree's; a prefix of its labels
-or its left edge is read off the graph, and the full labels are built
-from the graph once, when they are first read. Expanded with coins
-that swap the children of some nodes, the same graph gives the labels
-of a random Sturmian tree, which keeps no graph. numpy is imported inside
-the census functions and WordGraph.expand alone, so listing, exact
-counts and LabeledTree run without loading it.
+equal ids mean equal blocks. A tree given as its WordGraph, as a
+lexicographic Sturmian tree is, is interned in pure Python over the
+graph's few hundred nodes, one dict per level. A tree given its labels
+is interned over them in numpy chunks, one pass over the roots per
+level whatever the block depth: a level with no more possible keys
+than roots keeps its ids in a dense table indexed by key, so a chunk
+costs one gather; other levels keep them in dicts, fed the distinct
+keys of each chunk. Each tree keeps the levels it has interned, so a
+profile over n = 0 .. n_max interns every level once, and a census
+deeper than the last resumes from it. The count comes from the
+interning alone; the blocks themselves are rebuilt, each from one tree
+node that carries it by slicing each level of the layout, only when a
+census's `blocks` is read. numpy is imported by the census of a label
+array and by WordGraph.expand alone, so listing, exact counts,
+LabeledTree and the census of a graph tree run without loading it.
 
 The listed census supports two checks of the counting algebra.
 The extension identity says the number of depth-(n+1) blocks equals,
@@ -192,13 +187,15 @@ class LabeledTree:
     """A labeled initial subtree, labels as symbol indices.
 
     A tree is given its breadth-first `labels`, or only its `graph`, the
-    WordGraph its census runs on. A graph tree builds its `labels` from
-    the graph at most once, on their first read; `labels_at`, which
-    prefixes and the left edge read, takes them from the graph until
-    then. `interned` is the census's memo for this object: entry j is
-    (ids, width, reps) of census level j, as `_intern_level` returns
-    them, for every level interned so far, with the ids of the deepest
-    level only and None above it. A tree compares, hashes and prints as
+    WordGraph its census runs on in pure Python. A graph tree builds its
+    `labels` from the graph, with numpy, at most once, on their first
+    read; `labels_at`, which prefixes and the left edge read, takes them
+    from the graph until then. `interned` is the census's memo for this
+    object: entry j is (ids, width, reps) of census level j for every
+    level interned so far, the ids of the roots (graph nodes in a graph
+    tree), their number of values and one tree node per id. A tree
+    without a graph keeps the ids of the deepest level only, and None
+    above it. A tree compares, hashes and prints as
     an object, so none of them builds its labels; two trees agree when
     their arity, depth and `labels` do. Each tree has a memo of its own,
     since a tree with a graph interns over other nodes than one without.
@@ -340,77 +337,88 @@ def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:
     kept in `tree.interned`: a census no deeper than the deepest kept
     level interns nothing, and a deeper one resumes from it. A tree that
     carries its WordGraph, as a lexicographic Sturmian tree does, is
-    interned over the graph's nodes, which give the same blocks. The
-    blocks are rebuilt only when the census's `blocks` is read, each
-    from one root that carries it: for a graph node, the first tree node
-    it stands for.
+    interned in pure Python over the graph's nodes, which give the same
+    blocks; any other tree over its labels, with numpy. Either way one
+    tree node that carries each block is kept, and the blocks are
+    rebuilt from those only when the census's `blocks` is read.
     """
-    import numpy as np
-
     if n > tree.depth:
         raise DepthExceeded(f"block depth {n} exceeds tree depth {tree.depth}")
     if n < 0:
         raise ValueError("block depth must be nonnegative")
-    k = tree.arity
-    graph = tree.graph
-    nodes = tree if graph is None else graph
-    labels = np.frombuffer(nodes.labels, dtype=np.uint8)
-    levels = tree.interned
-    if not levels:
-        alphabet = int(labels.max()) + 1
-        # the roots of the distinct depth-0 blocks: one node per symbol used
-        reps = [v for v in map(nodes.labels.find, range(alphabet)) if v >= 0]
-        levels.append((labels, alphabet, reps))
-    alphabet = levels[0][1]
-    if n >= len(levels):
-        children = None if graph is None else np.array(graph.children, dtype=np.intp).reshape(-1, k)
-        ids, width, _ = levels[-1]
+    k, graph, levels = tree.arity, tree.graph, tree.interned
+    if graph is not None:
+        if not levels:
+            carriers = dict(zip(graph.labels, graph.first))  # a tree node per symbol used
+            levels.append((graph.labels, max(carriers) + 1, list(carriers.values())))
         for j in range(len(levels), n + 1):
+            # graph nodes are level-ordered, so those of levels <= depth - j
+            # are the ones standing for tree nodes below that bound
+            roots = bisect_left(graph.first, node_count(k, tree.depth - j))
+            levels.append(_intern_graph_level(graph, levels[-1][0], k, roots))
+    elif n >= len(levels):
+        import numpy as np
+
+        labels = np.frombuffer(tree.labels, dtype=np.uint8)
+        if not levels:
+            alphabet = int(labels.max()) + 1
+            # the roots of the distinct depth-0 blocks: one node per symbol used
+            reps = [v for v in map(tree.labels.find, range(alphabet)) if v >= 0]
+            levels.append((labels, alphabet, reps))
+        for j in range(len(levels), n + 1):
+            ids, width, reps = levels[-1]
             roots = node_count(k, tree.depth - j)
-            if graph is not None:
-                # graph nodes are level-ordered, so those of levels <= depth - j
-                # are the ones standing for tree nodes below that bound
-                roots = bisect_left(graph.first, roots)
-            ids, width, reps = _intern_level(labels, ids, width, alphabet, k, roots, children)
-            levels[-1] = (None,) + levels[-1][1:]
-            levels.append((ids, width, reps))
+            levels.append(_intern_level(labels, ids, width, levels[0][1], k, roots))
+            levels[-2] = (None, width, reps)
     reps = levels[n][2]
-    return BlockCensus(k, n, alphabet, len(reps), partial(_blocks_at, tree, n, reps))
+    return BlockCensus(k, n, levels[0][1], len(reps), partial(_blocks_at, tree, n, reps))
+
+
+def _intern_graph_level(graph: WordGraph, child_ids, k: int, roots: int):
+    """id_j of the first `roots` graph nodes from id_{j-1}, in pure Python.
+
+    Each node's key is the tuple of its label and its k children's ids,
+    built column by column in one zip, and interned in a dict that
+    numbers keys in order of arrival. Returns the ids, their number and
+    one tree node per id that carries its block: the first tree node of
+    the last graph node with that id.
+    """
+    columns = [map(child_ids.__getitem__, graph.children[c : k * roots : k]) for c in range(k)]
+    table: dict = {}
+    ids = [table.setdefault(key, len(table)) for key in zip(graph.labels[:roots], *columns)]
+    return ids, len(table), list(dict(zip(ids, graph.first)).values())
 
 
 def _blocks_at(tree: LabeledTree, n: int, reps: list[int]) -> list[bytes]:
     """The depth-n block below each of the census's `reps`, read from the layout."""
     k = tree.arity
-    roots = reps if tree.graph is None else [tree.graph.first[v] for v in reps]
     # the descendants of v at relative level j are the k^j nodes from
     # k^j v + node_count(k, j - 1) on
     offsets = [(k**j, node_count(k, j - 1), node_count(k, j)) for j in range(n + 1)]
     return [
         b"".join([tree.labels[s * v + lo : s * v + hi] for s, lo, hi in offsets])
-        for v in roots
+        for v in reps
     ]
 
 
-def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: int, children):
+def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: int):
     """id_j of the first `roots` nodes from id_{j-1}, which takes `width` values.
 
-    `children` holds each node's k child indices in its rows, or is None
-    for the breadth-first layout, where node i's children are k i + 1
-    .. k i + k. Returns the ids in the smallest unsigned dtype that
-    holds them, the number of distinct ids, and one root per id. Each
-    root's key packs its label and its children's ids. Where the key
-    span is no larger than the root count, every key fits in int64 and
-    indexes a dense table of ids. Otherwise the keys go to running
-    dicts; where a whole key would not fit in int64, the children are
-    folded in one at a time, and the partial key is interned before the
-    next child joins.
+    Node i's children are k i + 1 .. k i + k. Returns the ids in the
+    smallest unsigned dtype that holds them, the number of distinct ids,
+    and one root per id. Each root's key packs its label and its
+    children's ids. Where the key span is no larger than the root count,
+    every key fits in int64 and indexes a dense table of ids. Otherwise
+    the keys go to running dicts; where a whole key would not fit in
+    int64, the children are folded in one at a time, and the partial key
+    is interned before the next child joins.
     """
     import numpy as np
 
     span = alphabet * width**k  # every key is below it
     out = np.empty(roots, dtype=np.min_scalar_type(min(roots, span) - 1))
     reps: list[int] = []
-    chunks = _chunks(labels, child_ids, k, roots, children)
+    chunks = _chunks(labels, child_ids, k, roots)
     if span <= roots:
         # ids below span, and -1 for unseen keys
         table = np.full(span, -1, dtype=np.min_scalar_type(-span))
@@ -432,14 +440,11 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
     return out, len(reps), reps
 
 
-def _chunks(labels, child_ids, k: int, roots: int, children):
+def _chunks(labels, child_ids, k: int, roots: int):
     """Per CENSUS_CHUNK roots: bounds, labels as int64 keys, children's ids."""
     for lo in range(0, roots, CENSUS_CHUNK):
         hi = min(lo + CENSUS_CHUNK, roots)
-        if children is None:
-            kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
-        else:
-            kids = child_ids[children[lo:hi]]
+        kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
         yield lo, hi, labels[lo:hi].astype("int64"), kids
 
 

@@ -10,8 +10,8 @@ its right eigenvector vanishes on a coordinate.
 
 The plastic example is a separate worked 3x3 case built around the real
 root of x^3 = x + 1. Its published radius figure, 0.2812, matches the
-logarithm of that root (the root itself is about 1.3247); both readings
-are kept here and the comparison targets the logarithm.
+logarithm of that root (the root itself is about 1.3247), and the
+comparison targets the logarithm.
 """
 
 from __future__ import annotations
@@ -63,10 +63,7 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 
 PLASTIC_MATRIX = "010,001,110"
 
-# The 0.2812 figure agrees with log(radius); the radius is the plastic
-# number 1.3247, the real root of x^3 = x + 1.
 PLASTIC_PUBLISHED = {
-    "printed_radius_figure": 0.2812,
     "log_radius": 0.2812,
     "right_eigenvector": (0.57, 0.75, 1.0),
     "left_eigenvector": (0.75, 1.32, 1.0),

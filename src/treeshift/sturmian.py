@@ -27,24 +27,25 @@ order. Every root-to-node path is a factor by construction.
 
 Both variants start from one word graph, walked in Python: per level,
 one node per path word (at most level + 2, so at most 26), with its
-label, its two children's words and the first node that carries it.
-A random labeling keeps the graph with its factor oracle, so the seeds
-of one report share one walk. A
-lexicographic tree is that graph alone. Below a lex node the labels
-depend only on its level and path word, so the block census runs on
-that graph of a few hundred nodes, and the table and CSV outputs read
-the first labels and the left edge off it; the full label buffer is
-expanded from the graph only when it is read, as JSON output does. A
-random tree is the same graph expanded at once with its coins: a tree
-node's state is its path word and its swap bit, each state picks the
-row of its children's labels and states, and numpy gathers those rows
-for every node of a level into one preallocated label buffer. The
-coins are drawn chunk by chunk, m at a time from one getrandbits(32 m),
-which equals m single-bit draws. The random tree keeps no graph, since
-its subtrees depend on the coins, so its census runs on its labels.
-numpy is imported by the expansion, the coins and the census alone, so
-slopes, words, factor oracles and the word graph of a lex tree are
-built without loading it.
+label, its two children's words and the first node that carries it. A
+random labeling keeps the graph with its factor oracle, so the seeds
+of one report share one walk. A lexicographic tree is that graph
+alone. Below a lex node the labels depend only on its level and path
+word, so the block census runs on that graph of a few hundred nodes,
+in pure Python, and the table and CSV outputs read the first labels
+and the left edge off it; the full label buffer is expanded from the
+graph only when it is read, as JSON output does. A random tree is the
+same graph expanded at once with its coins: a tree node's state is its
+path word and its swap bit, each state picks the row of its children's
+labels and states, and numpy gathers those rows for every node of a
+level into one preallocated label buffer. The coins are drawn chunk by
+chunk, m at a time from one getrandbits(32 m), which equals m
+single-bit draws. The random tree keeps no graph, since its subtrees
+depend on the coins, so its census runs on its labels. numpy is
+imported by the expansion, the coins and the census of a label array
+alone, so slopes, words, factor oracles, the word graph of a lex tree
+and its census run without loading it, and so do lex table and CSV
+outputs.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from fractions import Fraction
 from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_count
 
 # A lex tree keeps its word graph, a few hundred nodes at any depth; its
-# census and its table and CSV outputs add nothing per tree node.
+# census and its table and CSV outputs add nothing per tree node and
+# load no numpy.
 # Expanding labels from the graph, for a random tree or a lex tree's
 # JSON, peaks near 2 bytes per node (the label buffer and its bytes
 # copy; a level's states take less) plus a chunk's 512 KiB of indices:

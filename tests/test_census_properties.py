@@ -14,8 +14,10 @@ the same graph with a coin per right-special node, however many nodes
 an expansion chunk holds. A tree keeps the levels its censuses intern:
 in whatever order the block depths come, each census must equal that
 of a fresh copy of the tree, and a profile must intern each level once
-and build no block. Every factor oracle has exactly one right-special
-factor per length and no factor without a successor.
+and build no block. A lex tree is the top of the next deeper one, which
+counts at least as many blocks of every depth. Every factor oracle has
+exactly one right-special factor per length and no factor without a
+successor.
 """
 
 import random
@@ -231,6 +233,21 @@ def test_graph_census_equals_tree_census(tree):
         assert census.alphabet_size == reference.alphabet_size
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lex_slopes(), st.integers(0, 23))
+def test_lex_tree_is_the_top_of_the_next_deeper_one(params, depth):
+    # the depth-D lex tree is the top of the depth-(D + 1) one, so the
+    # deeper tree counts at least as many blocks of every depth
+    tree, deeper = label_tree_lex(params, depth), label_tree_lex(params, depth + 1)
+    # labels are read off both graphs one node at a time, which takes
+    # seconds for the 2^24 - 1 nodes of depth 23, so past depth 14 only
+    # the top 15 levels are compared
+    top = node_count(2, min(depth, 14))
+    assert deeper.labels_at(range(top)) == tree.labels_at(range(top))
+    profile, deeper_profile = tree_complexity(tree, depth), tree_complexity(deeper, depth)
+    assert all(p <= q for p, q in zip(profile, deeper_profile, strict=True))
+
+
 def test_word_graph_takes_no_part_in_equality():
     params = SturmianParams.fibonacci()
     tree = label_tree_lex(params, 8)
@@ -265,18 +282,20 @@ def test_census_in_any_order_equals_census_of_a_fresh_tree(data):
     ],
 )
 def test_profile_interns_each_level_once_and_builds_no_block(tree, monkeypatch):
+    # a lex tree is interned over its word graph, any other over its labels
+    interner = "_intern_level" if tree.graph is None else "_intern_graph_level"
     calls = Counter()
-    for name in ("_intern_level", "_blocks_at"):
+    for name in ("_intern_level", "_intern_graph_level", "_blocks_at"):
         monkeypatch.setattr(oracle, name, _counted(getattr(oracle, name), name, calls))
     n_max = 6
     profile = tree_complexity(tree, n_max)
-    assert calls == {"_intern_level": n_max}
+    assert calls == {interner: n_max}
     # a census no deeper than the memo interns nothing, and builds its
     # blocks once, on their first read
     census = blocks_in_tree(tree, n_max - 1)
     assert census.count == profile[n_max - 1]
     assert census.blocks is census.blocks and len(census.blocks) == census.count
-    assert calls == {"_intern_level": n_max, "_blocks_at": 1}
+    assert calls == {interner: n_max, "_blocks_at": 1}
 
 
 def test_census_memo_takes_no_part_in_equality():

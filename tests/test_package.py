@@ -176,25 +176,30 @@ def test_imports_match_declared_dependencies():
 
 
 def test_cli_leaves_numpy_unloaded_outside_sturmian():
-    # numpy is imported by the Sturmian labeling and census functions
-    # alone, so the other subcommands run in a fresh interpreter without it
+    # numpy is imported only to expand a word graph into labels and to
+    # census a label array, so the other subcommands, and lex sturmian
+    # in table and CSV format, whose census runs on the word graph, run
+    # in a fresh interpreter without it; lex JSON prints every label,
+    # which expands them
     path = [str(Path(treeshift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = """
 import contextlib, io, sys
 import treeshift.cli as cli
-runs = [["analyze", "-m", "011,111,101"], ["table"], ["golden"], ["kary"]]
+lex = ["sturmian", "-n", "20", "--blocks", "6"]
+runs = [["analyze", "-m", "011,111,101"], ["table"], ["golden"], ["kary"],
+        ["sturmian"], ["sturmian", "--format", "csv"], lex, lex + ["--format", "csv"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
     loaded = "numpy" in sys.modules
-    sturmian = cli.main(["sturmian", "-n", "8", "--blocks", "3"])
-print(codes, loaded, sturmian)
+    sturmian = cli.main(["sturmian", "-n", "8", "--blocks", "3", "--format", "json"])
+print(codes, loaded, sturmian, "numpy" in sys.modules)
 """
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[0, 0, 0, 0] False 0"
+    assert result.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] False 0 True"
 
 
 def test_cli_builds_its_parser_once_per_process():
