@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 from .matrix import TransitionMatrix, parse_matrix
@@ -100,7 +99,8 @@ def _verdict(ok: bool) -> str:
 def _load_matrix(source: str) -> TransitionMatrix:
     text = source
     if source.startswith("@"):
-        text = Path(source[1:]).read_text()
+        with open(source[1:]) as handle:
+            text = handle.read()
         if not text.lstrip().startswith("["):
             text = ",".join(line.strip() for line in text.splitlines() if line.strip())
     return parse_matrix(text)
@@ -617,16 +617,17 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         report = HANDLERS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(report.json, indent=2) + "\n"
+        else:
+            text = "\n".join(getattr(report, args.format)) + "\n"
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
     except (NoConvergence, PrecisionExhausted, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        text = json.dumps(report.json, indent=2) + "\n"
-    else:
-        text = "\n".join(getattr(report, args.format)) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return report.status
 

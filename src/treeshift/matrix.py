@@ -17,7 +17,7 @@ in error messages are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -42,19 +42,20 @@ class RowOrColumnZero(ValueError):
     """A symbol with no successors or no predecessors (dead symbol)."""
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple("_Rows", [("rows", tuple[tuple[int, ...], ...])])):
     """Immutable 0/1 adjacency data over the symbols 1 .. d.
 
     Every row and every column must contain a 1: a symbol with no
     successors admits no labelings below it, and one with no
     predecessors never occurs below the root, so either would make the
-    block counts of the shift meaningless.
+    block counts of the shift meaningless. Equal rows make equal
+    matrices with equal hashes.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        self = super().__new__(cls, rows)
         d = len(self.rows)
         if d < 1:
             raise ParseError("matrix needs at least one row")
@@ -70,6 +71,7 @@ class TransitionMatrix:
         for j in range(d):
             if not any(row[j] for row in self.rows):
                 raise RowOrColumnZero(f"symbol {j + 1} has no predecessors (column {j + 1} is zero)")
+        return self
 
     @property
     def d(self) -> int:

@@ -54,8 +54,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .matrix import TransitionMatrix
 
@@ -117,8 +117,7 @@ def exact_level(succ, arity: int, levels: list, n: int) -> tuple[int, ...]:
     return levels[n]
 
 
-@dataclass(frozen=True)
-class WordGraph:
+class WordGraph(NamedTuple):
     """Level-ordered nodes, each standing for equal subtrees of one tree level.
 
     Node i carries labels[i]; its children are the nodes children[k i]
@@ -281,8 +280,7 @@ class BlockCensus:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     arity: int
     depth: int
     counts: tuple[int, ...]
@@ -487,8 +485,7 @@ def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
     return ids[inverse]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Both sides of the leaf-extension count identity at one depth."""
 
     depth: int
@@ -519,8 +516,7 @@ def verify_phi_identity(M: TransitionMatrix, n: int, arity: int = 2) -> Identity
     return IdentityReport(n + 1, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class SubadditivityReport:
+class SubadditivityReport(NamedTuple):
     """Exact counts against the two submultiplicative bounds."""
 
     m: int

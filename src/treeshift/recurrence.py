@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from decimal import Context
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .matrix import TransitionMatrix
 from .oracle import check_exact_budget, exact_level, node_count
@@ -64,14 +63,12 @@ class LogOverflow(ValueError):
     """A log-domain count left the float range below the depth limit."""
 
 
-@dataclass(frozen=True)
 class TreeParams:
     """Arity of the tree and the deepest level to compute."""
 
-    arity: int = 2
-    n_max: int = 15
-
-    def __post_init__(self):
+    def __init__(self, arity: int = 2, n_max: int = 15):
+        self.arity = arity
+        self.n_max = n_max
         if self.arity < 2:
             raise ValueError("arity must be at least 2")
         if self.n_max < 0:
@@ -116,7 +113,6 @@ def accelerated_entropy(p_log: float, a: float, n: int, arity: int) -> float:
     return (p_log + a / (arity - 1)) * (arity - 1) / arity ** (n + 1)
 
 
-@dataclass
 class EntropySeries:
     """Per-level entropy estimates from one recurrence run.
 
@@ -134,16 +130,29 @@ class EntropySeries:
     keeps them, or raises TooLarge past EXACT_NODE_BUDGET nodes.
     """
 
-    arity: int
-    mode: str
-    p_log: list[float]
-    h: list[float]
-    a: list[float | None]
-    h_acc: list[float | None]
-    h2: list[float | None]
-    symbol_logs: list[tuple[float, ...]]
-    _levels: list[tuple[int, ...]] | None = field(default=None, repr=False)
-    _succ: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        arity: int,
+        mode: str,
+        p_log: list[float],
+        h: list[float],
+        a: list[float | None],
+        h_acc: list[float | None],
+        h2: list[float | None],
+        symbol_logs: list[tuple[float, ...]],
+        _levels: list[tuple[int, ...]] | None = None,
+        _succ: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        self.arity = arity
+        self.mode = mode
+        self.p_log = p_log
+        self.h = h
+        self.a = a
+        self.h_acc = h_acc
+        self.h2 = h2
+        self.symbol_logs = symbol_logs
+        self._levels = _levels
+        self._succ = _succ
 
     @property
     def exact(self) -> list[tuple[int, ...]] | None:
@@ -372,8 +381,7 @@ class UncertifiedFloat(ValueError):
     """The two ends of a certified interval round to different floats."""
 
 
-@dataclass(frozen=True)
-class GoldenQ:
+class GoldenQ(NamedTuple):
     """The golden mean q ratios q(n) = p(n)/p(n-1)^2 for n <= n_max.
 
     For n >= 1, lo[n] <= q(n) * 2**bits <= hi[n], and values[n] is the
@@ -464,8 +472,7 @@ def golden_zero_rooted_counts(n_max: int) -> list[int]:
     return a
 
 
-@dataclass(frozen=True)
-class PowerBoundCheck:
+class PowerBoundCheck(NamedTuple):
     """One verdict of A(n) >= gamma^(2^(n+1) - 1)."""
 
     level: int

@@ -17,7 +17,7 @@ comparison targets the logarithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrix import TransitionMatrix, parse_matrix
 from .recurrence import TreeParams, run
@@ -29,8 +29,7 @@ UPPER_TOL = 0.002
 ORDER_SLACK = 0.01
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     """One benchmark matrix with its published figures."""
 
     name: str
@@ -73,8 +72,7 @@ PLASTIC_PUBLISHED = {
 }
 
 
-@dataclass(frozen=True)
-class ReferenceResult:
+class ReferenceResult(NamedTuple):
     """Computed figures for one row with pass verdicts per column."""
 
     row: ReferenceRow

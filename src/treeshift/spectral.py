@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .matrix import TransitionMatrix
 
@@ -68,8 +68,7 @@ class SingularSystem(ValueError):
     """A class solve met an exactly zero pivot: its matrix is singular."""
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Spectral summary of one transition matrix.
 
     `left` is normalized to sum 1 and `right` to maximum entry 1.

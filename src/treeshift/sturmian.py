@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_count
@@ -86,14 +85,12 @@ class ComplexityViolation(ValueError):
     """Harvested factor counts are not those of a Sturmian word."""
 
 
-@dataclass(frozen=True)
 class SturmianParams:
     """Slope of one Sturmian system and a bound on its error."""
 
-    alpha: Fraction
-    alpha_error: Fraction
-
-    def __post_init__(self):
+    def __init__(self, alpha: Fraction, alpha_error: Fraction):
+        self.alpha = alpha
+        self.alpha_error = alpha_error
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.alpha_error < 0:
@@ -157,7 +154,6 @@ def minimal_sequence(params: SturmianParams, length: int) -> str:
     return "0" + mechanical_word(params, length - 1)
 
 
-@dataclass(frozen=True)
 class FactorOracle:
     """Factors up to ORACLE_LEN + 1 of one slope, as one set.
 
@@ -170,9 +166,18 @@ class FactorOracle:
     depth labeled from the oracle; it takes no part in equality.
     """
 
-    alpha: Fraction
-    factors: frozenset[str] = field(repr=False)
-    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, alpha: Fraction, factors: frozenset[str]):
+        self.alpha = alpha
+        self.factors = factors
+        self._graphs: dict = {}
+
+    def __eq__(self, other):
+        if type(other) is not FactorOracle:
+            return NotImplemented
+        return (self.alpha, self.factors) == (other.alpha, other.factors)
+
+    def __repr__(self) -> str:
+        return f"FactorOracle(alpha={self.alpha!r})"
 
     def complexity(self, n: int) -> int:
         if not 0 <= n <= ORACLE_LEN:

@@ -205,6 +205,13 @@ def test_out_writes_file(capsys, tmp_path, argv):
     assert target.read_text() == direct
 
 
+@pytest.mark.parametrize("name", ["", "missing/report.csv"], ids=["directory", "missing-directory"])
+def test_out_to_an_unwritable_path_exits_2_with_one_error_line(capsys, tmp_path, name):
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-n", "4", "--out", str(tmp_path / name))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # table
 

@@ -10,9 +10,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import treeshift
+from treeshift.matrix import TransitionMatrix, parse_matrix
+from treeshift.recurrence import TreeParams
+from treeshift.sturmian import SturmianParams
 
 
 def test_all_is_sorted_complete_and_resolves():
@@ -235,3 +241,48 @@ print(*counts)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "7", "7", "7", "7"]
+
+
+def test_validating_classes_keep_their_contract():
+    # what callers rely on: a matrix is read-only and hashes by value,
+    # TreeParams keeps its defaults and keywords, and SturmianParams
+    # still validates
+    m = parse_matrix("11,10")
+    with pytest.raises(AttributeError):
+        m.rows = ((1,),)
+    assert m.rows == ((1, 1), (1, 0))
+    same = TransitionMatrix(((1, 1), (1, 0)))
+    assert same == m and hash(same) == hash(m)
+    assert TransitionMatrix(((1, 1), (1, 1))) != m
+    params = TreeParams()
+    assert (params.arity, params.n_max) == (2, 15)
+    params = TreeParams(n_max=4, arity=3)
+    assert (params.arity, params.n_max) == (3, 4)
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        SturmianParams(Fraction(1), Fraction(0))
+    with pytest.raises(ValueError, match="alpha_error must be nonnegative"):
+        SturmianParams(alpha=Fraction(1, 3), alpha_error=Fraction(-1, 9))
+    params = SturmianParams(alpha_error=Fraction(1, 9), alpha=Fraction(1, 3))
+    assert (params.alpha, params.alpha_error) == (Fraction(1, 3), Fraction(1, 9))
+
+
+def test_cli_loads_no_dataclasses_inspect_or_pathlib():
+    # the records are NamedTuples and plain classes, and the CLI reads
+    # and writes files with open(), so a cold start loads none of these;
+    # -S keeps site from preloading pathlib before the check
+    src = str(Path(treeshift.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """
+import contextlib, io, sys
+import treeshift.cli as cli
+runs = [["analyze", "-m", "011,111,101"], ["table"], ["golden"], ["kary"],
+        ["sturmian", "--format", "csv"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes, sorted({"dataclasses", "inspect", "pathlib"} & set(sys.modules)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0, 0, 0, 0] []"
