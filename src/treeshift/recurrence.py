@@ -11,7 +11,9 @@ valid labeling whose root symbol follows i. Totals p(n) = sum_i x_i(n)
 grow doubly exponentially, so next to the exact big-integer form the
 same recurrence runs in the log domain, y_i(n+1) = k * logsumexp of the
 selected y_j(n), whose additive float error stays far below the
-divisors used for entropy.
+divisors used for entropy. Its floats are summed left to right, not
+with the builtin `sum`, which compensates its rounding from Python 3.12
+on, so every Python version gives the same bits.
 
 An exact run carries no big integers. Each x_i(n) is held as a bracket
 [lo, hi] * 2^e whose ends keep their top bits = CERTIFY_BITS +
@@ -96,9 +98,14 @@ def _max_scale_exponent(arity: int) -> int:
             e -= 1
 
 
-def _logsumexp(values) -> float:
+def _logsumexp(values: list[float]) -> float:
+    if len(values) == 1:
+        return values[0]  # v + log(1.0) is v bit for bit
     top = max(values)
-    return top + math.log(sum(math.exp(v - top) for v in values))
+    s = 0.0
+    for v in values:
+        s += math.exp(v - top)
+    return top + math.log(s)
 
 
 def level_entropy(p_log: float, n: int, arity: int) -> float:
@@ -211,7 +218,7 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
             sums = [_bracket_sum([x[j] for j in s], bits) for s in succ]
             x, logs, p_log = _power_step(sums, k, bits, lambda: series._build(n))
         else:
-            x = logs = tuple(k * _logsumexp([x[j] for j in s]) for s in succ)
+            x = logs = tuple([k * _logsumexp([x[j] for j in s]) for s in succ])
             p_log = _logsumexp(x)
         _append_level(series, logs, p_log)
         if not math.isfinite(p_log):

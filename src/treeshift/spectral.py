@@ -383,29 +383,25 @@ def _power_iteration(b):
     x = [1.0 / d] * d
     lam = 1.0
     residual = math.inf
-    y = _matvec(rows, x)
+    y = [_sum([w * x[j] for j, w in row]) for row in rows]
     for _ in range(MAX_ITER):
         lam = _sum(y)  # x sums to 1, so this is the Rayleigh-like quotient
         x = [v / lam for v in y]
-        y = _matvec(rows, x)  # the residual's product is the next step's
-        residual = max(abs(v - lam * u) for v, u in zip(y, x))
+        # the next product, row by row, and the residual's maximum as `max`
+        # takes it (a NaN counts only as the first entry)
+        y = []
+        residual = None
+        for row, u in zip(rows, x):
+            s = 0.0
+            for j, w in row:  # leaving out zero entries changes no bit of the sum
+                s += w * x[j]
+            y.append(s)
+            r = abs(s - lam * u)
+            if residual is None or r > residual:
+                residual = r
         if residual <= TOL * lam:
             return lam, x
     raise NoConvergence(MAX_ITER, residual / lam)
-
-
-def _matvec(rows, x) -> list[float]:
-    """Product of a matrix, as (column, nonzero entry) pairs per row, with x.
-
-    Leaving out the zero entries changes no bit of a left-to-right sum.
-    """
-    y = []
-    for row in rows:
-        s = 0.0
-        for j, w in row:
-            s += w * x[j]
-        y.append(s)
-    return y
 
 
 def _sum(values) -> float:

@@ -7,14 +7,19 @@ the full product space, tree censuses from one window per root, golden
 mean q ratios from big-integer division, the Fibonacci word from its
 substitution rule, mechanical words from Fraction arithmetic, and
 lexicographic and seeded random Sturmian trees node by node from their
-path words.
+path words. The kernels of power iteration and of the log-domain
+recurrence are kept here in their plain loop form, one operation after
+another, as references that the faster kernels must match bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+
+from treeshift.spectral import MAX_ITER, TOL, NoConvergence
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -294,3 +299,69 @@ def valid_matrices(d: int) -> list[tuple[tuple[int, ...], ...]]:
 def permute_rows(rows, perm):
     """Relabel symbols: new[i][j] = old[perm[i]][perm[j]]."""
     return tuple(tuple(rows[perm[i]][perm[j]] for j in range(len(rows))) for i in range(len(rows)))
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum."""
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+def power_iteration(b):
+    """Dominant eigenpair of a nonnegative matrix with a spectral gap.
+
+    Returns (lambda, vector) with the vector normalized to sum 1;
+    convergence is declared on the relative residual |b x - lambda x|.
+    """
+    d = len(b)
+    rows = [[(j, w) for j, w in enumerate(row) if w] for row in b]
+    x = [1.0 / d] * d
+    lam = 1.0
+    residual = math.inf
+    y = _matvec(rows, x)
+    for _ in range(MAX_ITER):
+        lam = _sum(y)  # x sums to 1, so this is the Rayleigh-like quotient
+        x = [v / lam for v in y]
+        y = _matvec(rows, x)  # the residual's product is the next step's
+        residual = max(abs(v - lam * u) for v, u in zip(y, x))
+        if residual <= TOL * lam:
+            return lam, x
+    raise NoConvergence(MAX_ITER, residual / lam)
+
+
+def _matvec(rows, x) -> list[float]:
+    """Product of a matrix, as (column, nonzero entry) pairs per row, with x.
+
+    Leaving out the zero entries changes no bit of a left-to-right sum.
+    """
+    y = []
+    for row in rows:
+        s = 0.0
+        for j, w in row:
+            s += w * x[j]
+        y.append(s)
+    return y
+
+
+def log_levels(successors, arity: int, depth: int):
+    """(log p(n), the log x_i(n)) for n = 0..depth, in plain float loops.
+
+    y_i(n+1) = k * logsumexp of y_j(n) over the successors j of i, and
+    log p(n) = logsumexp of all y_i(n). Each logsumexp is the top term
+    plus the log of exp(y - top) summed left to right, one-term sums
+    included.
+    """
+
+    def logsumexp(values):
+        top = max(values)
+        return top + math.log(_sum([math.exp(v - top) for v in values]))
+
+    ys = (0.0,) * len(successors)
+    p_logs, symbol_logs = [math.log(len(successors))], [ys]
+    for _ in range(depth):
+        ys = tuple(arity * logsumexp([ys[j] for j in s]) for s in successors)
+        p_logs.append(logsumexp(ys))
+        symbol_logs.append(ys)
+    return p_logs, symbol_logs

@@ -10,18 +10,24 @@ from the package of its parent commit, here called PARENT:
 
 Argparse usage errors are left out: their line wrapping follows the
 terminal width. Every call in a process shares one parser, so the
-commands are also replayed in one process in shuffled orders.
+commands are also replayed in one process in shuffled orders. The
+numpy-free commands are replayed under every other CPython 3.10-3.13
+found on PATH as well, and must print the same bytes there.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import treeshift
 from treeshift.cli import main
 
 PINNED = Path(__file__).with_name("data") / "cli_pinned.json"
@@ -107,6 +113,64 @@ def test_help_wraps_to_the_columns_of_each_call(monkeypatch):
     assert narrow != wide
     assert len(narrow.splitlines()) > len(wide.splitlines())
     assert help_at(50) == narrow
+
+
+# analyze, table, golden and kary import no numpy; the added matrix's log
+# p(3) came out one ulp apart where the builtin sum compensated (3.12+)
+NUMPY_FREE = [argv for argv in COMMANDS if argv[0] in ("analyze", "table", "golden", "kary")] + [
+    ["analyze", "-m", "001,110,100", "--format", "json"]
+]
+
+_REPLAY = """
+import contextlib, io, json, sys
+from treeshift.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    results.append({"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+json.dump(results, sys.stdout)
+"""
+
+
+def other_interpreters() -> dict[str, str]:
+    """CPython 3.10-3.13 on PATH, other than the running version, that run."""
+    found = {}
+    for minor in range(10, 14):
+        name = f"python3.{minor}"
+        path = shutil.which(name)
+        if path is None or sys.version_info[:2] == (3, minor):
+            continue
+        probe = subprocess.run(
+            [path, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True, timeout=60
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
+            found[name] = path
+    return found
+
+
+def test_numpy_free_commands_print_the_same_bytes_on_other_pythons():
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10-3.13 on PATH")
+    expected = [capture(argv) for argv in NUMPY_FREE]
+    env = dict(os.environ, PYTHONPATH=str(Path(treeshift.__file__).parents[1]))
+    differing = {}
+    for name, path in interpreters.items():
+        result = subprocess.run(
+            [path, "-c", _REPLAY],
+            input=json.dumps(NUMPY_FREE),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, f"{name}: {result.stderr}"
+        replayed = json.loads(result.stdout)
+        assert len(replayed) == len(expected), name
+        differing[name] = [" ".join(e["argv"]) for e, r in zip(expected, replayed) if e != r]
+    assert differing == {name: [] for name in interpreters}
 
 
 if __name__ == "__main__":

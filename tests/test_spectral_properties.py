@@ -4,14 +4,19 @@ The radius is checked against the exact characteristic polynomial and
 the eigenvector supports against the distinguished-class rule, both
 computed here from first principles: classes from the transitive
 closure of the graph, class radii from the polynomials of their blocks.
+The power-iteration and log-domain kernels are checked bit for bit
+against their plain loop forms in `oracles`.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly, largest_real_root
+from oracles import char_poly, largest_real_root, log_levels, power_iteration
+from treeshift import spectral
 from treeshift.matrix import TransitionMatrix
+from treeshift.recurrence import TreeParams, run
 from treeshift.spectral import analyze_matrix
 
 
@@ -83,3 +88,18 @@ def test_perron_data_of_random_matrices(rows):
     right_support, left_support = expected_supports(m.rows)
     assert {i for i, x in enumerate(S.right) if x > 0.0} == right_support
     assert {i for i, x in enumerate(S.left) if x > 0.0} == left_support
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_rows(), st.integers(2, 5), st.integers(0, 40))
+def test_kernels_equal_their_plain_loop_forms_bit_for_bit(rows, arity, depth):
+    m = TransitionMatrix.from_rows(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_power_iteration", power_iteration)
+        expected = analyze_matrix(m)
+    assert analyze_matrix(m) == expected
+
+    series = run(m, TreeParams(arity, depth))
+    p_logs, symbol_logs = log_levels(m.successor_table(), arity, depth)
+    assert series.p_log == p_logs
+    assert series.symbol_logs == symbol_logs
