@@ -15,7 +15,6 @@ importing the module builds none.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import math
@@ -445,13 +444,16 @@ def _labels(tree: LabeledTree, fmt: str) -> str:
     Only JSON prints them whole; CSV prints none and the table passes
     them to `_shown`, so other formats read only the LABEL_PREFIX + 1
     that `_shown` needs to cut them the same way, which a lex tree reads
-    off its word graph.
+    off its word graph. One translation maps 0 and 1 to their digits and
+    any other label to 0xFF, which the ASCII decoding then refuses. Its
+    copy of the labels is freed before the JSON dump, which sets the
+    memory peak.
     """
     if fmt == "json":
         labels = tree.labels
     else:
         labels = tree.labels_at(range(min(LABEL_PREFIX + 1, tree.size)))
-    return codecs.charmap_decode(labels, "strict", "01")[0]
+    return labels.translate(b"01" + b"\xff" * 254).decode("ascii")
 
 
 def _shown(labels: str) -> str:

@@ -9,16 +9,21 @@ symbol index per byte: fixed length, hashable, and lexicographic order
 on the encoding is the canonical census order.
 
 enumerate_configs lists every valid labeling by level composition: a
-depth-(n+1) block is a root symbol over k independently chosen valid
-depth-n blocks whose roots follow it, which also makes the construction
-emit each block exactly once. Listing is refused above MATERIALIZE_CAP
-nodes. The per-symbol lists are kept as built: like every census, the
-listing's blocks are sorted and checked only when its `blocks` is read,
-so a caller that reads only its counts sorts nothing. Exact counts
-without the blocks come from `exact_level` alone: it runs the same
-composition as a per-symbol dynamic program over exact integers, is
-also the exact recurrence of `recurrence.run`, and refuses trees of
-more than EXACT_NODE_BUDGET nodes.
+depth-(n+1) labeling is a root symbol over k independently chosen valid
+depth-n labelings whose roots follow it, which also makes the
+construction emit each labeling exactly once. A listed labeling is the
+nested tuple (root symbol, its k child labelings), which holds its
+children by reference, as hash-consing does (below), so one
+itertools.product per root symbol builds a level. Listing is refused
+above MATERIALIZE_CAP nodes, and above LISTING_BUDGET labelings, counted
+by `exact_level` before anything is listed. Like every census, the
+listing's blocks, the breadth-first layouts of its labelings, are built,
+sorted and checked only when its `blocks` is read, so a caller that
+reads only its counts builds no bytes. Exact counts without the blocks
+come from `exact_level` alone: it runs the same composition as a
+per-symbol dynamic program over exact integers, is also the exact
+recurrence of `recurrence.run`, and refuses trees of more than
+EXACT_NODE_BUDGET nodes.
 
 blocks_in_tree takes the census of a labeled tree by hash-consing
 (Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
@@ -52,14 +57,19 @@ m dividing the total depth, by the telescoped power of p(m).
 from __future__ import annotations
 
 import itertools
+import struct
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .matrix import TransitionMatrix
 
 MATERIALIZE_CAP = 40
+# Listings of more labelings are refused: every depth-3 binary listing
+# of the reference matrices fits (451,382 at most), no depth-4 one does.
+LISTING_BUDGET = 2**20
 # The census interns roots in chunks of this many: a chunk's int64 keys
 # are looked up in a dense id table, or deduplicated by one small
 # np.unique and merged into a running key -> id dict. Keys for a whole
@@ -250,9 +260,10 @@ class BlockCensus:
     """All distinct blocks of one depth, sorted by encoding.
 
     A census is given its `count` and `rebuild`, a function that returns
-    its blocks in any order. They are built, sorted and checked to be
-    distinct only when `blocks` is first read, so a census read only for
-    its count builds no block.
+    its blocks in any order: a listing's lays out its nested tuples, a
+    tree's slices the layout below one node per block. They are built,
+    sorted and checked to be distinct only when `blocks` is first read,
+    so a census read only for its count builds no block.
     """
 
     def __init__(self, arity: int, depth: int, alphabet_size: int, count: int,
@@ -289,7 +300,15 @@ class EnumerationResult(NamedTuple):
 
 
 def enumerate_configs(M: TransitionMatrix, arity: int = 2, depth: int = 0) -> EnumerationResult:
-    """List and count every valid depth-`depth` labeling."""
+    """List and count every valid depth-`depth` labeling.
+
+    Trees of more than MATERIALIZE_CAP nodes are refused, and so is any
+    listing of more than LISTING_BUDGET labelings, counted first by one
+    `exact_level` call. A listed labeling is a nested tuple: its root
+    symbol and then its arity child labelings, the depth-0 ones being
+    1-tuples. The census's blocks are their breadth-first layouts,
+    built only when read.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if node_count(arity, depth) > MATERIALIZE_CAP:
@@ -298,31 +317,44 @@ def enumerate_configs(M: TransitionMatrix, arity: int = 2, depth: int = 0) -> En
             f"nodes, past the cap of {MATERIALIZE_CAP}"
         )
     succ = M.successor_table()
-    per_symbol = [[bytes([i])] for i in range(M.d)]
-    for level in range(depth):
-        per_symbol = _compose_blocks(succ, per_symbol, level, arity)
-    counts = tuple(len(blocks) for blocks in per_symbol)
-    listed = partial(itertools.chain.from_iterable, per_symbol)
-    census = BlockCensus(arity, depth, M.d, sum(counts), listed)
+    count = sum(exact_level(succ, arity, [(1,) * M.d], depth))
+    if count > LISTING_BUDGET:
+        raise TooLarge(
+            f"depth {depth} at arity {arity} has {count} valid labelings, "
+            f"past the listing budget of {LISTING_BUDGET}"
+        )
+    per_symbol = [[(i,)] for i in range(M.d)]
+    for _ in range(depth):
+        per_symbol = _compose_configs(succ, per_symbol, arity)
+    counts = tuple(map(len, per_symbol))
+    layouts = partial(_layouts, per_symbol, arity, depth)
+    census = BlockCensus(arity, depth, M.d, sum(counts), layouts)
     return EnumerationResult(arity, depth, counts, sum(counts), census)
 
 
-def _compose_blocks(succ, per_symbol, prev_depth: int, arity: int):
-    """Extend per-root-symbol block lists from prev_depth to prev_depth+1."""
-    bounds = [level_bounds(arity, l) for l in range(prev_depth + 1)]
+def _compose_configs(succ, per_symbol, arity: int):
+    """Per-root-symbol labelings one level deeper: a root over `arity` children."""
     out = []
     for i, s in enumerate(succ):
-        root = bytes([i])
-        candidates = [b for j in s for b in per_symbol[j]]
-        blocks = []
-        for combo in itertools.product(candidates, repeat=arity):
-            parts = [root]
-            for lo, hi in bounds:
-                for child in combo:
-                    parts.append(child[lo:hi])
-            blocks.append(b"".join(parts))
-        out.append(blocks)
+        candidates = [c for j in s for c in per_symbol[j]]
+        out.append(list(itertools.product((i,), *[candidates] * arity)))
     return out
+
+
+def _layouts(per_symbol, arity: int, depth: int) -> Iterator[bytes]:
+    """The breadth-first layout of each listed labeling, built level by level.
+
+    Level l of every labeling holds arity^l nodes, so the roots of one
+    level's nodes, over all labelings in listing order, make one string
+    that splits into equal runs, one per labeling.
+    """
+    root, children = itemgetter(0), itemgetter(slice(1, None))
+    level, runs = list(itertools.chain.from_iterable(per_symbol)), []
+    for l in range(depth + 1):
+        if l:
+            level = list(itertools.chain.from_iterable(map(children, level)))
+        runs.append(map(root, struct.iter_unpack(f"{arity**l}s", bytes(map(root, level)))))
+    return map(b"".join, zip(*runs))
 
 
 def blocks_in_tree(tree: LabeledTree, n: int) -> BlockCensus:

@@ -126,23 +126,31 @@ def mechanical_word(params: SturmianParams, length: int) -> str:
     With alpha = p/q and its error e/f, floor(m alpha) is the quotient
     of m p by q; it is certified when the remainder r keeps the whole
     error interval inside one unit, r/q >= m e/f and (q - r)/q > m e/f,
-    both tested in integers.
+    both tested in integers. r f and the bound m e q are kept as running
+    sums: each step adds p f and e q, and subtracts q f on a carry. As
+    0 < p < q a step carries at most once, and s(m) is the carry of
+    step m + 1.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
     p, q = params.alpha.numerator, params.alpha.denominator
     e, f = params.alpha_error.numerator, params.alpha_error.denominator
-    floors = []
+    step, unit, widen = p * f, q * f, e * q
+    rf = bound = 0  # r f and m e q at m = 0
+    symbols = []
     for m in range(1, length + 2):
-        base, rem = divmod(m * p, q)
-        bound = m * e * q
-        if rem * f < bound or (q - rem) * f <= bound:
+        rf += step
+        bound += widen
+        carry = rf >= unit
+        if carry:
+            rf -= unit
+        if rf < bound or unit - rf <= bound:
             raise PrecisionExhausted(
                 f"floor at position {m} is ambiguous within the slope error; "
                 "supply more continued-fraction terms or decimal places"
             )
-        floors.append(base)
-    return "".join(str(b - a) for a, b in zip(floors, floors[1:]))
+        symbols.append("1" if carry else "0")
+    return "".join(symbols[1:])
 
 
 def minimal_sequence(params: SturmianParams, length: int) -> str:

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from treeshift import recurrence, spectral
+from treeshift import cli, recurrence, spectral
 from treeshift.cli import main
+from treeshift.oracle import LabeledTree
 
 GOLDEN = "11,10"
 
@@ -466,6 +467,13 @@ def test_sturmian_lex_csv_at_the_depth_cap_within_budget(capsys):
     # the 33.5M labels of the tree would take 32 MiB on their own
     assert elapsed < 0.25
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_labels_other_than_0_and_1_are_refused(fmt):
+    assert cli._labels(LabeledTree(2, 1, bytes([0, 1, 1])), fmt) == "011"
+    with pytest.raises(UnicodeDecodeError):
+        cli._labels(LabeledTree(2, 1, bytes([0, 2, 1])), fmt)
 
 
 def test_sturmian_custom_slope(capsys):

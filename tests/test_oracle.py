@@ -3,11 +3,14 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import is_valid_labeling, naive_enumerate
+from oracles import is_valid_labeling, naive_enumerate, valid_matrices
 from treeshift import cli
-from treeshift.matrix import parse_matrix
+from treeshift.matrix import TransitionMatrix, parse_matrix
 from treeshift.oracle import (
+    LISTING_BUDGET,
     MATERIALIZE_CAP,
     BlockCensus,
     DepthExceeded,
@@ -131,6 +134,19 @@ def test_agreement_with_naive_product_filter():
         assert list(result.census.blocks) == blocks, row.name
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([rows for d in (1, 2, 3) for rows in valid_matrices(d)]),
+    st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]),
+)
+def test_listing_matches_naive_product_filter(rows, shape):
+    arity, depth = shape
+    counts, blocks = naive_enumerate(rows, arity, depth)
+    result = enumerate_configs(TransitionMatrix(rows), arity, depth)
+    assert result.counts == tuple(counts)
+    assert list(result.census.blocks) == blocks
+
+
 def test_golden_depth_three_matches_naive():
     counts, blocks = naive_enumerate(GOLDEN.rows, 2, 3)
     result = enumerate_configs(GOLDEN, depth=3)
@@ -166,6 +182,19 @@ def test_materialization_cap():
     assert "63" in str(info.value)
     # exact counts are held only to the exact node budget
     assert sum(exact_level(GOLDEN.successor_table(), 2, [(1, 1)], 5)) == golden_counts(5)[5]
+
+
+def test_listing_budget_refuses_before_listing():
+    # 31 nodes, under the cap, but 342,530,797,857 labelings, past the budget
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as info:
+        enumerate_configs(parse_matrix("011,111,101"), depth=4)
+    assert time.perf_counter() - start < 1.0
+    assert "342530797857" in str(info.value) and str(LISTING_BUDGET) in str(info.value)
+    with pytest.raises(TooLarge, match="8143397 valid labelings"):
+        enumerate_configs(GOLDEN, depth=4)
+    # the largest reference listing, at depth 3, stays inside it
+    assert enumerate_configs(parse_matrix("011,111,101"), depth=3).total == 451382 <= LISTING_BUDGET
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fibonacci_word, fraction_mechanical_word
 from treeshift.oracle import DepthExceeded, LabeledTree
@@ -114,6 +116,27 @@ def test_mechanical_word_matches_fraction_reference(params):
         with pytest.raises(PrecisionExhausted) as caught:
             mechanical_word(params, 1000)
         assert re.search(r"position (\d+) ", str(caught.value)).group(1) == str(refused_at)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 12),
+    st.lists(st.integers(1, 12), max_size=30),
+    st.integers(1, 10**4),
+    st.sampled_from([1, 2, 60, 1000]),
+)
+def test_mechanical_word_matches_fraction_reference_on_drawn_slopes(first, rest, widen, length):
+    # short expansions are coarse enough to be refused within 1000 symbols;
+    # with the 1/q^2 error that happens at m = q, where the remainder is 0,
+    # and a widened error is refused earlier, where the bound decides
+    convergent = SturmianParams.from_continued_fraction([0, first, *rest])
+    params = SturmianParams(convergent.alpha, convergent.alpha_error * widen)
+    expected, refused_at = fraction_mechanical_word(params.alpha, params.alpha_error, length)
+    if refused_at is None:
+        assert mechanical_word(params, length) == expected
+    else:
+        with pytest.raises(PrecisionExhausted, match=f"position {refused_at} "):
+            mechanical_word(params, length)
 
 
 def test_rational_slope_violates_complexity():
