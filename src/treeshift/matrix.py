@@ -122,6 +122,12 @@ def _parse_json(text: str) -> TransitionMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON matrix: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON matrix: nested too deeply") from None
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError("JSON matrix must be a non-empty array of arrays")
+    # json's own depth limit differs between Python versions, so every
+    # array below a row is refused the same way, however deep
+    if any(isinstance(e, list) for r in data for e in r):
+        raise ParseError("invalid JSON matrix: nested too deeply")
     return TransitionMatrix.from_rows(data)

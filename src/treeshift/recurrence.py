@@ -37,8 +37,10 @@ a(n) = log p(n) - k log p(n-1) tends to beta(1 - k), so
 
     h_acc(n) = (log p(n) + a(n)/(k-1)) * (k-1) / k^(n+1)
 
-cancels the constant-offset bias and converges an order faster than the
-plain quotient. The diagnostic h2(n) = log log p(n) / n tracks the
+cancels the constant-offset bias. The bias left still falls only
+geometrically: about 3.1 times per level for the golden mean shift, where
+the plain quotient's falls 2 times, and 2 times for both on the period-2
+matrix 011,100,100. The diagnostic h2(n) = log log p(n) / n tracks the
 doubly exponential growth rate itself. All logarithms are natural.
 
 The module also carries the scalar specials of the golden mean shift
@@ -123,53 +125,51 @@ def accelerated_entropy(p_log: float, a: float, n: int, arity: int) -> float:
 class EntropySeries:
     """Per-level entropy estimates from one recurrence run.
 
-    Lists are indexed by level; a, h_acc and h2 hold None where the
-    quantity is undefined (level 0, or log p(n) <= 0 for h2). In exact
-    mode `exact` holds the per-symbol big integers of every level,
-    otherwise it is None. `symbol_logs` always carries log x_i(n). The
-    series holds numbers only; `cli` renders them.
+    A run supplies the levels: `symbol_logs` carries log x_i(n) and
+    `p_log` log p(n). Every estimate is derived from `p_log` here, once:
+    h(n) by `level_entropy`, a(n) = log p(n) - k log p(n-1), h_acc(n) by
+    `accelerated_entropy` and h2(n) = log log p(n) / n. Lists are indexed
+    by level; a, h_acc and h2 hold None where the quantity is undefined
+    (level 0, or log p(n) <= 0 for h2). The series holds numbers only;
+    `cli` renders them.
 
-    An exact run holds no big integers: it keeps the successor table and
-    only the integer levels that a fallback of the certificate needed
-    (see `_power_step`). Its logs are certified from brackets and equal
-    math.log of the integers bit for bit. The first read of `exact`
-    builds the remaining levels with the plain integer recurrence and
-    keeps them, or raises TooLarge past EXACT_NODE_BUDGET nodes.
+    An exact run also passes `integers`, the pair (levels, succ): the
+    integer levels x(0), x(1), ... that the run built, the all-ones x(0)
+    and those a fallback of the certificate needed (see `_power_step`),
+    and the successor table to extend them with. Its logs are certified
+    from brackets and equal math.log of the integers bit for bit. The
+    first read of `exact` extends the same `levels` list to n_max with
+    `oracle.exact_level` and keeps it, or raises TooLarge past
+    EXACT_NODE_BUDGET nodes. A log-domain series has no integers, and its
+    `exact` is None.
     """
 
     def __init__(
         self,
         arity: int,
-        mode: str,
-        p_log: list[float],
-        h: list[float],
-        a: list[float | None],
-        h_acc: list[float | None],
-        h2: list[float | None],
         symbol_logs: list[tuple[float, ...]],
-        _levels: list[tuple[int, ...]] | None = None,
-        _succ: tuple[tuple[int, ...], ...] | None = None,
+        p_log: list[float],
+        integers: tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]] | None = None,
     ):
+        k = arity
         self.arity = arity
-        self.mode = mode
-        self.p_log = p_log
-        self.h = h
-        self.a = a
-        self.h_acc = h_acc
-        self.h2 = h2
         self.symbol_logs = symbol_logs
-        self._levels = _levels
-        self._succ = _succ
+        self.p_log = p_log
+        self.h = [level_entropy(y, n, k) for n, y in enumerate(p_log)]
+        self.a = [None] + [y - k * prev for prev, y in zip(p_log, p_log[1:])]
+        self.h_acc = [None] + [accelerated_entropy(p_log[n], self.a[n], n, k) for n in range(1, len(p_log))]
+        self.h2 = [None] + [math.log(y) / n if y > 0 else None for n, y in enumerate(p_log[1:], 1)]
+        self._levels, self._succ = integers or (None, None)
+
+    @property
+    def mode(self) -> str:
+        return "logdomain" if self._levels is None else "exact"
 
     @property
     def exact(self) -> list[tuple[int, ...]] | None:
         if self._levels is not None:
-            self._build(self.n_max)
+            exact_level(self._succ, self.arity, self._levels, self.n_max)
         return self._levels
-
-    def _build(self, n: int) -> tuple[int, ...]:
-        """The exact level n, extending the integer levels built so far."""
-        return exact_level(self._succ, self.arity, self._levels, n)
 
     @property
     def n_max(self) -> int:
@@ -187,10 +187,13 @@ class EntropySeries:
 def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logdomain") -> EntropySeries:
     """Iterate the recurrence from the all-ones start and collect the series.
 
-    In log mode each level is a tuple of the floats y_i(n) = log x_i(n),
-    in exact mode a tuple of brackets around the integers x_i(n), whose
-    logs `_power_step` certifies; the integers are built on first read
-    of `exact`.
+    The loop collects only log x_i(n) and log p(n) per level; the
+    `EntropySeries` built after it derives the estimates. In log mode
+    each level is a tuple of the floats y_i(n) = log x_i(n), in exact
+    mode a tuple of brackets around the integers x_i(n), whose logs
+    `_power_step` certifies. An exact run keeps one list of integer
+    levels, which the certificate's fallback extends and the series
+    hands on to `exact`, where the rest is built on first read.
     """
     if mode not in ("exact", "logdomain"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -198,48 +201,22 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
     k = params.arity
     exact = mode == "exact"
     succ = M.successor_table()
-    series = EntropySeries(
-        arity=k,
-        mode=mode,
-        p_log=[],
-        h=[],
-        a=[],
-        h_acc=[],
-        h2=[],
-        symbol_logs=[],
-        _levels=[(1,) * M.d] if exact else None,
-        _succ=succ if exact else None,
-    )
+    levels = [(1,) * M.d]
     x = ((1, 1, 0),) * M.d if exact else (0.0,) * M.d
     bits = CERTIFY_BITS + (params.n_max + 1) * (k - 1).bit_length()
-    _append_level(series, (0.0,) * M.d, math.log(M.d))
+    symbol_logs, p_log = [(0.0,) * M.d], [math.log(M.d)]
     for n in range(1, params.n_max + 1):
         if exact:
             sums = [_bracket_sum([x[j] for j in s], bits) for s in succ]
-            x, logs, p_log = _power_step(sums, k, bits, lambda: series._build(n))
+            x, logs, total = _power_step(sums, k, bits, lambda: exact_level(succ, k, levels, n))
         else:
             x = logs = tuple([k * _logsumexp([x[j] for j in s]) for s in succ])
-            p_log = _logsumexp(x)
-        _append_level(series, logs, p_log)
-        if not math.isfinite(p_log):
+            total = _logsumexp(x)
+        symbol_logs.append(logs)
+        p_log.append(total)
+        if not math.isfinite(total):
             raise LogOverflow(f"log p({n}) overflows a float; use a depth below {n}")
-    return series
-
-
-def _append_level(series: EntropySeries, logs: tuple[float, ...], p_log: float) -> None:
-    n, k = len(series.p_log), series.arity
-    series.symbol_logs.append(logs)
-    series.p_log.append(p_log)
-    series.h.append(level_entropy(p_log, n, k))
-    if n == 0:
-        series.a.append(None)
-        series.h_acc.append(None)
-        series.h2.append(None)
-        return
-    a = p_log - k * series.p_log[n - 1]
-    series.a.append(a)
-    series.h_acc.append(accelerated_entropy(p_log, a, n, k))
-    series.h2.append(math.log(p_log) / n if p_log > 0 else None)
+    return EntropySeries(k, symbol_logs, p_log, (levels, succ) if exact else None)
 
 
 # Base bits of an exact run's brackets; a run to depth n_max adds

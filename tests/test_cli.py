@@ -181,6 +181,20 @@ def test_matrix_from_file(capsys, tmp_path):
     assert out == out2
 
 
+@pytest.mark.parametrize("depth, from_file", [(3, False), (3000, False), (100_000, True)])
+def test_nested_json_matrix_exits_2_with_one_error_line(capsys, tmp_path, depth, from_file):
+    # json recurses out at a depth that differs between Python versions
+    # (3000 levels parse on 3.13 and fail on 3.11); every depth past a
+    # row gets the same refusal
+    text = "[" * depth + "1" + "]" * depth
+    if from_file:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        text = f"@{path}"
+    code, out, err = run_cli(capsys, "analyze", "-m", text)
+    assert (code, out, err) == (2, "", "error: invalid JSON matrix: nested too deeply\n")
+
+
 def test_matrix_file_missing(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "-m", f"@{tmp_path/'absent.txt'}")
     assert code == 2

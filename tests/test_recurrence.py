@@ -221,6 +221,18 @@ def test_deepest_exact_logs_equal_math_log(case):
     assert series.p_log[-1] == math.log(sum(deepest))
 
 
+@settings(max_examples=60, deadline=None)
+@given(exact_runs())
+def test_exact_series_estimates_match_the_log_domain_ones(case):
+    M, params = case
+    exact, approx = run(M, params, mode="exact"), run(M, params)
+    for name in ("h", "a", "h_acc", "h2"):
+        ours, theirs = getattr(exact, name), getattr(approx, name)
+        assert [v is None for v in ours] == [v is None for v in theirs], name
+        for n, (x, y) in enumerate(zip(ours, theirs)):
+            assert x is None or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9), (name, n)
+
+
 def test_uncertified_total_falls_back_to_the_full_power():
     # (2^200)^2 + 2 (2^173)^2 = 2^400 + 2^347 lies exactly half an ulp
     # above 2^400: the lower end of the bracket is that tie, which rounds
