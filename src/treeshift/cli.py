@@ -98,8 +98,14 @@ def _verdict(ok: bool) -> str:
 def _load_matrix(source: str) -> TransitionMatrix:
     text = source
     if source.startswith("@"):
-        with open(source[1:]) as handle:
-            text = handle.read()
+        try:
+            with open(source[1:], encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"matrix file {source[1:]} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                f"at position {exc.start}"
+            ) from None
         if not text.lstrip().startswith("["):
             text = ",".join(line.strip() for line in text.splitlines() if line.strip())
     return parse_matrix(text)

@@ -9,9 +9,10 @@ Two text formats are accepted: comma-separated row strings of 0/1
 characters ("110,101,001") and a JSON array of arrays of 0/1 integers.
 The parsers only tokenize: the row-string parser refuses characters
 other than 0 and 1, the JSON parser refuses bad JSON and anything but an
-array of arrays. TransitionMatrix is the one validator of shape and
-entries, whether built from text or directly. Row and column positions
-in error messages are 1-based.
+array of arrays, and keeps an integer of more than 20 characters as text
+so that its refusal never converts it. TransitionMatrix is the one
+validator of shape and entries, whether built from text or directly.
+Row and column positions in error messages are 1-based.
 """
 
 from __future__ import annotations
@@ -117,9 +118,23 @@ def _parse_row_string(text: str) -> TransitionMatrix:
     return TransitionMatrix.from_rows(rows)
 
 
+class _LongInteger(str):
+    """A JSON integer too long to echo, kept as text for TransitionMatrix to refuse."""
+
+    def __repr__(self) -> str:
+        return f"<integer of {len(self.lstrip('-'))} digits>"
+
+
+def _json_int(token: str):
+    # int() refuses more than 4,300 digits on some interpreters, with a
+    # message about Python, and takes any length on others; no entry but
+    # 0 or 1 is valid, so a long one is not converted at all
+    return _LongInteger(token) if len(token) > 20 else int(token)
+
+
 def _parse_json(text: str) -> TransitionMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON matrix: {exc}") from exc
     except RecursionError:

@@ -1,14 +1,19 @@
 """Perron data of a 0/1 transition matrix.
 
 The matrix is read as a directed graph on the symbols, with an edge
-i -> j when entry (i, j) = 1. Its strong components ("classes") give
-irreducibility, and the gcd of their cycle lengths gives the period.
-Every class's diagonal block is iterated on its own, plus I unless the
-matrix is a single aperiodic class: the shift moves the spectrum by
-exactly 1 and opens a spectral gap, so every iterated block is
-primitive. A reducible matrix is never iterated as a whole, since tied
-or periodic classes make that iteration stall. The left Perron vector
-of a block comes from iterating the transpose of the same matrix.
+i -> j when entry (i, j) = 1. The transitive closure of that graph, as
+bit sets, answers every "who reaches whom": it gives the strong
+components ("classes"), hence irreducibility; it lists them sinks
+first, because the eigenvector solves below complete a class from the
+classes it reaches, so those must come before it; and it decides which
+classes are distinguished. The gcd of the classes' cycle lengths gives
+the period. Every class's diagonal block is iterated on its own, plus
+I unless the matrix is a single aperiodic class: the shift moves the
+spectrum by exactly 1 and opens a spectral gap, so every iterated
+block is primitive. A reducible matrix is never iterated as a whole,
+since tied or periodic classes make that iteration stall. The left
+Perron vector of a block comes from iterating the transpose of the
+same matrix.
 
 An irreducible matrix takes lambda and both eigenvectors from its one
 block; otherwise lambda is the largest block radius. A class of radius
@@ -157,51 +162,20 @@ def certified_radius_lower(M: TransitionMatrix) -> Fraction:
 
 
 def strong_components(succ) -> list[list[int]]:
-    """Strongly connected components (Tarjan, iterative), each sorted."""
-    d = len(succ)
-    index = [-1] * d
-    low = [0] * d
-    on_stack = [False] * d
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    """Strongly connected components, each sorted, sinks first.
 
-    for root in range(d):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work.pop()
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(ptr, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
+    Both come from the reach sets of `_reach`: two symbols share a
+    component exactly when they reach the same symbols, and a component
+    that reaches another reaches strictly more symbols than it, so
+    listing the components by the size of their reach set puts each one
+    after every component it reaches.
+    """
+    reach = _reach(succ)
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(reach):
+        classes.setdefault(r, []).append(i)
+    # a stable sort: classes of equal size stay in order of first symbol
+    return sorted(classes.values(), key=lambda c: reach[c[0]].bit_count())
 
 
 def graph_period(succ, comps) -> int:
@@ -229,16 +203,17 @@ def graph_period(succ, comps) -> int:
     return g if g else 1
 
 
-def _reachable(succ, starts) -> set[int]:
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _reach(succ) -> list[int]:
+    """Transitive closure as bit sets (Warshall, J. ACM 9, 1962).
+
+    Bit j of reach[i] is set when a path of length >= 0 leads from i
+    to j. It takes d^2 steps on d-bit integers.
+    """
+    reach = [sum(1 << j for j in set(row)) | 1 << i for i, row in enumerate(succ)]
+    for k in range(len(reach)):
+        through = reach[k]
+        reach = [r | through if r >> k & 1 else r for r in reach]
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +224,12 @@ def _class_blocks(M: TransitionMatrix):
     """Classes of M and the Perron data of their diagonal blocks.
 
     Returns (succ, comps, period, a, blocks) with a the rows of M as
-    floats, comps in Tarjan's sinks-first order and blocks[c] = (radius,
-    right iterate, iterated matrix) of class c, the iterate positive and
-    summing to 1. The iterated matrix is the class's diagonal block plus
-    I, unless M is a single aperiodic class; either way it is primitive.
-    A class of one symbol without a self-loop iterates [1] and has
-    radius 0.
+    floats, comps sinks first as `strong_components` lists them and
+    blocks[c] = (radius, right iterate, iterated matrix) of class c, the
+    iterate positive and summing to 1. The iterated matrix is the class's
+    diagonal block plus I, unless M is a single aperiodic class; either
+    way it is primitive. A class of one symbol without a self-loop
+    iterates [1] and has radius 0.
     """
     succ = M.successor_table()
     comps = strong_components(succ)
@@ -284,9 +259,13 @@ def _reducible_perron(a, succ, comps, blocks):
     radii = [block[0] for block in blocks]
     lam = max(radii)
     top = [c for c, rad in enumerate(radii) if rad >= lam * (1.0 - 1e-8)]
-    reach = {c: _reachable(succ, [comps[c][0]]) for c in top}
-    right_seeds = [c for c in top if not any(e != c and comps[c][0] in reach[e] for e in top)]
-    left_seeds = [c for c in top if not any(e != c and comps[e][0] in reach[c] for e in top)]
+    reach = _reach(succ)
+
+    def reaches(c, e):
+        return reach[comps[c][0]] >> comps[e][0] & 1
+
+    right_seeds = [c for c in top if not any(e != c and reaches(e, c) for e in top)]
+    left_seeds = [c for c in top if not any(e != c and reaches(c, e) for e in top)]
 
     sinks_first = range(len(comps))
     sources_first = range(len(comps) - 1, -1, -1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -193,6 +194,35 @@ def test_nested_json_matrix_exits_2_with_one_error_line(capsys, tmp_path, depth,
         text = f"@{path}"
     code, out, err = run_cli(capsys, "analyze", "-m", text)
     assert (code, out, err) == (2, "", "error: invalid JSON matrix: nested too deeply\n")
+
+
+@pytest.mark.parametrize("digit_limit", [None, 0])
+def test_json_entry_past_the_digit_limit_exits_2_with_a_short_error_line(capsys, digit_limit):
+    # int() refuses 5,001 digits where a limit is set (3.11 on), and a
+    # limit of 0 stands for an interpreter without one: both read alike
+    text = "[[1" + "0" * 5000 + "]]"
+    if digit_limit is None:
+        code, out, err = run_cli(capsys, "analyze", "-m", text)
+    else:
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("this interpreter has no int digit limit to lift")
+        saved = sys.get_int_max_str_digits()
+        set_limit(digit_limit)
+        try:
+            code, out, err = run_cli(capsys, "analyze", "-m", text)
+        finally:
+            set_limit(saved)
+    expected = "error: entry <integer of 5001 digits> is not 0 or 1 (row 1, column 1)\n"
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_matrix_file_that_is_not_utf8_is_named_in_one_error_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff11\n10\n")
+    code, out, err = run_cli(capsys, "analyze", "-m", f"@{path}")
+    expected = f"error: matrix file {path} is not UTF-8 text: byte 0xff at position 0\n"
+    assert (code, out, err) == (2, "", expected)
 
 
 def test_matrix_file_missing(capsys, tmp_path):

@@ -43,6 +43,15 @@ def test_json_rejects_out_of_range_entries():
         parse_matrix("[[2, 0], [1, 1]]")
 
 
+def test_json_integers_past_20_characters_are_refused_by_their_length():
+    # such an entry is never converted, so the message is short and does
+    # not depend on the interpreter's int digit limit
+    for token, shown in [("1" + "0" * 19, "1" + "0" * 19), ("1" + "0" * 20, "<integer of 21 digits>"),
+                         ("-" + "1" * 20, "<integer of 20 digits>")]:
+        with pytest.raises(BadChar, match=rf"^entry {shown} is not 0 or 1 \(row 2, column 1\)$"):
+            parse_matrix(f"[[1, 1], [{token}, 1]]")
+
+
 def test_non_square_reports_shape():
     with pytest.raises(NonSquare):
         parse_matrix("110,10,01")

@@ -1,9 +1,11 @@
 """Property tests of the spectral layer over random small matrices.
 
-The radius is checked against the exact characteristic polynomial and
-the eigenvector supports against the distinguished-class rule, both
-computed here from first principles: classes from the transitive
-closure of the graph, class radii from the polynomials of their blocks.
+The radius is checked against the exact characteristic polynomial, the
+eigenvector supports against the distinguished-class rule, and the
+classes of `strong_components` and their order against the closure,
+all computed here from first principles: classes from the transitive
+closure of the graph (a bool matrix, apart from the package's bit
+sets), class radii from the polynomials of their blocks.
 The power-iteration and log-domain kernels are checked bit for bit
 against their plain loop forms in `oracles`.
 """
@@ -67,6 +69,27 @@ def expected_supports(rows):
     right = {u for u in range(d) if any(r[u][c] for c in right_dist)}
     left = {v for v in range(d) if any(r[c][v] for c in left_dist)}
     return right, left
+
+
+@st.composite
+def successor_tables(draw):
+    d = draw(st.integers(1, 8))
+    return tuple(tuple(sorted(draw(st.sets(st.integers(0, d - 1))))) for _ in range(d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(successor_tables())
+def test_strong_components_are_the_closure_classes_sinks_first(succ):
+    # `_class_solve` completes each class from the classes it reaches, so
+    # those must be listed before it
+    d = len(succ)
+    r = closure([[int(v in row) for v in range(d)] for row in succ])
+    comps = spectral.strong_components(succ)
+    classes = {tuple(v for v in range(d) if r[u][v] and r[v][u]) for u in range(d)}
+    assert all(comp == sorted(comp) for comp in comps)
+    assert sorted(map(tuple, comps)) == sorted(classes)
+    for p, earlier in enumerate(comps):
+        assert not any(r[earlier[0]][later[0]] for later in comps[p + 1 :])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
