@@ -9,14 +9,15 @@ Exit code 0 means all evaluated checks passed, 1 means some numeric check
 failed, 2 means the input was unusable. All output is deterministic for
 fixed flags and seeds; --out redirects the report to a file. The
 argument parser is built once per process, on the first `main` call;
-importing the module builds none.
+importing the module builds none. `json` is imported by the JSON branch
+of `main` alone (and by the parser of a JSON matrix), so the default
+table and CSV forms start without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import NamedTuple
@@ -626,6 +627,8 @@ def main(argv=None) -> int:
     try:
         report = HANDLERS[args.command](args)
         if args.format == "json":
+            import json
+
             text = json.dumps(report.json, indent=2) + "\n"
         else:
             text = "\n".join(getattr(report, args.format)) + "\n"

@@ -11,13 +11,15 @@ The parsers only tokenize: the row-string parser refuses characters
 other than 0 and 1, the JSON parser refuses bad JSON and anything but an
 array of arrays, and keeps an integer of more than 20 characters as text
 so that its refusal never converts it. TransitionMatrix is the one
-validator of shape and entries, whether built from text or directly.
-Row and column positions in error messages are 1-based.
+validator of shape and entries, whether built from text or directly;
+it names a bad entry by its type and repr length when the repr is long,
+rather than echo it. Row and column positions in error messages are
+1-based. `json` is imported by the JSON parser alone, so a row-string
+matrix never loads it.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 
@@ -65,7 +67,10 @@ class TransitionMatrix(NamedTuple("_Rows", [("rows", tuple[tuple[int, ...], ...]
                 raise NonSquare(f"{d} rows but {len(row)} entries", row=i + 1)
             for j, e in enumerate(row):
                 if type(e) is not int or e not in (0, 1):
-                    raise BadChar(f"entry {e!r} is not 0 or 1", row=i + 1, col=j + 1)
+                    shown = repr(e)
+                    if len(shown) > 40:  # a long repr is named, not echoed
+                        shown = f"<{type(e).__name__} whose repr has {len(shown)} characters>"
+                    raise BadChar(f"entry {shown} is not 0 or 1", row=i + 1, col=j + 1)
         for i, row in enumerate(self.rows):
             if not any(row):
                 raise RowOrColumnZero(f"symbol {i + 1} has no successors (row {i + 1} is zero)")
@@ -133,6 +138,8 @@ def _json_int(token: str):
 
 
 def _parse_json(text: str) -> TransitionMatrix:
+    import json
+
     try:
         data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:

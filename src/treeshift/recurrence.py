@@ -49,14 +49,14 @@ one-dimensional recurrences, and the sandwich bounds for the k-ary
 entropy of a shift with maximum row sum s. The golden q ratios
 q(n) = p(n)/p(n-1)^2 come from their own exact map q(n+1) = 1 + 1/q(n)^2,
 run on certified fixed-point intervals, so they need no big integers at
-any depth.
+any depth. `decimal` is imported by `golden_power_bounds` alone, the one
+caller of its logarithm, so no other command loads it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from decimal import Context
 from typing import NamedTuple, Sequence
 
 from .matrix import TransitionMatrix
@@ -477,6 +477,8 @@ def golden_power_bounds(a_seq: Sequence[int]) -> list[PowerBoundCheck]:
     ln A(n) - E ln gamma is the 50-digit decimal logarithm of the same
     ratio, rounded to a float.
     """
+    from decimal import Context
+
     context = Context(prec=50)
     checks = []
     index, fib, fib_next = 0, 0, 1  # F_index and F_(index + 1)

@@ -39,7 +39,8 @@ sum, in the matrix-vector products of the iteration included, adds its
 terms left to right, so the bits of a result do not depend on a BLAS
 kernel or on the Python version. The class solves use Gaussian
 elimination with partial pivoting in the operation order of LAPACK's
-dgetf2 and dgetrs.
+dgetf2 and dgetrs. `fractions` is imported by `certified_radius_lower`
+alone, the one exact evaluation, so the float path never loads it.
 
 All logarithms are natural.
 """
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from fractions import Fraction
 from typing import NamedTuple
 
 from .matrix import TransitionMatrix
@@ -151,6 +151,8 @@ def certified_radius_lower(M: TransitionMatrix) -> Fraction:
     tight to the iteration tolerance, reducible matrices included, and
     exactly equal to the radius when the block has constant row sums.
     """
+    from fractions import Fraction
+
     succ, comps, _, _, blocks = _class_blocks(M)
     top = max(range(len(comps)), key=lambda c: blocks[c][0])
     w = {i: Fraction(float(v)) for i, v in zip(comps[top], blocks[top][1])}

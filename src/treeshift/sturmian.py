@@ -3,9 +3,11 @@
 A slope alpha in (0,1) defines the mechanical word
 s(n) = floor((n+1) alpha) - floor(n alpha), n >= 1. Slopes enter as
 exact fractions with a stated error bound (continued-fraction
-convergents preferred); every floor is evaluated in exact integer
-arithmetic and certified against the error bound, so a word is either
-correct or the computation refuses with PrecisionExhausted.
+convergents preferred; `fractions` is imported where a convergent is
+built, so only Sturmian commands load it); every floor is evaluated in
+exact integer arithmetic and certified against the error bound, so a
+word is either correct or the computation refuses with
+PrecisionExhausted.
 
 Factors are harvested from the first HARVEST_WINDOW symbols into a
 FactorOracle: one set of every factor up to length ORACLE_LEN + 1, from
@@ -40,8 +42,9 @@ path word and its swap bit, each state picks the row of its children's
 labels and states, and numpy gathers those rows for every node of a
 level into one preallocated label buffer. The coins are drawn chunk by
 chunk, m at a time from one getrandbits(32 m), which equals m
-single-bit draws. The random tree keeps no graph, since its subtrees
-depend on the coins, so its census runs on its labels. numpy is
+single-bit draws, from a `random.Random` that only the random labeling
+imports. The random tree keeps no graph, since its subtrees depend on
+the coins, so its census runs on its labels. numpy is
 imported by the expansion, the coins and the census of a label array
 alone, so slopes, words, factor oracles, the word graph of a lex tree
 and its census run without loading it, and so do lex table and CSV
@@ -50,9 +53,7 @@ outputs.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from fractions import Fraction
 
 from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_count
 
@@ -106,6 +107,8 @@ class SturmianParams:
             raise ValueError("first term must be 0 for a slope in (0, 1)")
         if any(t < 1 for t in terms[1:]):
             raise ValueError("continued-fraction terms after the first must be >= 1")
+        from fractions import Fraction
+
         p_prev, p_cur = 1, terms[0]
         q_prev, q_cur = 0, 1
         for a in terms[1:]:
@@ -256,6 +259,8 @@ def label_tree_random(
         raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
     if depth not in oracle._graphs:
         oracle._graphs[depth] = _word_graph(oracle, depth)
+    import random
+
     rng = random.Random(seed)
     labels = oracle._graphs[depth].expand(2, depth, lambda m: _coin_bits(rng, m))
     return LabeledTree(2, depth, labels)

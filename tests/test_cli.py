@@ -217,6 +217,13 @@ def test_json_entry_past_the_digit_limit_exits_2_with_a_short_error_line(capsys,
     assert (code, out, err) == (2, "", expected)
 
 
+def test_long_string_entry_exits_2_with_a_short_error_line(capsys):
+    # a JSON string entry is named by its type and repr length, not echoed
+    code, out, err = run_cli(capsys, "analyze", "-m", '[["' + "x" * 3000 + '"]]')
+    expected = "error: entry <str whose repr has 3002 characters> is not 0 or 1 (row 1, column 1)\n"
+    assert (code, out, err) == (2, "", expected)
+
+
 def test_matrix_file_that_is_not_utf8_is_named_in_one_error_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"\xff11\n10\n")

@@ -286,3 +286,68 @@ print(codes, sorted({"dataclasses", "inspect", "pathlib"} & set(sys.modules)))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[0, 0, 0, 0, 0] []"
+
+
+def test_cli_cold_start_imports_json_decimal_fractions_and_random_where_used():
+    # each of these modules is imported where its one command uses it,
+    # so the default forms of analyze, table and kary start without
+    # them; -S keeps site from preloading random. Each moved import
+    # then runs in a fresh interpreter of its own, where nothing has
+    # loaded its module before the call, and gives the in-process bytes
+    import numpy
+
+    src = str(Path(treeshift.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """
+import contextlib, io, sys
+import treeshift.cli as cli
+runs = [["analyze", "-m", "011,111,101"], ["analyze", "-m", "011,111,101", "--format", "csv"],
+        ["table"], ["kary"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes, sorted({"json", "decimal", "fractions", "random"} & set(sys.modules)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0, 0, 0] []"
+
+    # one call per moved import, run here and in each fresh interpreter
+    call = """
+import contextlib, io, sys
+import treeshift.cli as cli
+from treeshift.matrix import parse_matrix
+from treeshift.spectral import certified_radius_lower
+
+def call(argv):
+    if argv[0] == "certified_radius_lower":
+        return 0, repr(certified_radius_lower(parse_matrix(argv[1])))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return cli.main(argv), out.getvalue()
+"""
+    namespace = {}
+    exec(call, namespace)
+    code = call + """
+module, argv = sys.argv[1], sys.argv[2:]
+before = module in sys.modules
+print(repr((before, *call(argv), module in sys.modules)))
+"""
+    # numpy's directory is put on the path, since -S leaves site-packages off
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(numpy.__file__).parents[1])]))
+    sites = [
+        ("json", ["analyze", "-m", "011,111,101", "-n", "6", "--format", "json"]),
+        ("json", ["analyze", "-m", "[[0, 1, 1], [1, 1, 1], [1, 0, 1]]", "-n", "6"]),
+        ("decimal", ["golden", "-n", "8"]),
+        ("fractions", ["sturmian", "-n", "8", "--blocks", "3", "--format", "csv"]),
+        ("fractions", ["certified_radius_lower", "011,111,101"]),
+        ("random", ["sturmian", "--mode", "random", "-n", "6", "--blocks", "2", "--format", "csv"]),
+    ]
+    for module, argv in sites:
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, module, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, (argv, result.stderr)
+        assert ast.literal_eval(result.stdout) == (False, *namespace["call"](argv), True), argv
