@@ -161,7 +161,7 @@ def cmd_analyze(args) -> Report:
     deviation = None
     if args.exact:
         deviation = log_deviation(run(M, params, mode="exact"), series)
-    bound = upper_bound(spectral)
+    bound = upper_bound(spectral, args.arity)
     window = kary_bounds(max(M.row_sums()), args.arity)
     h_tree = series.final_h_acc()
     verdicts = order_checks(spectral, h_tree, bound) if spectral.irreducible else []

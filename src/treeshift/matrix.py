@@ -11,11 +11,13 @@ The parsers only tokenize: the row-string parser refuses characters
 other than 0 and 1, the JSON parser refuses bad JSON and anything but an
 array of arrays, and keeps an integer of more than 20 characters as text
 so that its refusal never converts it. TransitionMatrix is the one
-validator of shape and entries, whether built from text or directly;
-it names a bad entry by its type and repr length when the repr is long,
-rather than echo it. Row and column positions in error messages are
-1-based. `json` is imported by the JSON parser alone, so a row-string
-matrix never loads it.
+validator of shape and entries, whether built from text or directly; it
+names a bad entry by its type and repr length when the repr is long,
+rather than echo it, and an int of more than 133 bits by its bit count,
+without taking its repr, which may pass the interpreter's digit limit.
+Row and column positions in error messages are 1-based. `json` is
+imported by the JSON parser alone, so a row-string matrix never loads
+it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ class TransitionMatrix(NamedTuple("_Rows", [("rows", tuple[tuple[int, ...], ...]
                 raise NonSquare(f"{d} rows but {len(row)} entries", row=i + 1)
             for j, e in enumerate(row):
                 if type(e) is not int or e not in (0, 1):
-                    shown = repr(e)
+                    if type(e) is int and e.bit_length() > 133:
+                        # over 40 digits: sized, since its repr may pass the digit limit
+                        shown = f"<int of {e.bit_length()} bits>"
+                    else:
+                        shown = repr(e)
                     if len(shown) > 40:  # a long repr is named, not echoed
                         shown = f"<{type(e).__name__} whose repr has {len(shown)} characters>"
                     raise BadChar(f"entry {shown} is not 0 or 1", row=i + 1, col=j + 1)

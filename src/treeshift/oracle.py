@@ -36,8 +36,9 @@ is interned over them in numpy chunks, one pass over the roots per
 level whatever the block depth: a level with no more possible keys
 than roots keeps its ids in a dense table indexed by key, so a chunk
 costs one gather; other levels keep them in dicts, fed the distinct
-keys of each chunk. Each tree keeps the levels it has interned, so a
-profile over n = 0 .. n_max interns every level once, and a census
+keys of each chunk, as int64 where the level's keys fit and as exact
+Python ints past that. Each tree keeps the levels it has interned, so
+a profile over n = 0 .. n_max interns every level once, and a census
 deeper than the last resumes from it. The count comes from the
 interning alone; the blocks themselves are rebuilt, each from one tree
 node that carries it by slicing each level of the layout, only when a
@@ -70,14 +71,14 @@ MATERIALIZE_CAP = 40
 # Listings of more labelings are refused: every depth-3 binary listing
 # of the reference matrices fits (451,382 at most), no depth-4 one does.
 LISTING_BUDGET = 2**20
-# The census interns roots in chunks of this many: a chunk's int64 keys
-# are looked up in a dense id table, or deduplicated by one small
-# np.unique and merged into a running key -> id dict. Keys for a whole
-# level at once, with np.unique's sort order and inverse, would take
-# tens of bytes per root, several times the tree itself; 4096-root
-# chunks keep those transients at a few hundred kilobytes.
+# The census interns roots in chunks of this many: a chunk's keys are
+# looked up in a dense id table, or deduplicated by one small np.unique
+# and merged into a running key -> id dict. Keys for a whole level at
+# once, with np.unique's sort order and inverse, would take tens of
+# bytes per root, several times the tree itself; 4096-root chunks keep
+# those transients at a few hundred kilobytes.
 CENSUS_CHUNK = 4096
-_KEY_LIMIT = 2**63 - 1  # interned keys are int64
+_KEY_LIMIT = 2**63 - 1  # keys of a wider span are Python ints
 # WordGraph.expand gathers this many tree nodes at a time, their graph
 # ids widened to intp for np.take: 512 KiB of indices, where the
 # deepest level of a depth-24 tree at once would take 64 MiB.
@@ -437,45 +438,30 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
     Node i's children are k i + 1 .. k i + k. Returns the ids in the
     smallest unsigned dtype that holds them, the number of distinct ids,
     and one root per id. Each root's key packs its label and its
-    children's ids. Where the key span is no larger than the root count,
-    every key fits in int64 and indexes a dense table of ids. Otherwise
-    the keys go to running dicts; where a whole key would not fit in
-    int64, the children are folded in one at a time, and the partial key
-    is interned before the next child joins.
+    children's ids, below span = alphabet * width^k. Where the span is
+    no larger than the root count, the keys index a dense table of ids;
+    otherwise they go to a running dict, as int64 while the span fits
+    and as exact Python ints past it.
     """
     import numpy as np
 
     span = alphabet * width**k  # every key is below it
     out = np.empty(roots, dtype=np.min_scalar_type(min(roots, span) - 1))
     reps: list[int] = []
-    chunks = _chunks(labels, child_ids, k, roots)
     if span <= roots:
         # ids below span, and -1 for unseen keys
         table = np.full(span, -1, dtype=np.min_scalar_type(-span))
-        for lo, hi, key, kids in chunks:
-            for c in range(k):
-                key = key * width + kids[:, c]
-            out[lo:hi] = _intern_dense(table, key, reps, lo)
+        intern, dtype = partial(_intern_dense, table), np.int64
     else:
-        tables = [{} for _ in range(k + 1)]  # one per partial fold, the last for id_j
-        for lo, hi, key, kids in chunks:
-            span = alphabet  # key < span
-            for c in range(k):
-                if span * width > _KEY_LIMIT:
-                    key = _intern(tables[c], key)
-                    span = roots
-                key = key * width + kids[:, c]
-                span *= width
-            out[lo:hi] = _intern(tables[k], key, reps, lo)
-    return out, len(reps), reps
-
-
-def _chunks(labels, child_ids, k: int, roots: int):
-    """Per CENSUS_CHUNK roots: bounds, labels as int64 keys, children's ids."""
+        intern, dtype = partial(_intern, {}), np.int64 if span <= _KEY_LIMIT else object
     for lo in range(0, roots, CENSUS_CHUNK):
         hi = min(lo + CENSUS_CHUNK, roots)
         kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
-        yield lo, hi, labels[lo:hi].astype("int64"), kids
+        key = labels[lo:hi].astype(dtype)
+        for c in range(k):
+            key = key * width + kids[:, c]
+        out[lo:hi] = intern(key, reps, lo)
+    return out, len(reps), reps
 
 
 def _intern_dense(table, keys, reps: list, offset: int):
@@ -497,7 +483,7 @@ def _intern_dense(table, keys, reps: list, offset: int):
     return ids
 
 
-def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
+def _intern(table: dict, keys, reps: list, offset: int):
     """Ids of `keys` in a running dict, adding the keys it lacks.
 
     Each call deduplicates its keys with one np.unique and looks up
@@ -512,8 +498,7 @@ def _intern(table: dict, keys, reps: list | None = None, offset: int = 0):
     ids = np.fromiter(
         (table.setdefault(u, len(table)) for u in uniq.tolist()), np.int64, len(uniq)
     )
-    if reps is not None:
-        reps.extend((first[ids >= known] + offset).tolist())
+    reps.extend((first[ids >= known] + offset).tolist())
     return ids[inverse]
 
 

@@ -2,18 +2,18 @@
 
 The matrix is read as a directed graph on the symbols, with an edge
 i -> j when entry (i, j) = 1. The transitive closure of that graph, as
-bit sets, answers every "who reaches whom": it gives the strong
-components ("classes"), hence irreducibility; it lists them sinks
-first, because the eigenvector solves below complete a class from the
-classes it reaches, so those must come before it; and it decides which
-classes are distinguished. The gcd of the classes' cycle lengths gives
-the period. Every class's diagonal block is iterated on its own, plus
-I unless the matrix is a single aperiodic class: the shift moves the
-spectrum by exactly 1 and opens a spectral gap, so every iterated
-block is primitive. A reducible matrix is never iterated as a whole,
-since tied or periodic classes make that iteration stall. The left
-Perron vector of a block comes from iterating the transpose of the
-same matrix.
+bit sets and built once per matrix, answers every "who reaches whom":
+it gives the strong components ("classes"), hence irreducibility; it
+lists them sinks first, because the eigenvector solves below complete
+a class from the classes it reaches, so those must come before it; and
+it decides which classes are distinguished. The gcd of the classes'
+cycle lengths gives the period. Every class's diagonal block is
+iterated on its own, plus I unless the matrix is a single aperiodic
+class: the shift moves the spectrum by exactly 1 and opens a spectral
+gap, so every iterated block is primitive. A reducible matrix is never
+iterated as a whole, since tied or periodic classes make that
+iteration stall. The left Perron vector of a block comes from
+iterating the transpose of the same matrix.
 
 An irreducible matrix takes lambda and both eigenvectors from its one
 block; otherwise lambda is the largest block radius. A class of radius
@@ -101,13 +101,13 @@ def analyze_matrix(M: TransitionMatrix) -> SpectralData:
     with a spectral gap, so the cap binds only for a gap far below this
     scale.
     """
-    succ, comps, period, a, blocks = _class_blocks(M)
+    reach, comps, period, a, blocks = _class_blocks(M)
     irreducible = len(comps) == 1
     if irreducible:
         lam, right, b = blocks[0]
         _, left = _power_iteration(_transpose(b))
     else:
-        lam, right, left = _reducible_perron(a, succ, comps, blocks)
+        lam, right, left = _reducible_perron(a, reach, comps, blocks)
 
     rmax = max(right)
     right = tuple(x / rmax for x in right)
@@ -130,14 +130,27 @@ def analyze_matrix(M: TransitionMatrix) -> SpectralData:
     )
 
 
-def upper_bound(S: SpectralData) -> float:
-    """Entropy upper bound (1/2) log(ratio) + log(spectral radius).
+def upper_bound(S: SpectralData, arity: int = 2) -> float:
+    """Upper bound log(radius) + (1 - 1/k) log(ratio) on the arity-k tree entropy.
 
-    +inf when the eigenvector ratio is infinite.
+    With x_i(n) the valid depth-n labelings rooted at symbol i, so that
+    x_i(n+1) = (sum_{j in S_i} x_j(n))^k, and r the right Perron vector
+    scaled to r_min = 1, so that r_max is R, the ratio:
+
+    1. x_j(0) = 1 <= r_j, so B_0 = 1.
+    2. If x_j(n) <= B_n r_j for every j, then
+       sum_{j in S_i} x_j(n) <= B_n lambda r_i,
+    3. so x_i(n+1) <= B_n^k lambda^k r_i^k <= (B_n^k lambda^k R^(k-1)) r_i.
+    4. Hence log B_n = (k^n - 1)/(k - 1) (k log lambda + (k - 1) log R),
+    5. and since p(n) <= B_n d R, the tree entropy satisfies
+       h = (k - 1) lim log p(n) / k^(n+1) <= log lambda + (1 - 1/k) log R.
+
+    At k = 2 the factor (k - 1)/k is exactly 1/2. +inf when the
+    eigenvector ratio is infinite.
     """
     if math.isinf(S.ratio):
         return math.inf
-    return 0.5 * math.log(S.ratio) + S.sft_entropy
+    return (arity - 1) / arity * math.log(S.ratio) + S.sft_entropy
 
 
 def certified_radius_lower(M: TransitionMatrix) -> Fraction:
@@ -153,17 +166,17 @@ def certified_radius_lower(M: TransitionMatrix) -> Fraction:
     """
     from fractions import Fraction
 
-    succ, comps, _, _, blocks = _class_blocks(M)
+    _, comps, _, _, blocks = _class_blocks(M)
     top = max(range(len(comps)), key=lambda c: blocks[c][0])
     w = {i: Fraction(float(v)) for i, v in zip(comps[top], blocks[top][1])}
-    return min(sum(w[j] for j in succ[i] if j in w) / w[i] for i in comps[top])
+    return min(sum(w[j] for j in w if M.rows[i][j]) / w[i] for i in comps[top])
 
 
 # ---------------------------------------------------------------------------
 # graph structure
 
 
-def strong_components(succ) -> list[list[int]]:
+def strong_components(reach) -> list[list[int]]:
     """Strongly connected components, each sorted, sinks first.
 
     Both come from the reach sets of `_reach`: two symbols share a
@@ -172,7 +185,6 @@ def strong_components(succ) -> list[list[int]]:
     listing the components by the size of their reach set puts each one
     after every component it reaches.
     """
-    reach = _reach(succ)
     classes: dict[int, list[int]] = {}
     for i, r in enumerate(reach):
         classes.setdefault(r, []).append(i)
@@ -225,8 +237,9 @@ def _reach(succ) -> list[int]:
 def _class_blocks(M: TransitionMatrix):
     """Classes of M and the Perron data of their diagonal blocks.
 
-    Returns (succ, comps, period, a, blocks) with a the rows of M as
-    floats, comps sinks first as `strong_components` lists them and
+    Returns (reach, comps, period, a, blocks) with reach the closure of
+    `_reach`, a the rows of M as floats, comps sinks first as
+    `strong_components` lists them and
     blocks[c] = (radius, right iterate, iterated matrix) of class c, the
     iterate positive and summing to 1. The iterated matrix is the class's
     diagonal block plus I, unless M is a single aperiodic class; either
@@ -234,7 +247,8 @@ def _class_blocks(M: TransitionMatrix):
     iterates [1] and has radius 0.
     """
     succ = M.successor_table()
-    comps = strong_components(succ)
+    reach = _reach(succ)
+    comps = strong_components(reach)
     period = graph_period(succ, comps)
     a = [[float(v) for v in row] for row in M.rows]
     shift = 1.0 if len(comps) > 1 or period > 1 else 0.0
@@ -243,10 +257,10 @@ def _class_blocks(M: TransitionMatrix):
         b = [[a[i][j] + (shift if i == j else 0.0) for j in comp] for i in comp]
         lam, x = _power_iteration(b)
         blocks.append((lam - shift, x, b))
-    return succ, comps, period, a, blocks
+    return reach, comps, period, a, blocks
 
 
-def _reducible_perron(a, succ, comps, blocks):
+def _reducible_perron(a, reach, comps, blocks):
     """(lambda, right, left) of a reducible matrix from its class blocks.
 
     Classes whose radius attains lambda (within a relative 1e-8, safe
@@ -261,7 +275,6 @@ def _reducible_perron(a, succ, comps, blocks):
     radii = [block[0] for block in blocks]
     lam = max(radii)
     top = [c for c, rad in enumerate(radii) if rad >= lam * (1.0 - 1e-8)]
-    reach = _reach(succ)
 
     def reaches(c, e):
         return reach[comps[c][0]] >> comps[e][0] & 1

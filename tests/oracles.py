@@ -3,13 +3,14 @@
 Everything here is implemented from first principles, deliberately
 avoiding the code paths under test: characteristic polynomials are
 expanded exactly over the rationals, block counts come from filtering
-the full product space, tree censuses from one window per root, golden
-mean q ratios from big-integer division, the Fibonacci word from its
-substitution rule, mechanical words from Fraction arithmetic, and
-lexicographic and seeded random Sturmian trees node by node from their
-path words. The kernels of power iteration and of the log-domain
-recurrence are kept here in their plain loop form, one operation after
-another, as references that the faster kernels must match bit for bit.
+the full product space or from their recurrence in exact integers, tree
+censuses from one window per root, golden mean q ratios from
+big-integer division, the Fibonacci word from its substitution rule,
+mechanical words from Fraction arithmetic, and lexicographic and seeded
+random Sturmian trees node by node from their path words. The kernels
+of power iteration and of the log-domain recurrence are kept here in
+their plain loop form, one operation after another, as references that
+the faster kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -294,6 +295,18 @@ def valid_matrices(d: int) -> list[tuple[tuple[int, ...], ...]]:
         if all(any(row) for row in rows) and all(any(col) for col in zip(*rows)):
             out.append(rows)
     return out
+
+
+def exact_counts(successors, arity: int, depth: int) -> tuple[int, ...]:
+    """x_i(depth), the valid labelings of the depth-`depth` tree rooted at i.
+
+    x_i(0) = 1 and x_i(n+1) = (sum of x_j(n) over the successors j of
+    i)^arity, in exact integers.
+    """
+    x = (1,) * len(successors)
+    for _ in range(depth):
+        x = tuple(sum(x[j] for j in s) ** arity for s in successors)
+    return x
 
 
 def permute_rows(rows, perm):

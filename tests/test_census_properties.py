@@ -90,17 +90,35 @@ def test_census_of_trees_with_all_blocks_distinct(arity, depth):
     assert distinct >= 3  # every root carries its own block at these depths
 
 
+@pytest.mark.parametrize("limit", [1, 100])
 @pytest.mark.parametrize("arity", [2, 3])
-def test_census_folding_one_child_at_a_time(arity, monkeypatch):
-    # with no room in a key, every child is folded into an interned
-    # partial key, the path that keys too wide for int64 take
-    monkeypatch.setattr(oracle, "_KEY_LIMIT", 1)
+def test_census_with_python_int_keys(arity, limit, monkeypatch):
+    # a dict level whose key span passes the limit interns exact Python
+    # ints, the path of keys too wide for int64: at limit 1 every dict
+    # level takes it, at 100 a census mixes int64 and Python-int levels
+    monkeypatch.setattr(oracle, "_KEY_LIMIT", limit)
     rng = random.Random(7)
     for depth in range(5):
         labels = [rng.randrange(3) for _ in range(node_count(arity, depth))]
         tree = LabeledTree(arity, depth, bytes(labels))
         for n in range(depth + 1):
             assert_census_matches(tree, n)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_one_census_interns_int64_and_python_int_keys(arity, monkeypatch):
+    monkeypatch.setattr(oracle, "_KEY_LIMIT", 100)
+    original, kinds = oracle._intern, set()
+
+    def intern(table, keys, *rest):
+        kinds.add(keys.dtype.kind)
+        return original(table, keys, *rest)
+
+    monkeypatch.setattr(oracle, "_intern", intern)
+    rng = random.Random(7)
+    tree = LabeledTree(arity, 4, bytes(rng.randrange(3) for _ in range(node_count(arity, 4))))
+    assert_census_matches(tree, 4)
+    assert kinds == {"i", "O"}  # int64 keys, and Python ints in an object array
 
 
 def periodic_tree(arity, depth, period):

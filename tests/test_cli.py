@@ -113,6 +113,18 @@ def test_analyze_log_count_overflow_refused(capsys):
     assert "log p(1022)" in err
 
 
+@pytest.mark.parametrize(
+    "matrix, arity, bound", [("011,100,100", "4", "0.606504"), ("010,001,110", "6", "0.749866")]
+)
+def test_analyze_checks_the_upper_bound_at_its_arity(capsys, matrix, arity, bound):
+    # the binary bound, 0.519860 and 0.562399, is below their tree
+    # entropies at these arities
+    code, out, err = run_cli(capsys, "analyze", "-m", matrix, "-k", arity)
+    assert (code, err) == (0, "")
+    assert f"upper bound {bound}" in out
+    assert "verdict tree_entropy <= upper_bound + 0.01: pass" in out
+
+
 def test_analyze_single_symbol_leaves_h2_undefined(capsys):
     # one symbol: p(n) = 1, so log p(n) = 0 and h2(n) = log log p(n) / n has no value
     code, out, err = run_cli(capsys, "analyze", "-m", "1")

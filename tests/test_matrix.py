@@ -1,6 +1,7 @@
 """Parsing and validation of transition matrices."""
 
 import json
+import sys
 
 import pytest
 
@@ -91,6 +92,27 @@ def test_direct_construction_is_validated_like_parsed_text():
         TransitionMatrix(((1, 1), (1,)))
     with pytest.raises(BadChar, match=r"^entry True is not 0 or 1 \(row 1, column 1\)$"):
         TransitionMatrix(((True, False), (True, True)))
+
+
+@pytest.mark.parametrize("digit_limit", [None, 0])
+def test_an_int_entry_past_the_digit_limit_is_named_by_its_size(digit_limit):
+    # repr of 10^5000 raises where a digit limit is set (3.11 on); a limit
+    # of 0 stands for an interpreter without one: both read alike
+    expected = r"^entry <int of 16610 bits> is not 0 or 1 \(row 1, column 1\)$"
+    if digit_limit is None:
+        with pytest.raises(BadChar, match=expected):
+            TransitionMatrix(((10**5000,),))
+        return
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this interpreter has no int digit limit to lift")
+    saved = sys.get_int_max_str_digits()
+    set_limit(digit_limit)
+    try:
+        with pytest.raises(BadChar, match=expected):
+            TransitionMatrix(((10**5000,),))
+    finally:
+        set_limit(saved)
 
 
 def test_from_rows_validates():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import char_poly, largest_real_root, permute_rows, valid_matrices
+from oracles import char_poly, exact_counts, largest_real_root, permute_rows, valid_matrices
 from treeshift import spectral
 from treeshift.matrix import TransitionMatrix, parse_matrix
 from treeshift.reference import PLASTIC_MATRIX, REFERENCE_ROWS
@@ -127,6 +127,26 @@ def test_reducible_second_row_finite_ratio():
     assert abs(upper_bound(S) - 2.0 * math.log(PHI)) < 1e-9
 
 
+def test_upper_bound_at_every_arity_lies_above_the_exact_lower_end():
+    # (k - 1) max_i log x_i(n) / k^(n+1) is at most the tree entropy; the
+    # depths take it past the binary bound of 33 of these pairs, as for
+    # 011,100,100 at k = 4 (h_4 = 0.5545 against 0.5199)
+    depths = {2: 14, 3: 9, 4: 7, 5: 6, 6: 5, 7: 5, 8: 5}
+    past_binary = 0
+    for d in (1, 2, 3):
+        for rows in valid_matrices(d):
+            m = TransitionMatrix(rows)
+            S = analyze_matrix(m)
+            if not S.irreducible:
+                continue
+            for k, n in depths.items():
+                x = exact_counts(m.successor_table(), k, n)
+                lower = (k - 1) * max(map(math.log, x)) / k ** (n + 1)
+                assert lower <= upper_bound(S, k), (rows, k)
+                past_binary += lower > upper_bound(S)
+    assert past_binary == 33
+
+
 def test_iteration_cap_raises_no_convergence(monkeypatch):
     # one step cannot meet the tolerance even on a primitive matrix
     monkeypatch.setattr(spectral, "MAX_ITER", 1)
@@ -209,13 +229,24 @@ def test_dense_primitive_64_symbols_within_budget():
 
 def test_graph_structure_helpers():
     golden = parse_matrix(GOLDEN).successor_table()
-    assert len(strong_components(golden)) == 1
-    assert graph_period(golden, strong_components(golden)) == 1
+    assert len(strong_components(spectral._reach(golden))) == 1
+    assert graph_period(golden, strong_components(spectral._reach(golden))) == 1
     osc = parse_matrix(OSCILLATING).successor_table()
-    assert len(strong_components(osc)) == 1
-    assert graph_period(osc, strong_components(osc)) == 2
+    assert len(strong_components(spectral._reach(osc))) == 1
+    assert graph_period(osc, strong_components(spectral._reach(osc))) == 2
     two = parse_matrix("10,01").successor_table()
-    assert len(strong_components(two)) == 2
+    assert len(strong_components(spectral._reach(two))) == 2
+
+
+@pytest.mark.parametrize("text", [GOLDEN, "110,101,001", "110,011,010", "10,01"])
+def test_one_closure_per_analysis(text, monkeypatch):
+    # an analysis builds one closure: a reducible matrix's classes, their
+    # order and its distinguished-class test all read it
+    calls = []
+    reach = spectral._reach
+    monkeypatch.setattr(spectral, "_reach", lambda succ: calls.append(succ) or reach(succ))
+    analyze_matrix(parse_matrix(text))
+    assert len(calls) == 1
 
 
 def test_certified_lower_bound_is_sound_and_tight():

@@ -84,7 +84,7 @@ def test_strong_components_are_the_closure_classes_sinks_first(succ):
     # those must be listed before it
     d = len(succ)
     r = closure([[int(v in row) for v in range(d)] for row in succ])
-    comps = spectral.strong_components(succ)
+    comps = spectral.strong_components(spectral._reach(succ))
     classes = {tuple(v for v in range(d) if r[u][v] and r[v][u]) for u in range(d)}
     assert all(comp == sorted(comp) for comp in comps)
     assert sorted(map(tuple, comps)) == sorted(classes)
