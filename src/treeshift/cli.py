@@ -162,7 +162,8 @@ def cmd_analyze(args) -> Report:
     if args.exact:
         deviation = log_deviation(run(M, params, mode="exact"), series)
     bound = upper_bound(spectral, args.arity)
-    window = kary_bounds(max(M.row_sums()), args.arity)
+    row_sums = M.row_sums()
+    window = kary_bounds(max(row_sums), args.arity)
     h_tree = series.final_h_acc()
     verdicts = order_checks(spectral, h_tree, bound) if spectral.irreducible else []
     status = 0 if all(ok for _, ok in verdicts) else 1
@@ -180,7 +181,7 @@ def cmd_analyze(args) -> Report:
             "irreducible": spectral.irreducible,
             "primitive": spectral.primitive,
             "period": spectral.period,
-            "row_sums": list(spectral.row_sums),
+            "row_sums": list(row_sums),
         },
         "upper_bound": bound,
         "row_sum_window": list(window),
@@ -198,7 +199,7 @@ def cmd_analyze(args) -> Report:
         f"spectral radius {_f(spectral.spectral_radius)}"
         f"  base entropy {_f(spectral.sft_entropy)}",
         f"eigenvector ratio {_f(spectral.ratio)}  upper bound {_f(bound)}",
-        f"row sums {','.join(str(t) for t in M.row_sums())}"
+        f"row sums {','.join(str(t) for t in row_sums)}"
         f"  row-sum window [{_f(window[0])}, {_f(window[1])}]",
         f"tree entropy h_acc({n}) {_f(h_tree)}"
         f"  h({n}) {_f(series.h[-1])}  h2({n}) {_f(series.h2[-1])}",
@@ -290,8 +291,7 @@ def cmd_golden(args) -> Report:
     bound_checks = golden_power_bounds(a_seq[: min(n_max, 10) + 1])
     exact = run(M, TreeParams(2, exact_depth), mode="exact")
     vector_ok = all(
-        sum(exact.exact[n]) == p[n] and exact.exact[n][0] == a_seq[n]
-        for n in range(exact_depth + 1)
+        sum(x) == total and x[0] == a for x, total, a in zip(exact.exact, p, a_seq, strict=True)
     )
     oracle_ok = all(
         enumerate_configs(M, 2, n).total == p[n] for n in range(4)

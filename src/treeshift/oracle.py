@@ -293,8 +293,11 @@ class BlockCensus:
 
 
 class EnumerationResult(NamedTuple):
-    arity: int
-    depth: int
+    """Listed labelings: the count per root symbol, their total and their census.
+
+    The census holds the arity and the depth.
+    """
+
     counts: tuple[int, ...]
     total: int
     census: BlockCensus
@@ -330,7 +333,7 @@ def enumerate_configs(M: TransitionMatrix, arity: int = 2, depth: int = 0) -> En
     counts = tuple(map(len, per_symbol))
     layouts = partial(_layouts, per_symbol, arity, depth)
     census = BlockCensus(arity, depth, M.d, sum(counts), layouts)
-    return EnumerationResult(arity, depth, counts, sum(counts), census)
+    return EnumerationResult(counts, sum(counts), census)
 
 
 def _compose_configs(succ, per_symbol, arity: int):

@@ -320,9 +320,8 @@ def log_deviation(exact: EntropySeries, approx: EntropySeries) -> float:
 
 def auto_depth(arity: int) -> int:
     """Smallest n whose depth-n subtree has at least 10^4 nodes."""
-    params = TreeParams(arity, 0)
     n = 0
-    while params.node_count(n) < 10**4:
+    while node_count(arity, n) < 10**4:
         n += 1
     return n
 

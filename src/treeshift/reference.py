@@ -165,7 +165,7 @@ def plastic_report(n_max: int = 15) -> dict:
         report["checks"][name] = {
             "computed": computed,
             "published": published,
-            "ok": abs(computed - published) <= tol,
+            "ok": _close(computed, published, tol),
         }
     vec_ok = all(
         abs(c - p) <= 0.01

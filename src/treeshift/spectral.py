@@ -89,7 +89,6 @@ class SpectralData(NamedTuple):
     irreducible: bool
     primitive: bool
     period: int
-    row_sums: tuple[int, ...]
 
 
 def analyze_matrix(M: TransitionMatrix) -> SpectralData:
@@ -126,7 +125,6 @@ def analyze_matrix(M: TransitionMatrix) -> SpectralData:
         irreducible=irreducible,
         primitive=irreducible and period == 1,
         period=period,
-        row_sums=M.row_sums(),
     )
 
 

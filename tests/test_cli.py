@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from treeshift import cli, recurrence, spectral
 from treeshift.cli import main
+from treeshift.matrix import TransitionMatrix
 from treeshift.oracle import LabeledTree
 
 GOLDEN = "11,10"
@@ -123,6 +127,15 @@ def test_analyze_checks_the_upper_bound_at_its_arity(capsys, matrix, arity, boun
     assert (code, err) == (0, "")
     assert f"upper bound {bound}" in out
     assert "verdict tree_entropy <= upper_bound + 0.01: pass" in out
+
+
+def test_analyze_reads_the_row_sums_once(capsys, monkeypatch):
+    # the row-sum window, the `row sums` line and the JSON value share one read
+    calls = []
+    row_sums = TransitionMatrix.row_sums
+    monkeypatch.setattr(TransitionMatrix, "row_sums", lambda self: calls.append(self) or row_sums(self))
+    code, _, _ = run_cli(capsys, "analyze", "-m", "011,111,101", "-n", "6")
+    assert (code, len(calls)) == (0, 1)
 
 
 def test_analyze_single_symbol_leaves_h2_undefined(capsys):
@@ -383,6 +396,15 @@ def test_golden_builds_big_integers_only_to_depth_15(capsys, monkeypatch):
     assert depths == [15, 15, 15]
 
 
+def test_golden_reads_the_exact_series_once(capsys, monkeypatch):
+    # every level's integers come from one read of `exact`, which fills them
+    calls = []
+    exact_level = recurrence.exact_level
+    monkeypatch.setattr(recurrence, "exact_level", lambda *a: calls.append(a) or exact_level(*a))
+    code, _, _ = run_cli(capsys, "golden")
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_golden_depth_floor(capsys):
     code, _, err = run_cli(capsys, "golden", "-n", "3")
     assert code == 2
@@ -411,6 +433,18 @@ def test_kary_depth_past_float_range(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "arity 3" in err and "n + 1 <= 646" in err
+
+
+def test_kary_builds_one_tree_params_per_arity(capsys, monkeypatch):
+    # the automatic depth comes from node_count, not from a TreeParams
+    built = []
+    init = recurrence.TreeParams.__init__
+    monkeypatch.setattr(
+        recurrence.TreeParams, "__init__", lambda self, *a: built.append(a) or init(self, *a)
+    )
+    code, _, _ = run_cli(capsys, "kary", "-k", "2,3,4,5")
+    assert code == 0
+    assert built == [(2, 13), (3, 9), (4, 7), (5, 6)]
 
 
 def test_kary_bad_arity_list(capsys):
@@ -578,3 +612,26 @@ def test_unknown_flag(capsys):
 
 def test_missing_required_matrix(capsys):
     assert main(["analyze"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# as a program
+
+
+def _as_program(*argv: str) -> subprocess.CompletedProcess:
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "treeshift.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+
+
+def test_the_module_runs_as_a_program_with_its_exit_codes(capsys):
+    # `python -m treeshift.cli` exits with main's status and prints its bytes
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN)
+    result = _as_program("analyze", "-m", GOLDEN)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
+    assert (code, err) == (0, "")
+    result = _as_program("analyze", "-m", "1x")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1

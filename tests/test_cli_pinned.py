@@ -12,7 +12,8 @@ Argparse usage errors are left out: their line wrapping follows the
 terminal width. Every call in a process shares one parser, so the
 commands are also replayed in one process in shuffled orders. The
 numpy-free commands are replayed under every other CPython 3.10-3.13
-found on PATH as well, and must print the same bytes there.
+found on PATH as well, and must print the same bytes there, and four
+commands must print the same bytes under two hash seeds.
 """
 
 import contextlib
@@ -171,6 +172,33 @@ def test_numpy_free_commands_print_the_same_bytes_on_other_pythons():
         assert len(replayed) == len(expected), name
         differing[name] = [" ".join(e["argv"]) for e, r in zip(expected, replayed) if e != r]
     assert differing == {name: [] for name in interpreters}
+
+
+# The factor oracle is a frozenset of str, whose iteration order follows
+# the hash seed, so no output may depend on that order.
+HASH_SEED_COMMANDS = [
+    ["sturmian", "-n", "14", "--format", "json"],
+    ["sturmian", "--mode", "random", "-n", "10", "--seed", "0,1,2", "--format", "json"],
+    ["analyze", "-m", "011,111,101", "--format", "json"],
+    ["table", "--format", "csv"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    expected = [capture(argv) for argv in HASH_SEED_COMMANDS]
+    assert [entry["code"] for entry in expected] == [0] * len(HASH_SEED_COMMANDS)
+    env = dict(os.environ, PYTHONPATH=str(Path(treeshift.__file__).parents[1]))
+    for seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", _REPLAY],
+            input=json.dumps(HASH_SEED_COMMANDS),
+            env=dict(env, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, f"PYTHONHASHSEED={seed}: {result.stderr}"
+        assert json.loads(result.stdout) == expected, f"PYTHONHASHSEED={seed}"
 
 
 if __name__ == "__main__":

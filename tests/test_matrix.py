@@ -82,6 +82,11 @@ def test_empty_input_rejected():
         parse_matrix("")
 
 
+def test_direct_construction_needs_a_row():
+    with pytest.raises(ParseError, match="^matrix needs at least one row$"):
+        TransitionMatrix(())
+
+
 def test_row_string_reports_a_bad_character_before_the_shape():
     with pytest.raises(BadChar, match=r"^character 'x' is not 0 or 1 \(row 1, column 2\)$"):
         parse_matrix("1x0,10")

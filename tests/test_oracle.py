@@ -74,6 +74,11 @@ def test_labeled_tree_basics():
         LabeledTree(2, -1, bytes())
 
 
+def test_labeled_tree_needs_its_labels_or_its_graph():
+    with pytest.raises(ValueError, match="^a tree needs its labels or its word graph$"):
+        LabeledTree(2, 1)
+
+
 def test_hand_tree_window_census():
     tree = LabeledTree(2, 3, HAND_LABELS)
     census = blocks_in_tree(tree, 1)

@@ -8,6 +8,7 @@ import io
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import treeshift
+from treeshift import cli
 from treeshift.matrix import TransitionMatrix, parse_matrix
 from treeshift.recurrence import TreeParams
 from treeshift.sturmian import SturmianParams
@@ -104,6 +106,37 @@ def test_readme_library_example_runs():
     assert lines[0][0].startswith("0.5088988")
     assert lines[1][0].startswith("1.618") and lines[1][1].startswith("0.7218")
     assert lines[2] == ["2306"]
+
+
+def _readme_commands() -> list[str]:
+    """The lines of the one sh block under "## Command line", comments left out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip() and not line.startswith("#")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_command_block_holds_only_treeshift_commands():
+    assert README_COMMANDS
+    assert all(line.startswith("treeshift ") for line in README_COMMANDS)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_runs(line, tmp_path, capsys):
+    # each README command exits 0 with nothing on stderr; @matrix.json
+    # names a file written here
+    (tmp_path / "matrix.json").write_text("[[0, 1, 1], [1, 1, 1], [1, 0, 1]]\n")
+    argv = [
+        f"@{tmp_path / 'matrix.json'}" if arg == "@matrix.json" else arg
+        for arg in shlex.split(line, comments=True)[1:]
+    ]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out
 
 
 def test_root_holds_the_readme_library_names_and_every_exception():

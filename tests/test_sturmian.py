@@ -359,6 +359,14 @@ def test_walked_word_graphs_take_no_part_in_oracle_equality():
     assert repr(oracle) == repr(build_factor_oracle(FIB))
 
 
+def test_an_oracle_is_unequal_to_other_types():
+    # its __eq__ answers NotImplemented, so == falls back to identity
+    oracle = build_factor_oracle(FIB)
+    assert oracle.__eq__("x") is NotImplemented
+    assert (oracle == "x") is False
+    assert oracle != oracle.factors
+
+
 def test_leaf_multiset_invariant_across_seeds():
     reference = sorted(path_words(label_tree_lex(FIB, 10), 10))
     for seed in range(10):
