@@ -49,7 +49,8 @@ one-dimensional recurrences, and the sandwich bounds for the k-ary
 entropy of a shift with maximum row sum s. The golden q ratios
 q(n) = p(n)/p(n-1)^2 come from their own exact map q(n+1) = 1 + 1/q(n)^2,
 run on certified fixed-point intervals, so they need no big integers at
-any depth. `decimal` is imported by `golden_power_bounds` alone, the one
+any depth, and the same map to level 100 gives their limit q* and the
+entropy h. `decimal` is imported by `golden_power_bounds` alone, the one
 caller of its logarithm, so no other command loads it.
 """
 
@@ -89,15 +90,17 @@ class TreeParams:
         return node_count(self.arity, n)
 
 
+# float(v) overflows exactly from here on: the largest float plus half
+# its last unit, which rounds up to 2**1024
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def _max_scale_exponent(arity: int) -> int:
     """Largest e for which arity ** e converts to a finite float."""
     e = int(math.log(sys.float_info.max, arity)) + 1
-    while True:
-        try:
-            float(arity**e)
-            return e
-        except OverflowError:
-            e -= 1
+    while arity**e >= _FLOAT_OVERFLOW:
+        e -= 1
+    return e
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -364,12 +367,18 @@ class UncertifiedFloat(ValueError):
     """The two ends of a certified interval round to different floats."""
 
 
+# The level from which the q(n) and the entropy series no longer move a
+# float: q(n) - q* shrinks about 0.64 times per level, to below 1e-19 here.
+GOLDEN_LIMIT = 100
+
+
 class GoldenQ(NamedTuple):
     """The golden mean q ratios q(n) = p(n)/p(n-1)^2 for n <= n_max.
 
     For n >= 1, lo[n] <= q(n) * 2**bits <= hi[n], and values[n] is the
     float that both ends of that interval round to. Index 0 holds None,
-    since q(0) is undefined.
+    since q(0) is undefined. The limits `root` and `entropy` read the
+    levels up to GOLDEN_LIMIT, so they need n_max >= GOLDEN_LIMIT.
     """
 
     bits: int
@@ -389,6 +398,26 @@ class GoldenQ(NamedTuple):
         """1/q(n), rounded correctly from the same interval."""
         one = 1 << self.bits
         return _certified(one / self.hi[n], one / self.lo[n], f"1/q({n})")
+
+    def root(self) -> float:
+        """The real root q* of x = 1 + 1/x^2, the limit of the q(n), rounded
+        correctly: the q(n) alternate around it, so it rounds to the float
+        that two consecutive certified q(n) both round to."""
+        return _certified(self.values[GOLDEN_LIMIT - 1], self.values[GOLDEN_LIMIT], "the supergolden root")
+
+    def entropy(self) -> float:
+        """The golden mean entropy h = lim log p(n)/2^(n+1).
+
+        log p(n) = 2 log p(n-1) + log q(n) from p(0) = 2 telescopes to
+        h = (log 2)/2 + sum over m >= 1 of log q(m)/2^(m+1). Every q(m)
+        lies in [1, 2], so the terms past GOLDEN_LIMIT sum to below
+        2^-101, far below the last bit of h. The terms are added left to
+        right, so every Python version gives the same bits.
+        """
+        h = math.log(2.0) / 2
+        for m in range(1, GOLDEN_LIMIT + 1):
+            h += math.log(self.values[m]) / 2 ** (m + 1)
+        return h
 
 
 def golden_q(n_max: int) -> GoldenQ:
@@ -428,14 +457,6 @@ def _certified(lo: float, hi: float, what: str) -> float:
     if lo != hi:
         raise UncertifiedFloat(f"{what} is not certified to one float")
     return lo
-
-
-def supergolden_root() -> float:
-    """The real root of x = 1 + 1/x^2, the limit of the q ratios, rounded
-    correctly: the q(n) alternate around it, so it rounds to the float
-    that two consecutive certified q(n) both round to."""
-    q = golden_q(100).values
-    return _certified(q[99], q[100], "the supergolden root")
 
 
 def golden_zero_rooted_counts(n_max: int) -> list[int]:

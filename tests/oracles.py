@@ -5,8 +5,9 @@ avoiding the code paths under test: characteristic polynomials are
 expanded exactly over the rationals, block counts come from filtering
 the full product space or from their recurrence in exact integers, tree
 censuses from one window per root, golden mean q ratios from
-big-integer division, the Fibonacci word from its substitution rule,
-mechanical words from Fraction arithmetic, and lexicographic and seeded
+big-integer division and their limits in mpmath, the Fibonacci word from
+its substitution rule, mechanical words from Fraction arithmetic, the
+float range of a power by trial conversion, and lexicographic and seeded
 random Sturmian trees node by node from their path words. The kernels
 of power iteration and of the log-domain recurrence are kept here in
 their plain loop form, one operation after another, as references that
@@ -19,6 +20,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+
+import mpmath
 
 from treeshift.spectral import MAX_ITER, TOL, NoConvergence
 
@@ -202,6 +205,30 @@ def golden_ratios(p: list[int]) -> list[float | None]:
     float nearest the exact ratio.
     """
     return [None] + [p[n] / p[n - 1] ** 2 for n in range(1, len(p))]
+
+
+def golden_limits(levels: int = 200, digits: int = 60):
+    """The golden mean entropy h and the limit q* of the q ratios, as mpmath
+    numbers: q(m+1) = 1 + 1/q(m)^2 from q(1) = 5/4 and
+    h = (log 2)/2 + sum over m of log q(m)/2^(m+1), both to `levels`."""
+    with mpmath.workdps(digits):
+        q = mpmath.mpf(5) / 4
+        h = mpmath.log(2) / 2
+        for m in range(1, levels + 1):
+            h += mpmath.log(q) / mpmath.mpf(2) ** (m + 1)
+            q = 1 + 1 / q**2
+        return +h, +q
+
+
+def max_scale_exponent(arity: int) -> int:
+    """Largest e for which arity ** e converts to a float, by trying each e."""
+    e = 0
+    while True:
+        try:
+            float(arity ** (e + 1))
+        except OverflowError:
+            return e
+        e += 1
 
 
 def node_count(arity: int, depth: int) -> int:

@@ -23,15 +23,16 @@ from treeshift.oracle import (
     verify_phi_identity,
 )
 from treeshift.recurrence import (
+    GOLDEN_LIMIT,
     TreeParams,
     auto_depth,
     golden_counts,
     golden_power_bounds,
+    golden_q,
     golden_zero_rooted_counts,
     kary_bounds,
     log_deviation,
     run,
-    supergolden_root,
 )
 from treeshift.reference import (
     REFERENCE_ROWS,
@@ -92,7 +93,7 @@ def test_criterion_03_q_ratio():
     for n in range(3, 15):
         assert (q[n] - q[n - 1]) * (q[n + 1] - q[n]) < 0.0, f"no sign flip at n = {n}"
     print("criterion 3: sign of q(n) - q(n-1) alternates for 3 <= n <= 15")
-    root = supergolden_root()
+    root = golden_q(GOLDEN_LIMIT).root()
     rate = -2.0 / root**3
     for n in range(12, 19):
         ratio = (q[n + 1] - root) / (q[n] - root)

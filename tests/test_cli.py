@@ -257,6 +257,25 @@ def test_matrix_file_that_is_not_utf8_is_named_in_one_error_line(capsys, tmp_pat
     assert (code, out, err) == (2, "", expected)
 
 
+@pytest.mark.parametrize("body", [b"[[1,1],[1,0]]", b"11\n10\n"], ids=["json", "rows"])
+def test_matrix_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, body):
+    path = tmp_path / "m.txt"
+    path.write_bytes(body)
+    plain = run_cli(capsys, "analyze", "-m", f"@{path}")
+    path.write_bytes(b"\xef\xbb\xbf" + body)
+    assert run_cli(capsys, "analyze", "-m", f"@{path}") == plain
+    assert plain[0] == 0
+
+
+@pytest.mark.parametrize("body", [b"\xef", b"\xef\xbb", b"\xef\xbb11\n10\n"])
+def test_matrix_file_with_part_of_a_byte_order_mark_is_not_utf8(capsys, tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(body)
+    code, out, err = run_cli(capsys, "analyze", "-m", f"@{path}")
+    expected = f"error: matrix file {path} is not UTF-8 text: byte 0xef at position 0\n"
+    assert (code, out, err) == (2, "", expected)
+
+
 def test_matrix_file_missing(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "-m", f"@{tmp_path/'absent.txt'}")
     assert code == 2
@@ -333,22 +352,86 @@ def test_golden_all_checks_pass(capsys):
     assert "FAIL" not in out
 
 
+GOLDEN_CHECKS = [
+    "scalar/vector exact agreement",
+    "oracle agreement n <= 3",
+    "q alternation",
+    "h rounds to 0.509",
+    "c = exp(h/2) rounds to 1.28975",
+    "h2 within 0.01 of log 2",
+    "b = 1/q* rounds to 0.6823278",
+    "A prefix 1,4,25,1681,5317636",
+    "power bounds hold",
+]
+
+
 @pytest.mark.parametrize("depth", range(4, 13))
 def test_golden_shallow_depths_exit_zero(capsys, depth):
-    # exp(-a(n)) first comes within 0.0005 of b at depth 13
-    code, out, _ = run_cli(capsys, "golden", "-n", str(depth), "--format", "json")
+    # the published figures are checked on limits, not on depth-n
+    # estimates, so even the shallowest report decides every check
+    code, out, _ = run_cli(capsys, "golden", "-n", str(depth))
     assert code == 0
-    checks = {c["check"]: c["ok"] for c in json.loads(out)["checks"]}
-    assert checks["b estimate within 0.0005 of published"] is None
-    assert False not in checks.values()
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks == [f"check {name}: pass" for name in GOLDEN_CHECKS]
 
 
-def test_golden_b_estimate_evaluated_from_depth_13(capsys):
-    code, out, _ = run_cli(capsys, "golden", "-n", "13")
-    assert code == 0
-    assert "check b estimate within 0.0005 of published: pass" in out
-    code, out, _ = run_cli(capsys, "golden", "-n", "12")
-    assert "check b estimate within 0.0005 of published: n/a (depth < 13)" in out
+def test_golden_checks_all_pass_at_every_depth(capsys):
+    for depth in [*range(4, 41), 1022]:
+        code, out, err = run_cli(capsys, "golden", "-n", str(depth), "--format", "json")
+        assert (code, err) == (0, ""), depth
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks] == GOLDEN_CHECKS, depth
+        assert all(c["ok"] is True for c in checks), depth
+
+
+def test_golden_figure_checks_do_not_depend_on_the_depth(capsys):
+    # the b figure, which the depth-n estimate 1/q(n) first meets within
+    # 0.0005 at depth 13, is decided the same way on either side of it
+    for depth in (12, 13):
+        code, out, _ = run_cli(capsys, "golden", "-n", str(depth))
+        assert code == 0
+        assert "check b = 1/q* rounds to 0.6823278: pass" in out
+        assert "n/a" not in out
+
+
+def test_golden_runs_the_q_map_once(capsys, monkeypatch):
+    calls = []
+    golden_q = recurrence.golden_q
+
+    def counted(n_max):
+        calls.append(n_max)
+        return golden_q(n_max)
+
+    monkeypatch.setattr(recurrence, "golden_q", counted)
+    monkeypatch.setattr(cli, "golden_q", counted)
+    for depth, limit_depth in ((4, 100), (100, 100), (150, 150)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "golden", "-n", str(depth))
+        assert (code, calls) == (0, [limit_depth])
+
+
+@pytest.mark.parametrize(
+    "figure, x, expected",
+    [
+        ("0.509", 0.5088988068894924, True),
+        ("0.508", 0.5088988068894924, False),
+        ("0.5", 0.5, True),
+        # 0.125 and 0.375 are floats: exact ties round half to even
+        ("0.12", 0.125, True),
+        ("0.38", 0.375, True),
+        ("0.13", 0.125, False),
+        # the binary value is rounded, not its shortest decimal text:
+        # 2.675 as a float lies below the tie and 0.0005 above it
+        ("2.67", 2.675, True),
+        ("2.68", 2.675, False),
+        ("0.001", 0.0005, True),
+        ("0.000", 0.0005, False),
+        ("1.28975", 1.2897512927198123, True),
+        ("1.28976", 1.2897512927198123, False),
+    ],
+)
+def test_rounds_to_is_exact_half_even_rounding_of_the_float(figure, x, expected):
+    assert cli._rounds_to(x, figure) is expected
 
 
 @pytest.mark.parametrize("depth", [22, 50, 100, 1022])

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,17 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exceeds_golden_power, fib_lucas, golden_ratios
+from oracles import exceeds_golden_power, fib_lucas, golden_limits, golden_ratios, max_scale_exponent
 from treeshift import cli, recurrence
 from treeshift.matrix import parse_matrix
 from treeshift.oracle import TooLarge
 from treeshift.recurrence import (
+    GOLDEN_LIMIT,
     GoldenQ,
     LogOverflow,
     TreeParams,
     UncertifiedFloat,
     _certified,
     _certified_log,
+    _max_scale_exponent,
     _power_step,
     accelerated_entropy,
     auto_depth,
@@ -33,7 +36,6 @@ from treeshift.recurrence import (
     level_entropy,
     log_deviation,
     run,
-    supergolden_root,
 )
 from treeshift.reference import REFERENCE_ROWS
 from treeshift.spectral import analyze_matrix
@@ -69,6 +71,12 @@ def test_params_depth_limit_keeps_scale_finite():
             TreeParams(k, deepest + 1)
     series = run(GOLDEN, TreeParams(2, 1022))
     assert abs(series.h[-1] - series.h[-2]) < 1e-12
+
+
+def test_max_scale_exponent_matches_trial_conversion():
+    assert [_max_scale_exponent(k) for k in (2, 3, 5)] == [1023, 646, 441]
+    for k in range(2, 301):
+        assert _max_scale_exponent(k) == max_scale_exponent(k), k
 
 
 def test_log_domain_overflow_names_the_first_level():
@@ -466,7 +474,7 @@ def test_golden_ratio_sequence():
     assert q[1] == 1.25
     assert q[2] == 41 / 25
     assert abs(q[3] - 2306 / 1681) < 1e-15
-    root = supergolden_root()
+    root = golden_q(GOLDEN_LIMIT).root()
     for n in range(2, 15):
         assert (q[n] - q[n - 1]) * (q[n + 1] - q[n]) < 0.0
     assert abs(q[15] - root) < abs(q[5] - root)
@@ -510,11 +518,34 @@ def test_golden_q_step_sign_is_zero_on_overlapping_intervals():
 def test_supergolden_root_residual():
     # correctly rounded: x^3 - x^2 - 1 changes sign between the midpoints
     # to the neighbouring floats
-    x = supergolden_root()
+    x = golden_q(GOLDEN_LIMIT).root()
     below = (Fraction(math.nextafter(x, 0)) + Fraction(x)) / 2
     above = (Fraction(x) + Fraction(math.nextafter(x, 2))) / 2
     assert below**3 - below**2 - 1 < 0 < above**3 - above**2 - 1
     assert x == 1.465571231876768
+
+
+def test_golden_limits_match_an_mpmath_oracle():
+    golden = golden_q(GOLDEN_LIMIT)
+    h, root = golden.entropy(), golden.root()
+    assert h == 0.5088988068894924
+    want_h, want_q = golden_limits()
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(h) - want_h) <= math.ulp(h)
+        assert abs(mpmath.mpf(root) - want_q) <= math.ulp(root)
+        pairs = [(h, want_h), (math.exp(h / 2), mpmath.exp(want_h / 2)), (1 / root, 1 / want_q)]
+    # the published figures, and one unit off in the last place
+    for (x, want), figure, off in zip(pairs, ("0.509", "1.28975", "0.6823278"), ("0.508", "1.28976", "0.6823279")):
+        for text, expected in ((figure, True), (off, False)):
+            assert cli._rounds_to(x, text) is expected, text
+            assert (Decimal(mpmath.nstr(want, 50)).quantize(Decimal(text)) == Decimal(text)) is expected, text
+
+
+def test_golden_limits_read_levels_up_to_the_limit_only():
+    # a longer map gives the same limits bit for bit
+    short, long = golden_q(GOLDEN_LIMIT), golden_q(3 * GOLDEN_LIMIT)
+    assert (long.entropy(), long.root()) == (short.entropy(), short.root())
+    assert long.values[: GOLDEN_LIMIT + 1] == short.values
 
 
 def test_golden_power_bounds_verified_exactly():
