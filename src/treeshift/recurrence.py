@@ -15,17 +15,20 @@ divisors used for entropy. Its floats are summed left to right, not
 with the builtin `sum`, which compensates its rounding from Python 3.12
 on, so every Python version gives the same bits.
 
-An exact run carries no big integers. Each x_i(n) is held as a bracket
-[lo, hi] * 2^e whose ends keep their top bits = CERTIFY_BITS +
-(n_max + 1) * ceil(log2 k) bits, low ends rounded down and high ends up:
-sums put their terms on one exponent, and each sum is raised to the
-k-th power by squaring, every product cut the same way. Each log x_i(n)
-and log p(n) is the float math.log returns for the full integer, bit
-for bit: both ends of the bracket must round to the same float, or the
-integers are built with the plain recurrence up to that level and the
-value is computed in full. A bracket's relative width stays below about
-k^(n+1) * 2^-bits <= 2^-CERTIFY_BITS, far below a float's 2^-53, at
-every depth. The integers of every level are built the first time
+An exact run carries no big integers. Each x_i(n) and p(n) is held as
+a bracket [lo, hi] * 2^e, its ends kept to at most bits = CERTIFY_BITS +
+(n_max + 1) * ceil(log2 k) bits, those of p(n) to ceil(log2 d) more,
+low ends rounded down and high ends up: sums put their terms on one
+exponent, and each sum is raised to the k-th power by squaring, every
+product cut the same way. Each log x_i(n) and log p(n) is the float
+math.log returns for the full integer, bit for bit: both ends of the
+bracket must round to the same float, or the integers are built with
+the plain recurrence up to that level and the value is computed in
+full. A bracket's relative width stays below about k^(n+1) * 2^-bits
+<= 2^-CERTIFY_BITS, far below a float's 2^-53, at every depth. One
+flat loop per level, `_exact_level`, does all of this on plain lists of
+ends and exponents, since per-term calls cost more than its arithmetic.
+The integers of every level are built the first time
 `EntropySeries.exact` is read, by `oracle.exact_level`, for trees of at
 most oracle.EXACT_NODE_BUDGET nodes; deeper levels raise TooLarge.
 
@@ -138,7 +141,7 @@ class EntropySeries:
 
     An exact run also passes `integers`, the pair (levels, succ): the
     integer levels x(0), x(1), ... that the run built, the all-ones x(0)
-    and those a fallback of the certificate needed (see `_power_step`),
+    and those a fallback of the certificate needed (see `_exact_level`),
     and the successor table to extend them with. Its logs are certified
     from brackets and equal math.log of the integers bit for bit. The
     first read of `exact` extends the same `levels` list to n_max with
@@ -193,8 +196,8 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
     The loop collects only log x_i(n) and log p(n) per level; the
     `EntropySeries` built after it derives the estimates. In log mode
     each level is a tuple of the floats y_i(n) = log x_i(n), in exact
-    mode a tuple of brackets around the integers x_i(n), whose logs
-    `_power_step` certifies. An exact run keeps one list of integer
+    mode lists of bracket ends around the integers x_i(n), whose logs
+    `_exact_level` certifies. An exact run keeps one list of integer
     levels, which the certificate's fallback extends and the series
     hands on to `exact`, where the rest is built on first read.
     """
@@ -205,13 +208,12 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
     exact = mode == "exact"
     succ = M.successor_table()
     levels = [(1,) * M.d]
-    x = ((1, 1, 0),) * M.d if exact else (0.0,) * M.d
+    x = ([1] * M.d, [1] * M.d, [0] * M.d) if exact else (0.0,) * M.d
     bits = CERTIFY_BITS + (params.n_max + 1) * (k - 1).bit_length()
     symbol_logs, p_log = [(0.0,) * M.d], [math.log(M.d)]
     for n in range(1, params.n_max + 1):
         if exact:
-            sums = [_bracket_sum([x[j] for j in s], bits) for s in succ]
-            x, logs, total = _power_step(sums, k, bits, lambda: exact_level(succ, k, levels, n))
+            x, logs, total = _exact_level(x, succ, k, bits, levels, n)
         else:
             x = logs = tuple([k * _logsumexp([x[j] for j in s]) for s in succ])
             total = _logsumexp(x)
@@ -226,81 +228,84 @@ def run(M: TransitionMatrix, params: TreeParams | None = None, mode: str = "logd
 # (n_max + 1) * ceil(log2 k), since each k-th power widens a bracket k times.
 CERTIFY_BITS = 128
 
-# An integer bracket (lo, hi, e): lo * 2**e <= v <= hi * 2**e.
-Bracket = tuple[int, int, int]
 
+def _exact_level(x, succ, k: int, bits: int, levels: list, n: int):
+    """One level of an exact run, from the brackets x = (lo, hi, ex) of
+    the level below: lo[i] * 2**ex[i] <= x_i(n-1) <= hi[i] * 2**ex[i].
 
-def _power_step(
-    sums: Sequence[Bracket], k: int, bits: int, level
-) -> tuple[tuple[Bracket, ...], tuple[float, ...], float]:
-    """One exact level from brackets around its sums s_i: the brackets
-    around x_i = s_i ** k, math.log of each x_i and math.log of their
-    total, bit for bit. `level()` returns the exact x_i for the fallback.
-
-    CPython takes the log of an int from its correctly rounded frexp
-    pair (m, e), so any bracket around the integer whose two ends round
-    to the same pair fixes the float. Each x_i comes from `_power` and
-    the total from `_bracket_sum` of the powers, both kept to `bits`
-    bits. Where the two ends of a bracket round apart, the log is taken
-    of the exact value instead.
+    Returns the same lists for level n, the total p(n) as their last
+    entry, with math.log of each x_i(n) and of p(n), bit for bit. Each
+    sum puts its terms on the lowest of their exponents, raised until at
+    most `bits` bits of the largest term stay: terms above it are
+    shifted up exactly, the others cut outward, low ends rounded down
+    and high ends up. Each x_i is the k-th power of its sum by squaring,
+    every product cut the same way. CPython takes the log of an int from
+    its correctly rounded frexp pair, so a bracket whose two ends round
+    to the same float fixes the log; where they round apart, the log is
+    taken of the integers that `exact_level` builds into `levels`.
     """
-    x = tuple(_power(s, k, bits) for s in sums)
-    logs = tuple(_certified_log(lo, hi, e, lambda i=i: level()[i]) for i, (lo, hi, e) in enumerate(x))
-    lo, hi, e = _bracket_sum(x, bits)
-    return x, logs, _certified_log(lo, hi, e, lambda: sum(level()))
-
-
-def _power(b: Bracket, k: int, bits: int) -> Bracket:
-    """A bracket around b ** k by squaring, each step cut outward to `bits` bits."""
-    if k == 1:
-        return b
-    lo, hi, e = _power(b, k >> 1, bits)
-    lo, hi, e = lo * lo, hi * hi, 2 * e
-    if k & 1:
-        lo, hi, e = lo * b[0], hi * b[1], e + b[2]
-    return _cut(lo, hi, e, max(hi.bit_length() - bits, 0))
-
-
-def _bracket_sum(terms: Sequence[Bracket], bits: int) -> Bracket:
-    """A bracket around the sum of bracketed terms, on the lowest of their
-    exponents raised until at most `bits` bits of the largest term stay:
-    terms above it are shifted up exactly, the others rounded outward."""
-    top = max(hi.bit_length() + e for _, hi, e in terms)
-    base = max(min(e for _, _, e in terms), top - bits)
-    terms = [_cut(lo, hi, e, base - e) for lo, hi, e in terms]
-    return sum(t[0] for t in terms), sum(t[1] for t in terms), base
-
-
-def _cut(lo: int, hi: int, e: int, drop: int) -> Bracket:
-    """[lo, hi] * 2**e on the exponent e + drop: exact for drop <= 0, else
-    with lo rounded down and hi rounded up."""
-    if drop <= 0:
-        return lo << -drop, hi << -drop, e + drop
-    return lo >> drop, -(-hi >> drop), e + drop
-
-
-def _certified_log(lo: int, hi: int, shift: int, value) -> float:
-    """math.log(v) for an integer v in [lo, hi] * 2**shift, or of value() if unsure."""
-    m, e = _frexp(lo)
-    if (m, e) != _frexp(hi):
-        return math.log(value())
-    e += shift
-    if e <= sys.float_info.max_exp:
-        return math.log(math.ldexp(m, e))
-    try:
-        return math.log(m) + math.log(2.0) * e
-    except OverflowError:  # e is past the float range; e * log 2 may not be
-        return math.log(m) + math.log(2.0) * (e >> 64) * 2.0**64
-
-
-def _frexp(v: int) -> tuple[float, int]:
-    """The frexp pair of v rounded to a float's 53 bits, half to even."""
-    drop = max(v.bit_length() - 64, 0)
-    top = v >> drop
-    if top << drop != v:
-        top |= 1  # sticky bit: below the rounding bit, it only breaks ties
-    m, e = math.frexp(float(top))
-    return m, e + drop
+    lo, hi, ex = x
+    d = len(succ)
+    new_lo, new_hi, new_ex, logs = [], [], [], []
+    steps = bin(k)[3:]  # the bits of k below its leading one
+    for i, s in enumerate((*succ, range(d))):
+        if i == d:  # the total: the sum of the new brackets, not raised
+            lo, hi, ex = new_lo, new_hi, new_ex
+        # the lowest exponent of the terms, raised to the least that keeps
+        # at most `bits` bits of the largest term
+        base, least = ex[s[0]], 0
+        for j in s:
+            e = ex[j]
+            if e < base:
+                base = e
+            e += hi[j].bit_length() - bits
+            if e > least:
+                least = e
+        if least > base:
+            base = least
+        a = b = 0
+        for j in s:
+            drop = base - ex[j]
+            if drop > 0:
+                a += lo[j] >> drop
+                b -= -hi[j] >> drop  # hi[j] / 2**drop rounded up
+            else:
+                a += lo[j] << -drop
+                b += hi[j] << -drop
+        e = base
+        if i < d:
+            a1, b1 = a, b
+            for bit in steps:
+                a, b, e = a * a, b * b, 2 * e
+                if bit == "1":
+                    a, b, e = a * a1, b * b1, e + base
+                drop = b.bit_length() - bits
+                if drop > 0:
+                    a, b, e = a >> drop, -(-b >> drop), e + drop
+        new_lo.append(a)
+        new_hi.append(b)
+        new_ex.append(e)
+        try:
+            f_lo, f_hi = float(a), float(b)
+        except OverflowError:  # ends past the float range: their top 64 bits, one sticky bit for the rest
+            drop = b.bit_length() - 64
+            f_lo = float(a >> drop | (a & ~(-1 << drop) != 0))
+            f_hi = float(b >> drop | (b & ~(-1 << drop) != 0))
+            e += drop
+        if f_lo != f_hi:
+            exact = exact_level(succ, k, levels, n)
+            logs.append(math.log(exact[i] if i < d else sum(exact)))
+            continue
+        try:
+            logs.append(math.log(math.ldexp(f_hi, e)))
+        except OverflowError:  # log m + e log 2 from the frexp pair (m, e); e may pass the float range too
+            m, e2 = math.frexp(f_hi)
+            e2 += e
+            if e2 < _FLOAT_OVERFLOW:
+                logs.append(math.log(m) + math.log(2.0) * e2)
+            else:
+                logs.append(math.log(m) + math.log(2.0) * (e2 >> 64) * 2.0**64)
+    return (new_lo, new_hi, new_ex), tuple(logs[:d]), logs[d]
 
 
 def log_deviation(exact: EntropySeries, approx: EntropySeries) -> float:

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exceeds_golden_power, fib_lucas, golden_limits, golden_ratios, max_scale_exponent
+from oracles import exceeds_golden_power, fib_lucas, golden_limits, golden_ratios, max_scale_exponent, valid_matrices
 from treeshift import cli, recurrence
-from treeshift.matrix import parse_matrix
-from treeshift.oracle import TooLarge
+from treeshift.matrix import TransitionMatrix, parse_matrix
+from treeshift.oracle import TooLarge, exact_level
 from treeshift.recurrence import (
     GOLDEN_LIMIT,
     GoldenQ,
@@ -23,9 +23,8 @@ from treeshift.recurrence import (
     TreeParams,
     UncertifiedFloat,
     _certified,
-    _certified_log,
+    _exact_level,
     _max_scale_exponent,
-    _power_step,
     accelerated_entropy,
     auto_depth,
     golden_counts,
@@ -205,7 +204,7 @@ def test_exact_mode_available_to_level_sixteen():
 
 
 @st.composite
-def exact_runs(draw):
+def exact_runs(draw, arities=(2, 3)):
     d = draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=d, max_size=d))
     for i in range(d):  # every symbol needs a successor and a predecessor
@@ -214,8 +213,8 @@ def exact_runs(draw):
     for j in range(d):
         if not any(row[j] for row in rows):
             rows[draw(st.integers(0, d - 1))][j] = 1
-    k = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(0, 12 if k == 2 else 8))
+    k = draw(st.sampled_from(arities))
+    n = draw(st.integers(0, {2: 12, 3: 8, 4: 6}[k]))
     return parse_matrix(",".join("".join(map(str, row)) for row in rows)), TreeParams(k, n)
 
 
@@ -241,35 +240,46 @@ def test_exact_series_estimates_match_the_log_domain_ones(case):
             assert x is None or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9), (name, n)
 
 
-def test_uncertified_total_falls_back_to_the_full_power():
+def test_uncertified_total_falls_back_to_the_full_power(monkeypatch):
     # (2^200)^2 + 2 (2^173)^2 = 2^400 + 2^347 lies exactly half an ulp
-    # above 2^400: the lower end of the bracket is that tie, which rounds
-    # down to even, and the upper end lies above it and rounds up
+    # above 2^400: the lower end of the total's bracket is that tie, which
+    # rounds down to even, and the upper end lies above it and rounds up
     sums = (2**200, 2**173, 2**173)
     total = sum(s**2 for s in sums)
     assert total == 2**400 + 2**347
     sh = 201 - 128
-    tops = [s >> sh for s in sums]
     calls = []
+    build = recurrence.exact_level
 
-    def full():
+    def counting_level(*args):
         calls.append(1)
-        return total
+        return build(*args)
 
-    lo, hi = sum(t**2 for t in tops), sum((t + 1) ** 2 for t in tops)
-    assert _certified_log(lo, hi, 2 * sh, full) == math.log(total)
-    assert calls == [1]
-    calls.clear()
-
-    def level():
-        calls.append(1)
-        return [s**2 for s in sums]
-
-    brackets = [(s >> sh, (s >> sh) + 1, sh) for s in sums]
-    _, logs, p_log = _power_step(brackets, 2, recurrence.CERTIFY_BITS, level)
+    monkeypatch.setattr(recurrence, "exact_level", counting_level)
+    # each symbol's one successor is the bracket around its sum, so the
+    # level sums are those brackets unchanged; levels[1] stands for the
+    # level they sum, from which the fallback builds the squares
+    below = ([s >> sh for s in sums], [(s >> sh) + 1 for s in sums], [sh] * 3)
+    levels = [(1,) * 3, sums]
+    (lo, hi, e), logs, p_log = _exact_level(below, ((0,), (1,), (2,)), 2, recurrence.CERTIFY_BITS, levels, 2)
+    assert lo[3] << e[3] == total < hi[3] << e[3]
+    assert float(lo[3]) != float(hi[3])
     assert calls == [1]
     assert p_log == math.log(total)
     assert logs == tuple(math.log(s**2) for s in sums)
+    assert levels[2] == tuple(s**2 for s in sums)
+
+
+def _recording_level(carried):
+    """A stand-in for `_exact_level` that keeps (bits, brackets) of each level."""
+    step = recurrence._exact_level
+
+    def recording_step(x, succ, k, bits, levels, n):
+        x, logs, p_log = step(x, succ, k, bits, levels, n)
+        carried.append((bits, x))
+        return x, logs, p_log
+
+    return recording_step
 
 
 def _held_ints(value):
@@ -308,14 +318,7 @@ def test_narrow_brackets_fall_back_to_exact_logs(monkeypatch, bits):
     # the fallback builds integer levels during the run
     monkeypatch.setattr(recurrence, "CERTIFY_BITS", bits)
     carried = []
-    step = recurrence._power_step
-
-    def recording_step(sums, k, kept, level):
-        x, logs, p_log = step(sums, k, kept, level)
-        carried.append(x)
-        return x, logs, p_log
-
-    monkeypatch.setattr(recurrence, "_power_step", recording_step)
+    monkeypatch.setattr(recurrence, "_exact_level", _recording_level(carried))
     for M, params in ((OSCILLATING, TreeParams(2, 16)), (parse_matrix("011,111,101"), TreeParams(3, 9))):
         carried.clear()
         series = run(M, params, mode="exact")
@@ -324,9 +327,53 @@ def test_narrow_brackets_fall_back_to_exact_logs(monkeypatch, bits):
         for n, level in enumerate(levels):
             assert series.symbol_logs[n] == tuple(math.log(v) for v in level), n
             assert series.p_log[n] == math.log(sum(level)), n
-        for n, x in enumerate(carried, start=1):
-            for v, (lo, hi, e) in zip(levels[n], x):
-                assert lo << e <= v <= hi << e, (n, v)
+        assert len(carried) == params.n_max  # one recorded bracket set per level
+        for n, (_, (lo, hi, ex)) in enumerate(carried, start=1):
+            for v, a, b, e in zip((*levels[n], sum(levels[n])), lo, hi, ex, strict=True):
+                assert a << e <= v <= b << e, (n, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_runs((2, 3, 4)))
+def test_brackets_hold_every_count_within_their_bit_width(case):
+    # each end of x_i(n) keeps at most `bits` bits, and those of p(n) at
+    # most ceil(log2 d) more, the carry of summing d terms
+    M, params = case
+    k, succ = params.arity, M.successor_table()
+    carried = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_exact_level", _recording_level(carried))
+        run(M, params, mode="exact")
+    assert len(carried) == params.n_max
+    levels = [(1,) * M.d]
+    for n, (bits, (lo, hi, ex)) in enumerate(carried, start=1):
+        assert bits == recurrence.CERTIFY_BITS + (params.n_max + 1) * (k - 1).bit_length()
+        level = exact_level(succ, k, levels, n)
+        for i, v in enumerate((*level, sum(level))):
+            assert lo[i] << ex[i] <= v <= hi[i] << ex[i], (n, i)
+            width = bits + (M.d - 1).bit_length() if i == M.d else bits
+            assert 0 < lo[i] <= hi[i] < 2**width, (n, i)
+
+
+def test_certificate_never_falls_back_on_small_and_bigint_matrices(monkeypatch):
+    # the default brackets decide every log of these runs, so no integer
+    # level is built before `exact` is read
+    calls = []
+    build = recurrence.exact_level
+
+    def counting_level(succ, k, levels, n):
+        calls.append((succ, k, n))
+        return build(succ, k, levels, n)
+
+    monkeypatch.setattr(recurrence, "exact_level", counting_level)
+    small = [TransitionMatrix.from_rows(rows) for d in (1, 2, 3) for rows in valid_matrices(d)]
+    assert len(small) == 273
+    for k, n in ((2, 20), (2, 60), (3, 12), (4, 8)):
+        for M in small:
+            run(M, TreeParams(k, n), mode="exact")
+    for rows in ("011,111,101", "111,110,100", "1011,1100,1101,0010"):  # heavy's bigint bases
+        run(parse_matrix(rows), TreeParams(2, 20), mode="exact")
+    assert calls == []
 
 
 def test_exact_run_holds_only_certificate_sized_integers():
@@ -340,16 +387,10 @@ def test_exact_run_holds_only_certificate_sized_integers():
 def test_bracket_size_does_not_grow_with_the_arity(monkeypatch):
     # squaring with every product cut keeps each end near `bits` bits,
     # where a plain k-th power of a cut sum has about k times as many
-    widths = []
-    step = recurrence._power_step
-
-    def recording_step(sums, k, bits, level):
-        x, logs, p_log = step(sums, k, bits, level)
-        widths.append((bits, max(b.bit_length() for lo, hi, _ in x for b in (lo, hi))))
-        return x, logs, p_log
-
-    monkeypatch.setattr(recurrence, "_power_step", recording_step)
+    carried = []
+    monkeypatch.setattr(recurrence, "_exact_level", _recording_level(carried))
     series = run(parse_matrix("011,111,101"), TreeParams(1000, 2), mode="exact")
+    widths = [(bits, max(b.bit_length() for b in (*lo, *hi))) for bits, (lo, hi, _) in carried]
     assert len(widths) == 2
     assert all(width <= 2 * bits for bits, width in widths), widths
     for n, level in enumerate(series.exact):
