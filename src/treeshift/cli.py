@@ -23,7 +23,7 @@ import sys
 from typing import NamedTuple
 
 from .matrix import TransitionMatrix, parse_matrix
-from .oracle import LabeledTree, enumerate_configs
+from .oracle import LabeledTree, TooLarge, enumerate_configs, node_count
 from .recurrence import (
     GOLDEN_LIMIT,
     EntropySeries,
@@ -59,6 +59,10 @@ from .sturmian import (
 GOLDEN_MATRIX = "11,10"
 WORD_PREFIX = 60
 LABEL_PREFIX = 255
+# A random sturmian report in JSON keeps every seed's labels, where table
+# and CSV keep one tree at a time: it may hold no more labels than one
+# tree of the deepest labeling, node_count(2, 24) = 2^25 - 1.
+JSON_LABEL_CAP = 2**25
 
 # published golden mean figures, as text that carries their decimals: the
 # entropy h = 2 log c and the prefactor b = 1/q* of p(n) ~ b c^(2^(n+2))
@@ -511,6 +515,12 @@ def cmd_sturmian(args) -> Report:
         )
         return Report(0 if edge_ok else 1, payload, csv, table)
 
+    nodes = len(seeds) * node_count(2, depth)
+    if args.format == "json" and nodes > JSON_LABEL_CAP:
+        raise TooLarge(
+            f"a JSON report of {len(seeds)} trees of depth {depth} holds {nodes} labels, "
+            f"past the cap of {JSON_LABEL_CAP}"
+        )
     oracle = build_factor_oracle(params)
     per_seed = []
     for seed in seeds:

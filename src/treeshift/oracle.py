@@ -33,16 +33,19 @@ equal ids mean equal blocks. A tree given as its WordGraph, as a
 lexicographic Sturmian tree is, is interned in pure Python over the
 graph's few hundred nodes, one dict per level. A tree given its labels
 is interned over them in numpy chunks, one pass over the roots per
-level whatever the block depth: a level with no more possible keys
-than roots keeps its ids in a dense table indexed by key, so a chunk
-costs one gather; other levels keep them in dicts, fed the distinct
-keys of each chunk, as int64 where the level's keys fit and as exact
-Python ints past that. Each tree keeps the levels it has interned, so
-a profile over n = 0 .. n_max interns every level once, and a census
-deeper than the last resumes from it. The count comes from the
-interning alone; the blocks themselves are rebuilt, each from one tree
-node that carries it by slicing each level of the layout, only when a
-census's `blocks` is read. numpy is imported by the census of a label
+level whatever the block depth, the chunks of each level starting at
+CENSUS_CHUNK roots and doubling up to EXPAND_CHUNK. A level with no
+more possible keys than roots packs them in the smallest unsigned
+dtype that holds them and keeps its ids in a dense table indexed by
+key, so a chunk costs one gather; other levels number the distinct
+keys of each chunk with np.unique, as int64 where the level's keys fit
+and as exact Python ints past that, through a running dict only when
+the level takes more than one chunk. Each tree keeps the levels it has
+interned, so a profile over n = 0 .. n_max interns every level once,
+and a census deeper than the last resumes from it. The count comes
+from the interning alone; the blocks themselves are rebuilt, each from
+one tree node that carries it by slicing each level of the layout,
+only when a census's `blocks` is read. numpy is imported by the census of a label
 array and by WordGraph.expand alone, so listing, exact counts,
 LabeledTree and the census of a graph tree run without loading it.
 
@@ -71,17 +74,22 @@ MATERIALIZE_CAP = 40
 # Listings of more labelings are refused: every depth-3 binary listing
 # of the reference matrices fits (451,382 at most), no depth-4 one does.
 LISTING_BUDGET = 2**20
-# The census interns roots in chunks of this many: a chunk's keys are
-# looked up in a dense id table, or deduplicated by one small np.unique
-# and merged into a running key -> id dict. Keys for a whole level at
-# once, with np.unique's sort order and inverse, would take tens of
-# bytes per root, several times the tree itself; 4096-root chunks keep
-# those transients at a few hundred kilobytes.
+# The census interns a level's roots in chunks that start at this many
+# and double up to EXPAND_CHUNK. A level's first chunk meets only new
+# keys, deduplicated by an np.unique that costs more per key the more
+# keys it sorts; a later chunk of a dense level meets mostly keys its
+# table has seen, and costs one gather, cheaper per root the longer the
+# chunk. Fixed 4,096-root chunks made a depth-24 census slow, fixed
+# 65,536-root ones a depth-16 census. Keys for a whole level at once,
+# with np.unique's sort order and inverse, would take tens of bytes per
+# root, several times the tree itself; the chunks keep those transients
+# under a megabyte.
 CENSUS_CHUNK = 4096
 _KEY_LIMIT = 2**63 - 1  # keys of a wider span are Python ints
 # WordGraph.expand gathers this many tree nodes at a time, their graph
 # ids widened to intp for np.take: 512 KiB of indices, where the
-# deepest level of a depth-24 tree at once would take 64 MiB.
+# deepest level of a depth-24 tree at once would take 64 MiB. The
+# census's chunks grow to the same size.
 EXPAND_CHUNK = 1 << 16
 
 
@@ -442,9 +450,12 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
     smallest unsigned dtype that holds them, the number of distinct ids,
     and one root per id. Each root's key packs its label and its
     children's ids, below span = alphabet * width^k. Where the span is
-    no larger than the root count, the keys index a dense table of ids;
-    otherwise they go to a running dict, as int64 while the span fits
-    and as exact Python ints past it.
+    no larger than the root count, the keys, in the smallest unsigned
+    dtype that holds them, index a dense table of ids; otherwise they
+    are numbered by np.unique, as int64 while the span fits and as exact
+    Python ints past it, through a running dict when the level takes
+    more than one chunk. Chunks start at CENSUS_CHUNK roots and double
+    up to EXPAND_CHUNK.
     """
     import numpy as np
 
@@ -454,16 +465,20 @@ def _intern_level(labels, child_ids, width: int, alphabet: int, k: int, roots: i
     if span <= roots:
         # ids below span, and -1 for unseen keys
         table = np.full(span, -1, dtype=np.min_scalar_type(-span))
-        intern, dtype = partial(_intern_dense, table), np.int64
+        intern, dtype = partial(_intern_dense, table), np.min_scalar_type(span - 1)
     else:
-        intern, dtype = partial(_intern, {}), np.int64 if span <= _KEY_LIMIT else object
-    for lo in range(0, roots, CENSUS_CHUNK):
-        hi = min(lo + CENSUS_CHUNK, roots)
+        # a level of one chunk needs no dict: np.unique numbers its keys
+        table = {} if roots > CENSUS_CHUNK else None
+        intern, dtype = partial(_intern, table), np.int64 if span <= _KEY_LIMIT else object
+    lo, size = 0, CENSUS_CHUNK
+    while lo < roots:
+        hi = min(lo + size, roots)
         kids = child_ids[k * lo + 1 : k * hi + 1].reshape(hi - lo, k)
         key = labels[lo:hi].astype(dtype)
         for c in range(k):
             key = key * width + kids[:, c]
         out[lo:hi] = intern(key, reps, lo)
+        lo, size = hi, min(2 * size, EXPAND_CHUNK)
     return out, len(reps), reps
 
 
@@ -476,7 +491,7 @@ def _intern_dense(table, keys, reps: list, offset: int):
     """
     import numpy as np
 
-    ids = table[keys]
+    ids = np.take(table, keys)
     new = np.flatnonzero(ids < 0)
     if len(new):
         uniq, first = np.unique(keys[new], return_index=True)
@@ -486,17 +501,22 @@ def _intern_dense(table, keys, reps: list, offset: int):
     return ids
 
 
-def _intern(table: dict, keys, reps: list, offset: int):
+def _intern(table: dict | None, keys, reps: list, offset: int):
     """Ids of `keys` in a running dict, adding the keys it lacks.
 
     Each call deduplicates its keys with one np.unique and looks up
     only the distinct ones. New ids are numbered in order of arrival;
     the first position of each new key, plus `offset`, is appended to
-    `reps`.
+    `reps`. Without a dict, `keys` are a level's only chunk, and their
+    ids are np.unique's inverse: the ids a fresh dict would give, in
+    sorted key order.
     """
     import numpy as np
 
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if table is None:
+        reps.extend(first.tolist())
+        return inverse
     known = len(table)
     ids = np.fromiter(
         (table.setdefault(u, len(table)) for u in uniq.tolist()), np.int64, len(uniq)

@@ -64,12 +64,14 @@ from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_c
 # JSON, peaks near 2 bytes per node (the label buffer and its bytes
 # copy; a level's states take less) plus a chunk's 512 KiB of indices:
 # 4.6 MiB at depth 20, 65 MiB at depth 24 (33.5M nodes). Either tree
-# keeps 1 byte per node. A census of a random tree
-# adds under one byte per node on top, 24 MiB at depth 24 for blocks of
-# depth 4, plus a level's dense id table: no more entries than the level
-# has roots, each at most an int32, and under 2,000 entries on Sturmian
-# trees of depth 20 with blocks up to depth 12. The tree keeps the
-# deepest level's ids and one root per distinct block of every level.
+# keeps 1 byte per node. A census of a random tree adds under one byte
+# per node on top, plus under 1 MiB for the keys and ids of its chunks
+# of up to 65,536 roots: 24.6 MiB at depth 24 for blocks of depth 4 or
+# 6, 2.2 MiB at depth 20 for blocks of depth 8. That includes a level's
+# dense id table: no more entries than the level has roots, each at
+# most an int32, and under 2,000 entries on Sturmian trees of depth 20
+# with blocks up to depth 12. The tree keeps the deepest level's ids
+# and one root per distinct block of every level.
 MAX_TREE_DEPTH = 24
 # Every factor oracle harvests HARVEST_WINDOW symbols and is validated
 # up to length ORACLE_LEN, whatever the tree; a labeling reads factors
@@ -346,4 +348,6 @@ def tree_complexity(tree: LabeledTree, n_max: int) -> list[int]:
     The tree keeps the levels its censuses intern, so the profile
     interns each of levels 1 .. n_max once, and builds no block.
     """
+    if n_max < 0:
+        raise ValueError("block depth must be nonnegative")
     return [blocks_in_tree(tree, n).count for n in range(n_max + 1)]

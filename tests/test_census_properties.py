@@ -4,7 +4,9 @@
 lists; `blocks_in_tree` must return the same blocks, count and alphabet
 size for every block depth, whether the tree shares most of its
 subtrees or none of them, whichever id table a level is interned
-through, and whether or not the symbols used are contiguous. The
+through, with chunks that grow from a lowered start and meet each
+table, and whether or not the symbols used are contiguous, and within
+a memory budget at depth 20. The
 census of a lexicographic Sturmian tree, which runs on its word graph,
 must equal the census of the same labels without the graph, and the
 tree's labels, their prefixes and its left edge, whether read off the
@@ -166,6 +168,65 @@ def test_census_on_each_side_of_the_dense_table(tree, tables, monkeypatch):
         assert_census_matches(tree, n)
     assert set(calls) == tables
 
+
+def test_census_chunks_grow_through_every_table(monkeypatch):
+    # chunks of 3, 6, then 12 roots; the only 2 in the tree, at node 40,
+    # gives level 1 (63 roots, 3 * 3^2 keys: dense) new keys in its
+    # 12-root chunks of roots 9 .. 20 and 33 .. 44
+    monkeypatch.setattr(oracle, "CENSUS_CHUNK", 3)
+    monkeypatch.setattr(oracle, "EXPAND_CHUNK", 12)
+    rng = random.Random(3)
+    labels = [rng.randrange(2) for _ in range(node_count(2, 6))]
+    labels[40] = 2
+    tree = LabeledTree(2, 6, bytes(labels))
+    chunks = []  # (id table, offset, roots, new ids) of every chunk interned
+
+    def recorded(fn):
+        def intern(table, keys, reps, offset):
+            known = len(reps)
+            ids = fn(table, keys, reps, offset)
+            # a sparse level of one chunk is numbered by np.unique, with no dict
+            kind = "dict" if isinstance(table, dict) else "unique" if table is None else "dense"
+            chunks.append((kind, offset, len(keys), len(reps) - known))
+            return ids
+
+        return intern
+
+    for name in ("_intern_dense", "_intern"):
+        monkeypatch.setattr(oracle, name, recorded(getattr(oracle, name)))
+    for n in range(tree.depth + 1):
+        assert_census_matches(tree, n)
+    level_1 = chunks[:7]
+    assert [(kind, offset, roots) for kind, offset, roots, _ in level_1] == [
+        ("dense", 0, 3), ("dense", 3, 6), ("dense", 9, 12), ("dense", 21, 12),
+        ("dense", 33, 12), ("dense", 45, 12), ("dense", 57, 6),
+    ]
+    assert {9, 33} <= {offset for _, offset, _, new in level_1 if new}
+    # levels 2 to 4 (31, 15 and 7 roots, 3 * 10^2 keys or more) take
+    # several chunks each, levels 5 and 6 one
+    assert [kind for kind, *_ in chunks[7:]] == ["dict"] * 9 + ["unique"] * 2
+    # level 3 of this tree is sparse, with one root past its first chunk
+    chunks.clear()
+    tree = periodic_tree(3, 4, (0, 1))
+    for n in range(tree.depth + 1):
+        assert_census_matches(tree, n)
+    assert ("dict", 3, 1) in [(kind, offset, roots) for kind, offset, roots, _ in chunks]
+
+
+def test_census_of_a_depth_20_tree_within_memory_budget():
+    import tracemalloc
+
+    # a random tree holds its labels from the start
+    tree = label_tree_random(SturmianParams.fibonacci(), 20, seed=1)
+    tracemalloc.start()
+    try:
+        tree_complexity(tree, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a level's ids take a byte per root, the chunks under 1 MiB; int64
+    # keys for all of level 1 at once would take 8 MiB
+    assert peak <= tree.size + 4 * 2**20
 
 
 @st.composite

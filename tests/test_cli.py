@@ -629,6 +629,21 @@ def test_sturmian_random_walks_the_word_graph_once_for_all_seeds(capsys, monkeyp
     assert walks == [16]
 
 
+def test_sturmian_random_json_past_the_label_cap_is_refused_before_labeling(capsys, monkeypatch):
+    # JSON keeps every seed's labels, so two depth-24 trees pass the cap of one
+    def labeling(params):
+        raise AssertionError("labeling began")
+
+    monkeypatch.setattr(cli, "build_factor_oracle", labeling)
+    args = ("--mode", "random", "-n", "24", "--seed", "0,1", "--format", "json")
+    code, out, err = run_cli(capsys, "sturmian", *args)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a JSON report of 2 trees of depth 24 holds {2 * (2**25 - 1)} labels, "
+        f"past the cap of {2**25}\n"
+    )
+
+
 def test_sturmian_lex_csv_at_the_depth_cap_within_budget(capsys):
     import tracemalloc
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fibonacci_word, fraction_mechanical_word
-from treeshift.oracle import DepthExceeded, LabeledTree
+from treeshift.oracle import DepthExceeded, LabeledTree, blocks_in_tree
 from treeshift.sturmian import (
     HARVEST_WINDOW,
     MAX_TREE_DEPTH,
@@ -382,3 +382,9 @@ def test_depth_limits():
     tree = label_tree_lex(FIB, 3)
     with pytest.raises(DepthExceeded):
         tree_complexity(tree, 4)
+    # a negative profile depth is refused as a negative block depth is
+    tree = label_tree_random(FIB, 4, 0)
+    with pytest.raises(ValueError, match="block depth must be nonnegative"):
+        blocks_in_tree(tree, -1)
+    with pytest.raises(ValueError, match="block depth must be nonnegative"):
+        tree_complexity(tree, -1)
