@@ -48,6 +48,7 @@ from .sturmian import (
     PrecisionExhausted,
     SturmianParams,
     build_factor_oracle,
+    check_depth,
     label_tree_lex,
     label_tree_random,
     left_edge_word,
@@ -521,7 +522,8 @@ def cmd_sturmian(args) -> Report:
             f"a JSON report of {len(seeds)} trees of depth {depth} holds {nodes} labels, "
             f"past the cap of {JSON_LABEL_CAP}"
         )
-    oracle = build_factor_oracle(params)
+    check_depth(depth)
+    oracle = build_factor_oracle(params, depth)
     per_seed = []
     for seed in seeds:
         tree = label_tree_random(params, depth, seed, oracle)

@@ -9,14 +9,20 @@ exact integer arithmetic and certified against the error bound, so a
 word is either correct or the computation refuses with
 PrecisionExhausted.
 
-Factors are harvested from the first HARVEST_WINDOW symbols into a
-FactorOracle: one set of every factor up to length ORACLE_LEN + 1, from
-which the valid successor symbols of a factor up to ORACLE_LEN are
-read, the same for every tree of the slope. For an irrational slope
-the factor counts must hit p(n) = n + 1 exactly; any deviation raises
-ComplexityViolation, which is also how rational slopes and too-small
-harvest windows are caught. Full counts leave exactly one
-right-special factor (two successors) per length.
+A tree of depth D reads the factors of lengths 0 .. D + 1, so its
+FactorOracle holds those alone. They are harvested from a window of
+the mechanical word that starts at 4 (D + 2) symbols and doubles until
+every length n up to D + 1 has exactly n + 1 factors; typical slopes
+validate in the first window. Harvested factors are factors of the
+slope, and a Sturmian language has exactly n + 1 of each length
+(Lothaire, Algebraic Combinatorics on Words, 2002, Ch. 2), so full
+counts mean the whole language, and they leave exactly one
+right-special factor (two successors) per length. A window that would
+pass HARVEST_BUDGET symbols is refused with oracle.TooLarge, and a
+convergent too coarse for the window with PrecisionExhausted. An exact
+rational slope of period q shows all its factors up to D + 1 within
+q + D + 1 symbols, so a window that long without full counts raises
+ComplexityViolation.
 
 The tree labelings follow one growth rule: the root carries the first
 symbol of the lexicographically minimal sequence of the system (0
@@ -55,7 +61,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_count
+from .oracle import (
+    DepthExceeded,
+    LabeledTree,
+    TooLarge,
+    WordGraph,
+    blocks_in_tree,
+    level_bounds,
+    node_count,
+)
 
 # A lex tree keeps its word graph, a few hundred nodes at any depth; its
 # census and its table and CSV outputs add nothing per tree node and
@@ -73,11 +87,14 @@ from .oracle import LabeledTree, WordGraph, blocks_in_tree, level_bounds, node_c
 # with blocks up to depth 12. The tree keeps the deepest level's ids
 # and one root per distinct block of every level.
 MAX_TREE_DEPTH = 24
-# Every factor oracle harvests HARVEST_WINDOW symbols and is validated
-# up to length ORACLE_LEN, whatever the tree; a labeling reads factors
-# up to its depth, so ORACLE_LEN >= MAX_TREE_DEPTH must hold.
-HARVEST_WINDOW = 1000
-ORACLE_LEN = 30
+# A factor oracle's window doubles from 4 (length + 2) symbols and is
+# refused before it would pass this many. Of 300 sampled slopes with
+# partial quotients 1 to 4, each validated in the first window or the
+# second; [0; 2, 1, 1, 1, 1, 1, 50, 1, 1, ...] needs 1,408 symbols at
+# length 20 and 2,048 at length 30. A refusal harvests every window up
+# to the budget: 33-56 ms at lengths 0-30, about 120 ms for the whole
+# process (CPython 3.11, a shared 2-vCPU virtual machine).
+HARVEST_BUDGET = 2**16
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -168,19 +185,21 @@ def minimal_sequence(params: SturmianParams, length: int) -> str:
 
 
 class FactorOracle:
-    """Factors up to ORACLE_LEN + 1 of one slope, as one set.
+    """Factors up to length + 1 of one slope, as one set.
 
-    alpha is the slope whose language the oracle holds. `factors` holds
-    every factor of length at most ORACLE_LEN + 1, the empty word
-    included, and both methods read it: a factor w of length at most
-    ORACLE_LEN has as successors the symbols c for which w + c is in it.
-    A word that is no factor raises KeyError, a length outside
-    0 .. ORACLE_LEN IndexError. `_graphs` keeps the word graph of each
-    depth labeled from the oracle; it takes no part in equality.
+    alpha is the slope whose language the oracle holds, and `length` the
+    deepest tree it serves. `factors` holds every factor of length at
+    most length + 1, the empty word included, and both methods read it:
+    a factor w of length at most `length` has as successors the symbols
+    c for which w + c is in it. A word that is no factor raises
+    KeyError, a length outside 0 .. `length` IndexError. `_graphs` keeps
+    the word graph of each depth labeled from the oracle; it takes no
+    part in equality.
     """
 
-    def __init__(self, alpha: Fraction, factors: frozenset[str]):
+    def __init__(self, alpha: Fraction, length: int, factors: frozenset[str]):
         self.alpha = alpha
+        self.length = length
         self.factors = factors
         self._graphs: dict = {}
 
@@ -190,47 +209,73 @@ class FactorOracle:
         return (self.alpha, self.factors) == (other.alpha, other.factors)
 
     def __repr__(self) -> str:
-        return f"FactorOracle(alpha={self.alpha!r})"
+        return f"FactorOracle(alpha={self.alpha!r}, length={self.length})"
 
     def complexity(self, n: int) -> int:
-        if not 0 <= n <= ORACLE_LEN:
-            raise IndexError(f"length {n} is outside 0 .. {ORACLE_LEN}")
+        if not 0 <= n <= self.length:
+            raise IndexError(f"length {n} is outside 0 .. {self.length}")
         return sum(len(w) == n for w in self.factors)
 
     def successors(self, w: str) -> str:
-        if len(w) > ORACLE_LEN:
-            raise IndexError(f"length {len(w)} is outside 0 .. {ORACLE_LEN}")
+        if len(w) > self.length:
+            raise IndexError(f"length {len(w)} is outside 0 .. {self.length}")
         if w not in self.factors:
             raise KeyError(w)
         return "".join(c for c in "01" if w + c in self.factors)
 
 
-def build_factor_oracle(params: SturmianParams) -> FactorOracle:
-    """Harvest and validate the factor language up to ORACLE_LEN + 1.
+def build_factor_oracle(params: SturmianParams, length: int) -> FactorOracle:
+    """Harvest and validate the factor language up to length + 1.
 
-    The factors are the prefixes of every window of ORACLE_LEN + 1
-    symbols, the windows that start near the end of the harvest cut
-    short by it, so they are all the harvest's factors up to that
-    length. Their lengths are counted once, and the first length n
-    without n + 1 factors raises ComplexityViolation. One oracle serves
-    every tree of its slope: pass it to `label_tree_random` to label
-    several seeds without rebuilding it.
+    A tree of depth `length` reads no more: its path words have lengths
+    1 .. length + 1, and a word's successors are read from the factors
+    one symbol longer. The window starts at 4 (length + 2) symbols and
+    doubles until every length n up to length + 1 has n + 1 factors,
+    read as the prefixes of its substrings of length + 1 symbols. Those
+    are all of its factors of that length, and once they are all the
+    slope's, every shorter factor is a prefix of one, as every factor
+    extends to the right; a substring cut short by the window's end
+    would add nothing. A window that would pass HARVEST_BUDGET symbols
+    raises TooLarge instead. A slope given exactly, with period q, shows
+    all its factors within q + length + 1 symbols, so a window that long
+    without full counts raises ComplexityViolation. One oracle serves
+    every tree of its slope up to depth `length`: pass it to
+    `label_tree_random` to label several seeds without rebuilding it.
     """
-    word = mechanical_word(params, HARVEST_WINDOW)
-    windows = {word[i : i + ORACLE_LEN + 1] for i in range(len(word))}
-    factors = frozenset(w[:n] for w in windows for n in range(len(w) + 1))
-    counts = Counter(map(len, factors))
-    for n in range(ORACLE_LEN + 2):
-        if counts[n] != n + 1:
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    window = 4 * (length + 2)
+    while window <= HARVEST_BUDGET:
+        word = mechanical_word(params, window)
+        longest = {word[i : i + length + 1] for i in range(window - length)}
+        factors = frozenset(w[:n] for w in longest for n in range(length + 2))
+        counts = Counter(map(len, factors))
+        short = next((n for n in range(length + 2) if counts[n] != n + 1), None)
+        # A mechanical word is balanced, so it has at most n + 1 factors
+        # of length n, and full counts mean the window holds the whole
+        # language up to length + 1. Every factor of length n <= length
+        # then extends to the right, and n + 2 extensions of n + 1
+        # factors leave exactly one right-special factor per length.
+        if short is None:
+            return FactorOracle(params.alpha, length, factors)
+        if params.alpha_error == 0 and window >= params.alpha.denominator + length + 1:
             raise ComplexityViolation(
-                f"found {counts[n]} factors of length {n}, expected {n + 1}; "
-                "the slope may be rational or the harvest window too small"
+                f"found {counts[short]} factors of length {short}, expected {short + 1}; "
+                f"the slope {params.alpha} is rational"
             )
-    # A mechanical word is balanced, so it has at most n + 1 factors of
-    # length n, and full counts mean the harvest holds the whole language.
-    # Every factor then extends to the right, and n + 2 extensions of
-    # n + 1 factors leave exactly one right-special factor per length.
-    return FactorOracle(params.alpha, factors)
+        window *= 2
+    raise TooLarge(
+        f"harvesting the factors up to length {length + 1} of the slope would pass "
+        f"the budget of {HARVEST_BUDGET} symbols"
+    )
+
+
+def check_depth(depth: int) -> None:
+    """Refuse a tree depth outside 0 .. MAX_TREE_DEPTH, before its oracle is built."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"depth {depth} is above the cap of {MAX_TREE_DEPTH}")
 
 
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
@@ -238,7 +283,8 @@ def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
 
     The tree is given its WordGraph alone, from `_word_graph`.
     """
-    return LabeledTree(2, depth, graph=_word_graph(build_factor_oracle(params), depth))
+    check_depth(depth)
+    return LabeledTree(2, depth, graph=_word_graph(build_factor_oracle(params, depth), depth))
 
 
 def label_tree_random(
@@ -251,14 +297,18 @@ def label_tree_random(
     same seed always reproduces the same tree. The labels are expanded
     from the lex word graph with these coins, and the tree keeps no
     graph: below a node its subtree depends on the coins, not only on
-    its path word. `oracle` is the `build_factor_oracle(params)`, built
-    here when not given; it keeps the graph, so seeds that share the
-    oracle walk it once.
+    its path word. `oracle` is a `build_factor_oracle(params, length)`
+    with length at least `depth`, built here to the depth when not
+    given; it keeps the graph, so seeds that share the oracle walk it
+    once.
     """
+    check_depth(depth)
     if oracle is None:
-        oracle = build_factor_oracle(params)
+        oracle = build_factor_oracle(params, depth)
     elif oracle.alpha != params.alpha:
         raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
+    elif oracle.length < depth:
+        raise ValueError(f"the oracle was built for length {oracle.length}, below depth {depth}")
     if depth not in oracle._graphs:
         oracle._graphs[depth] = _word_graph(oracle, depth)
     import random
@@ -276,12 +326,7 @@ def _word_graph(oracle: FactorOracle, depth: int) -> WordGraph:
     special. A level's words are listed in the order their first tree
     nodes come, so the first time a word is reached, as left child
     before right of the words in that order, is at its first node.
-    Depths outside 0 .. MAX_TREE_DEPTH are refused.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"depth {depth} is above the cap of {MAX_TREE_DEPTH}")
     words = ["0"]  # the first symbol of every minimal sequence
     labels, children, first = [0], [], [0]
     for _ in range(depth):
@@ -346,8 +391,11 @@ def tree_complexity(tree: LabeledTree, n_max: int) -> list[int]:
     """p(n) of the tree for n = 0 .. n_max, one census per n.
 
     The tree keeps the levels its censuses intern, so the profile
-    interns each of levels 1 .. n_max once, and builds no block.
+    interns each of levels 1 .. n_max once, and builds no block. An
+    n_max past the tree's depth is refused before any census.
     """
     if n_max < 0:
         raise ValueError("block depth must be nonnegative")
+    if n_max > tree.depth:
+        raise DepthExceeded(f"block depth {n_max} exceeds tree depth {tree.depth}")
     return [blocks_in_tree(tree, n).count for n in range(n_max + 1)]

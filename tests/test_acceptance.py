@@ -260,7 +260,7 @@ def test_criterion_10_kary_sandwich():
 
 def test_criterion_11_sturmian_properties():
     fib = SturmianParams.fibonacci()
-    oracle = build_factor_oracle(fib)
+    oracle = build_factor_oracle(fib, 30)
     for n in range(31):
         assert oracle.complexity(n) == n + 1, n
     print("criterion 11: factor complexity p(n) = n + 1 holds for n <= 30")

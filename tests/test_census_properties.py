@@ -19,7 +19,8 @@ of a fresh copy of the tree, and a profile must intern each level once
 and build no block. A lex tree is the top of the next deeper one, which
 counts at least as many blocks of every depth. Every factor oracle has
 exactly one right-special factor per length and no factor without a
-successor.
+successor, and one sized to a tree holds exactly the factors of a
+longer one up to the lengths the tree reads.
 """
 
 import random
@@ -34,7 +35,6 @@ from oracles import lex_tree_labels, node_count, random_tree_labels, window_cens
 from treeshift import oracle
 from treeshift.oracle import LabeledTree, blocks_in_tree
 from treeshift.sturmian import (
-    ORACLE_LEN,
     SturmianParams,
     build_factor_oracle,
     label_tree_lex,
@@ -240,11 +240,22 @@ def lex_slopes(draw):
 def test_oracle_has_one_right_special_factor_per_length(params):
     # the factor oracle does not check this itself: it follows from the
     # full factor counts of a balanced word
-    oracle = build_factor_oracle(params)
-    for n in range(ORACLE_LEN + 1):
+    oracle = build_factor_oracle(params, 30)
+    for n in range(oracle.length + 1):
         entry = [w for w in oracle.factors if len(w) == n]
         assert len(entry) == n + 1
         assert sorted(len(oracle.successors(w)) for w in entry) == [1] * n + [2]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lex_slopes(), st.integers(0, 24))
+def test_depth_sized_oracle_holds_the_factors_of_the_longer_one(params, depth):
+    # a tree of depth d reads factors up to d + 1, and an oracle sized
+    # to it holds exactly those of the oracle of length 30
+    longer = build_factor_oracle(params, 30).factors
+    oracle = build_factor_oracle(params, depth)
+    assert oracle.length == depth
+    assert oracle.factors == {w for w in longer if len(w) <= depth + 1}
 
 
 @st.composite
@@ -257,7 +268,7 @@ def lex_trees(draw, slopes=lex_slopes()):
 def test_lex_tree_reads_equal_the_node_by_node_reference(data):
     params = data.draw(lex_slopes())
     tree = data.draw(lex_trees(st.just(params)))
-    expected = lex_tree_labels(build_factor_oracle(params).successors, tree.depth)
+    expected = lex_tree_labels(build_factor_oracle(params, tree.depth).successors, tree.depth)
     edge = "".join(str(expected[node_count(2, l - 1)]) for l in range(tree.depth + 1))
     prefixes = sorted({*range(min(tree.size, 300) + 1), tree.size})
     # read off the word graph first, then again from the expanded labels
@@ -271,7 +282,7 @@ def test_lex_tree_reads_equal_the_node_by_node_reference(data):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(lex_slopes(), st.integers(0, 14), st.integers(0, 2**64))
 def test_random_tree_equals_the_node_by_node_reference(params, depth, seed):
-    expected = random_tree_labels(build_factor_oracle(params).successors, depth, seed)
+    expected = random_tree_labels(build_factor_oracle(params, depth).successors, depth, seed)
     assert label_tree_random(params, depth, seed).labels == expected
 
 

@@ -566,9 +566,9 @@ def test_sturmian_random_builds_one_factor_oracle_per_report(capsys, monkeypatch
     built = []
     real = sturmian.build_factor_oracle
 
-    def counted(params):
+    def counted(params, length):
         built.append(params)
-        return real(params)
+        return real(params, length)
 
     # the CLI binds the name itself, and the labeler reads the module's
     monkeypatch.setattr(cli, "build_factor_oracle", counted)
@@ -631,7 +631,7 @@ def test_sturmian_random_walks_the_word_graph_once_for_all_seeds(capsys, monkeyp
 
 def test_sturmian_random_json_past_the_label_cap_is_refused_before_labeling(capsys, monkeypatch):
     # JSON keeps every seed's labels, so two depth-24 trees pass the cap of one
-    def labeling(params):
+    def labeling(params, length):
         raise AssertionError("labeling began")
 
     monkeypatch.setattr(cli, "build_factor_oracle", labeling)
@@ -694,6 +694,41 @@ def test_sturmian_depth_cap(capsys):
     code, _, err = run_cli(capsys, "sturmian", "-n", "30")
     assert code == 2
     assert err != ""
+
+
+@pytest.mark.parametrize("mode", ["lex", "random"])
+def test_sturmian_depth_cap_is_refused_before_the_harvest(capsys, monkeypatch, mode):
+    # an oracle sized to this depth would hold every factor up to it
+    import treeshift.sturmian as sturmian
+
+    def harvest(params, length):
+        raise AssertionError("harvest began")
+
+    monkeypatch.setattr(cli, "build_factor_oracle", harvest)
+    monkeypatch.setattr(sturmian, "build_factor_oracle", harvest)
+    code, out, err = run_cli(capsys, "sturmian", "--mode", mode, "-n", "100000")
+    assert (code, out, err) == (2, "", "error: depth 100000 is above the cap of 24\n")
+
+
+@pytest.mark.parametrize("depth", ["4", "12", "24"])
+def test_sturmian_slope_with_late_runs_labels(capsys, depth):
+    # its factors of length 21 all appear only by symbol 1,083, and each
+    # tree's oracle harvests as far as its depth needs
+    terms = "0,2,1,1,1,1,1,50" + ",1" * 40
+    code, out, err = run_cli(capsys, "sturmian", "-n", depth, "--alpha-cf", terms)
+    assert (code, err) == (0, "")
+    assert f"mode lex, depth {depth} " in out
+
+
+def test_sturmian_slope_past_the_harvest_budget_is_refused(capsys):
+    # the first 1 comes near symbol 10^9, so no harvest holds the factor "1"
+    terms = "0,1000000000" + ",1" * 40
+    code, out, err = run_cli(capsys, "sturmian", "-n", "4", "--alpha-cf", terms)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: harvesting the factors up to length 5 of the slope would pass "
+        "the budget of 65536 symbols\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Mechanical words, factor oracles, and tree labelings."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fibonacci_word, fraction_mechanical_word
-from treeshift.oracle import DepthExceeded, LabeledTree, blocks_in_tree
+from oracles import fibonacci_word, fraction_mechanical_word, lex_tree_labels
+from treeshift import sturmian
+from treeshift.oracle import DepthExceeded, LabeledTree, TooLarge, blocks_in_tree
 from treeshift.sturmian import (
-    HARVEST_WINDOW,
+    HARVEST_BUDGET,
     MAX_TREE_DEPTH,
-    ORACLE_LEN,
     ComplexityViolation,
     PrecisionExhausted,
     SturmianParams,
@@ -139,18 +140,90 @@ def test_mechanical_word_matches_fraction_reference_on_drawn_slopes(first, rest,
             mechanical_word(params, length)
 
 
-def test_rational_slope_violates_complexity():
+def _harvests(monkeypatch) -> list:
+    """Record the window of every harvest build_factor_oracle makes."""
+    windows = []
+    real = sturmian.mechanical_word
+
+    def recorded(params, length):
+        windows.append(length)
+        return real(params, length)
+
+    monkeypatch.setattr(sturmian, "mechanical_word", recorded)
+    return windows
+
+
+def test_rational_slope_violates_complexity(monkeypatch):
+    # period 3 shows every factor in the first 3 + length + 1 symbols,
+    # so the first window decides, far below the harvest budget
+    windows = _harvests(monkeypatch)
     rational = SturmianParams(Fraction(1, 3), Fraction(0))
-    with pytest.raises(ComplexityViolation):
-        build_factor_oracle(rational)
+    for length in (2, 10, 30):
+        windows.clear()
+        with pytest.raises(ComplexityViolation, match="3 factors of length 3, expected 4; .* 1/3 "):
+            build_factor_oracle(rational, length)
+        assert windows == [4 * (length + 2)]
 
 
 def test_shallow_tree_oracle_still_reaches_the_length_floor():
-    # slope 1/20 has period 20, so a depth-5 tree's oracle only fails
-    # because it is built to ORACLE_LEN, not to the depth
+    # slope 1/20 has period 20, so it has n + 1 factors of each length
+    # n < 20: a tree of depth up to 18 labels, and depth 19 reads length 20
     slope = SturmianParams(Fraction(1, 20), Fraction(0))
+    word = mechanical_word(slope, 200)
+
+    def successors(w):
+        return "".join(c for c in "01" if w + c in word)
+
+    for depth in (0, 5, 18):
+        assert label_tree_lex(slope, depth).labels == lex_tree_labels(successors, depth)
     with pytest.raises(ComplexityViolation, match="found 20 factors of length 20, expected 21"):
-        label_tree_lex(slope, 5)
+        label_tree_lex(slope, 19)
+
+
+# convergents of irrational slopes, with the 1/q^2 bound: one whose
+# factors need a long harvest, and one whose factors no harvest budget holds
+LATE_RUNS = SturmianParams.from_continued_fraction([0, 2, 1, 1, 1, 1, 1, 50] + [1] * 40)
+FIRST_ONE_NEAR_1E9 = SturmianParams.from_continued_fraction([0, 1000000000] + [1] * 40)
+
+
+def test_late_runs_slope_labels_as_the_reference_harvest():
+    # a reference harvest in Fractions feeds the node-by-node labeler;
+    # the slope's factors of length 21 all appear only by symbol 1,083,
+    # and the oracles of deeper trees still hold its whole language
+    word, refused_at = fraction_mechanical_word(LATE_RUNS.alpha, LATE_RUNS.alpha_error, 4096)
+    assert refused_at is None
+    factors = {word[i : i + n] for n in range(26) for i in range(len(word) - n + 1)}
+    assert sorted(Counter(map(len, factors)).values()) == list(range(1, 27))
+
+    def successors(w):
+        return "".join(c for c in "01" if w + c in factors)
+
+    for depth in range(13):
+        assert label_tree_lex(LATE_RUNS, depth).labels == lex_tree_labels(successors, depth)
+    for length in (20, 24):
+        oracle = build_factor_oracle(LATE_RUNS, length)
+        assert oracle.factors == {w for w in factors if len(w) <= length + 1}
+
+
+def test_slope_past_the_harvest_budget_is_refused(monkeypatch):
+    # the first 1 comes near symbol 10^9, so no budget could hold the
+    # factor "1"; the harvest stops at the budget
+    windows = _harvests(monkeypatch)
+    with pytest.raises(TooLarge, match=f"up to length 1 .* budget of {HARVEST_BUDGET} symbols"):
+        build_factor_oracle(FIRST_ONE_NEAR_1E9, 0)
+    assert windows == [2**k for k in range(3, 17)] and windows[-1] == HARVEST_BUDGET
+    with pytest.raises(TooLarge, match="up to length 13 "):
+        label_tree_lex(FIRST_ONE_NEAR_1E9, 12)
+    # a length whose first window is past the budget harvests nothing
+    windows.clear()
+    with pytest.raises(TooLarge):
+        build_factor_oracle(FIB, HARVEST_BUDGET // 4)
+    assert windows == []
+
+
+def test_a_negative_oracle_length_is_refused():
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        build_factor_oracle(FIB, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +231,7 @@ def test_shallow_tree_oracle_still_reaches_the_length_floor():
 
 
 def test_oracle_complexity_and_factors():
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 30)
     for n in range(31):
         assert oracle.complexity(n) == n + 1
     assert sorted(w for w in oracle.factors if len(w) == 1) == ["0", "1"]
@@ -177,44 +250,46 @@ def test_oracle_factors_are_every_window_of_the_harvest(terms):
     # the oracle harvests shorter factors from prefixes of the longest
     # windows; the reference slices every window of every length
     params = SturmianParams.from_continued_fraction(terms)
-    word, refused_at = fraction_mechanical_word(params.alpha, params.alpha_error, HARVEST_WINDOW)
+    word, refused_at = fraction_mechanical_word(params.alpha, params.alpha_error, 1000)
     assert refused_at is None
-    oracle = build_factor_oracle(params)
-    windows = {word[i : i + n] for n in range(ORACLE_LEN + 2) for i in range(len(word) - n + 1)}
+    oracle = build_factor_oracle(params, 30)
+    windows = {word[i : i + n] for n in range(32) for i in range(len(word) - n + 1)}
     assert oracle.factors == windows
 
 
-def test_oracle_harvest_reads_the_windows_that_start_in_the_tail():
-    # this word alternates 0 and 1 until a "00" at index 980, past the
-    # start of the last longest window, so only the tail windows see it
-    params = SturmianParams.from_continued_fraction([0, 2, 490] + [1] * 20)
-    word = mechanical_word(params, HARVEST_WINDOW)
-    assert word.find("00") == 980 and HARVEST_WINDOW - 980 < ORACLE_LEN + 1
-    counts = [len({word[i : i + n] for i in range(len(word) - n + 1)}) for n in range(22)]
-    assert counts == list(range(1, 22)) + [21]
-    with pytest.raises(ComplexityViolation, match="found 21 factors of length 21,"):
-        build_factor_oracle(params)
+def test_oracle_harvest_reads_the_windows_that_start_in_the_tail(monkeypatch):
+    # this word alternates 0 and 1 until a "00" at index 714, so its
+    # factor "00" + 20 symbols starts in the last substring of 22
+    # symbols that fits in 736: the harvest stops at 736 only if it
+    # reads that one
+    params = SturmianParams.from_continued_fraction([0, 2, 357] + [1] * 20)
+    word = mechanical_word(params, 736)
+    assert word.find("00") == 714 == 736 - 22
+    windows = _harvests(monkeypatch)
+    oracle = build_factor_oracle(params, 21)
+    assert windows == [92, 184, 368, 736]
+    assert oracle.factors == {word[i : i + n] for n in range(23) for i in range(736 - n + 1)}
 
 
 def test_oracle_successors_close_under_extension():
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 30)
     for w in oracle.factors:
-        if len(w) < ORACLE_LEN:
+        if len(w) < oracle.length:
             for c in oracle.successors(w):
                 assert w + c in oracle.factors
 
 
 def test_oracle_refuses_non_factors_and_lengths_past_its_own():
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 30)
     with pytest.raises(KeyError):
         oracle.successors("11")
     # the longest factors are held, but past the lengths the oracle answers for
-    longest = mechanical_word(FIB, ORACLE_LEN + 1)
+    longest = mechanical_word(FIB, 31)
     assert longest in oracle.factors
     with pytest.raises(IndexError):
         oracle.successors(longest)
     with pytest.raises(IndexError):
-        oracle.complexity(ORACLE_LEN + 1)
+        oracle.complexity(31)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +350,7 @@ def test_path_words_refuse_labels_past_nine():
 
 
 def test_every_path_word_is_a_factor():
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 8)
     lex = label_tree_lex(FIB, 8)
     rnd = label_tree_random(FIB, 8, seed=3)
     for tree in (lex, rnd):
@@ -307,7 +382,7 @@ def test_random_labeling_deterministic_per_seed():
 
 
 def test_shared_oracle_labels_the_same_trees():
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 10)
     for seed in range(4):
         shared = label_tree_random(FIB, 10, seed, oracle)
         own = label_tree_random(FIB, 10, seed)
@@ -315,7 +390,7 @@ def test_shared_oracle_labels_the_same_trees():
     other = SturmianParams.from_continued_fraction([0, 3, 1, 2, 1, 1, 4] + [1] * 30)
     with pytest.raises(ValueError, match="built for slope"):
         label_tree_random(other, 10, 0, oracle)
-    assert tree_complexity(label_tree_random(other, 10, 0, build_factor_oracle(other)), 3) == [
+    assert tree_complexity(label_tree_random(other, 10, 0, build_factor_oracle(other, 10)), 3) == [
         2, 5, 11, 27
     ]
     with pytest.raises(ValueError):
@@ -327,7 +402,7 @@ def test_shared_oracle_labels_the_same_trees():
 def test_random_labeling_peaks_below_2_5_bytes_per_node():
     import tracemalloc
 
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 20)
     label_tree_random(FIB, 4, 0, oracle)  # loads numpy
     tracemalloc.start()
     try:
@@ -340,28 +415,30 @@ def test_random_labeling_peaks_below_2_5_bytes_per_node():
 
 
 def test_one_oracle_serves_every_depth():
-    # a labeling reads factors up to its depth, all inside the oracle
-    assert ORACLE_LEN >= MAX_TREE_DEPTH
-    oracle = build_factor_oracle(FIB)
-    for depth in (0, 1, 16):
+    # a labeling reads factors up to its depth, so an oracle of length L
+    # serves depths 0 .. L and refuses L + 1
+    oracle = build_factor_oracle(FIB, 16)
+    for depth in (0, 1, 15, 16):
         for seed in range(3):
             shared = label_tree_random(FIB, depth, seed, oracle)
             own = label_tree_random(FIB, depth, seed)
             assert (shared.arity, shared.depth) == (own.arity, own.depth) == (2, depth)
             assert shared.labels == own.labels, (depth, seed)
+    with pytest.raises(ValueError, match="built for length 16, below depth 17"):
+        label_tree_random(FIB, 17, 0, oracle)
 
 
 def test_walked_word_graphs_take_no_part_in_oracle_equality():
     # the oracle keeps the graph of each depth labeled from it
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 12)
     label_tree_random(FIB, 12, 0, oracle)
-    assert oracle == build_factor_oracle(FIB)
-    assert repr(oracle) == repr(build_factor_oracle(FIB))
+    assert oracle == build_factor_oracle(FIB, 12)
+    assert repr(oracle) == repr(build_factor_oracle(FIB, 12))
 
 
 def test_an_oracle_is_unequal_to_other_types():
     # its __eq__ answers NotImplemented, so == falls back to identity
-    oracle = build_factor_oracle(FIB)
+    oracle = build_factor_oracle(FIB, 12)
     assert oracle.__eq__("x") is NotImplemented
     assert (oracle == "x") is False
     assert oracle != oracle.factors
@@ -382,6 +459,11 @@ def test_depth_limits():
     tree = label_tree_lex(FIB, 3)
     with pytest.raises(DepthExceeded):
         tree_complexity(tree, 4)
+    # past the tree's depth a profile is refused before any census
+    tree = label_tree_random(FIB, 20, 0)
+    with pytest.raises(DepthExceeded, match="block depth 21 exceeds tree depth 20"):
+        tree_complexity(tree, 21)
+    assert tree.interned == []
     # a negative profile depth is refused as a negative block depth is
     tree = label_tree_random(FIB, 4, 0)
     with pytest.raises(ValueError, match="block depth must be nonnegative"):
