@@ -2,16 +2,18 @@
 
 Subcommands: analyze (one matrix), table (the embedded benchmark
 fixture), golden (golden mean specials), kary (entropy across arities),
-sturmian (tree labelings from a Sturmian word). Each computes its result
-once and returns a Report holding the exit status and the table, CSV and
-JSON forms, formatted only here; `main` prints the one --format names.
-Exit code 0 means all checks passed, 1 means some numeric check
-failed, 2 means the input was unusable. All output is deterministic for
-fixed flags and seeds; --out redirects the report to a file. The
-argument parser is built once per process, on the first `main` call;
-importing the module builds none. `json` is imported by the JSON branch
-of `main` alone (and by the parser of a JSON matrix), so the default
-table and CSV forms start without it.
+sturmian (tree labelings from a Sturmian word). Each computes its result,
+its exit status and every check once, and returns a Report holding the
+status, the JSON payload and two functions that format the table and CSV
+forms; `main` builds and prints only the one --format names. JSON is
+written by `_json_text`, which gives the bytes of `json.dumps(payload,
+indent=2)` without that call's pure-Python encoder. Exit code 0 means
+all checks passed, 1 means some numeric check failed, 2 means the input
+was unusable. All output is deterministic for fixed flags and seeds;
+--out redirects the report to a file. The argument parser is built once
+per process, on the first `main` call; importing the module builds none.
+`json` is imported by the JSON writer alone (and by the parser of a JSON
+matrix), so the default table and CSV forms start without it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import argparse
 import functools
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .matrix import TransitionMatrix, parse_matrix
 from .oracle import LabeledTree, TooLarge, enumerate_configs, node_count
@@ -65,6 +67,10 @@ LABEL_PREFIX = 255
 # tree of the deepest labeling, node_count(2, 24) = 2^25 - 1.
 JSON_LABEL_CAP = 2**25
 
+# integer terms of --seed, --alpha-cf and kary --arity: CPython's default
+# limit for converting text to int, applied whatever the interpreter's is
+INT_TERM_DIGITS = 4300
+
 # published golden mean figures, as text that carries their decimals: the
 # entropy h = 2 log c and the prefactor b = 1/q* of p(n) ~ b c^(2^(n+2))
 GOLDEN_H = "0.509"
@@ -75,13 +81,15 @@ GOLDEN_B = "0.6823278"
 class Report(NamedTuple):
     """One subcommand's result: its exit status and its three forms.
 
-    `json` is the payload dict; `csv` and `table` are lists of lines.
+    `json` is the payload dict; `csv` and `table` take no argument and
+    return that form's lines, so that only the printed form is built.
+    The status and every check are computed before either is called.
     """
 
     status: int
     json: dict
-    csv: list[str]
-    table: list[str]
+    csv: Callable[[], list[str]]
+    table: Callable[[], list[str]]
 
 
 def _f(x, places: int = 6) -> str:
@@ -123,8 +131,13 @@ def _load_matrix(source: str) -> TransitionMatrix:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    terms = [tok for tok in text.split(",") if tok.strip() != ""]
+    for digits in (tok.strip().lstrip("+-").replace("_", "") for tok in terms):
+        if len(digits) > INT_TERM_DIGITS and digits.isdecimal():
+            # named by its size, where int() may refuse it with advice for programmers
+            raise ValueError(f"{flag} term of {len(digits)} digits is past the limit of {INT_TERM_DIGITS}")
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [int(tok) for tok in terms]
     except ValueError as exc:
         raise ValueError(f"{flag} expects comma-separated integers: {exc}") from None
     if not values:
@@ -200,28 +213,43 @@ def cmd_analyze(args) -> Report:
         "verdicts": [{"check": name, "ok": ok} for name, ok in verdicts],
         "series": _series_json(series, M.symbols),
     }
-    csv = _series_csv(series, M.symbols)
-    head = [
-        f"matrix {M.to_row_string()}  (d={M.d}, arity {args.arity}, depth {n})",
-        f"irreducible {'yes' if spectral.irreducible else 'no'}"
-        f"  primitive {'yes' if spectral.primitive else 'no'}"
-        f"  period {spectral.period}",
-        f"spectral radius {_f(spectral.spectral_radius)}"
-        f"  base entropy {_f(spectral.sft_entropy)}",
-        f"eigenvector ratio {_f(spectral.ratio)}  upper bound {_f(bound)}",
-        f"row sums {','.join(str(t) for t in row_sums)}"
-        f"  row-sum window [{_f(window[0])}, {_f(window[1])}]",
-        f"tree entropy h_acc({n}) {_f(h_tree)}"
-        f"  h({n}) {_f(series.h[-1])}  h2({n}) {_f(series.h2[-1])}",
-    ]
-    if deviation is not None:
-        head.append(f"exact cross-check: max log deviation {deviation:.3e}")
-    head += [f"verdict {name}: {_verdict(ok)}" for name, ok in verdicts]
-    return Report(status, payload, csv, head + [""] + csv)
+
+    def csv() -> list[str]:
+        return _series_csv(series, M.symbols)
+
+    def table() -> list[str]:
+        head = [
+            f"matrix {M.to_row_string()}  (d={M.d}, arity {args.arity}, depth {n})",
+            f"irreducible {'yes' if spectral.irreducible else 'no'}"
+            f"  primitive {'yes' if spectral.primitive else 'no'}"
+            f"  period {spectral.period}",
+            f"spectral radius {_f(spectral.spectral_radius)}"
+            f"  base entropy {_f(spectral.sft_entropy)}",
+            f"eigenvector ratio {_f(spectral.ratio)}  upper bound {_f(bound)}",
+            f"row sums {','.join(str(t) for t in row_sums)}"
+            f"  row-sum window [{_f(window[0])}, {_f(window[1])}]",
+            f"tree entropy h_acc({n}) {_f(h_tree)}"
+            f"  h({n}) {_f(series.h[-1])}  h2({n}) {_f(series.h2[-1])}",
+        ]
+        if deviation is not None:
+            head.append(f"exact cross-check: max log deviation {deviation:.3e}")
+        head += [f"verdict {name}: {_verdict(ok)}" for name, ok in verdicts]
+        return head + [""] + csv()
+
+    return Report(status, payload, csv, table)
 
 
 # ---------------------------------------------------------------------------
 # table
+
+
+def _figures(r) -> tuple:
+    """(key, computed, published, ok) for each checked figure of one table row."""
+    return (
+        ("base_entropy", r.computed_sft, r.row.sft_entropy, r.sft_ok),
+        ("tree_entropy", r.computed_tree, r.row.tree_entropy, r.tree_ok),
+        ("upper_bound", r.computed_upper, r.row.upper, r.upper_ok),
+    )
 
 
 def cmd_table(args) -> Report:
@@ -231,52 +259,47 @@ def cmd_table(args) -> Report:
     status = 0 if rows_ok and plastic["all_ok"] else 1
 
     payload = {"depth": args.depth, "rows": [], "plastic": plastic, "all_ok": status == 0}
-    csv = [
-        "name,matrix,htop_computed,htop_published,htop_ok,"
-        "h_computed,h_published,h_ok,upper_computed,upper_published,"
-        "upper_ok,order_ok"
-    ]
-    head = (
-        f"{'name':<6} {'matrix':<12} {'htop':>9} {'pub':>6} {'ok':<4}"
-        f" {'h':>9} {'pub':>6} {'ok':<4} {'U':>9} {'pub':>6} {'ok':<4} order"
-    )
-    table = [f"benchmark table at depth {args.depth}", head]
     for r in results:
-        columns = (
-            ("base_entropy", r.computed_sft, r.row.sft_entropy, r.sft_ok),
-            ("tree_entropy", r.computed_tree, r.row.tree_entropy, r.tree_ok),
-            ("upper_bound", r.computed_upper, r.row.upper, r.upper_ok),
+        row = {"name": r.row.name, "matrix": r.row.matrix}
+        for key, c, p, ok in _figures(r):
+            row[key] = {"computed": c, "published": p, "ok": ok}
+        payload["rows"].append(row | {"order_ok": r.order_ok})
+
+    def csv() -> list[str]:
+        lines = [
+            "name,matrix,htop_computed,htop_published,htop_ok,"
+            "h_computed,h_published,h_ok,upper_computed,upper_published,"
+            "upper_ok,order_ok"
+        ]
+        for r in results:
+            cells = [f"{_f(c)},{_f(p, 3)},{str(ok).lower()}" for _, c, p, ok in _figures(r)]
+            lines.append(f'{r.row.name},"{r.row.matrix}",{",".join(cells)},{str(r.order_ok).lower()}')
+        return lines
+
+    def table() -> list[str]:
+        lines = [
+            f"benchmark table at depth {args.depth}",
+            f"{'name':<6} {'matrix':<12} {'htop':>9} {'pub':>6} {'ok':<4}"
+            f" {'h':>9} {'pub':>6} {'ok':<4} {'U':>9} {'pub':>6} {'ok':<4} order",
+        ]
+        for r in results:
+            cells = "".join(f" {_f(c):>9} {_f(p, 3):>6} {_verdict(ok):<4}" for _, c, p, ok in _figures(r))
+            lines.append(f"{r.row.name:<6} {r.row.matrix:<12}{cells} {_verdict(r.order_ok)}")
+        lines += ["", f"worked example {PLASTIC_MATRIX}  (radius {_f(plastic['radius'])})"]
+        for name, check in plastic["checks"].items():
+            lines.append(
+                f"  {name:<13} computed {_f(check['computed']):>9}"
+                f"  published {_f(check['published'], 4):>7}  {_verdict(check['ok'])}"
+            )
+        lines.append(
+            "  eigenvectors  right "
+            + "/".join(_f(x, 4) for x in plastic["right_eigenvector"])
+            + "  left "
+            + "/".join(_f(x, 4) for x in plastic["left_eigenvector"])
+            + f"  {_verdict(plastic['eigenvectors_ok'])}"
         )
-        payload["rows"].append(
-            {
-                "name": r.row.name,
-                "matrix": r.row.matrix,
-                **{key: {"computed": c, "published": p, "ok": ok} for key, c, p, ok in columns},
-                "order_ok": r.order_ok,
-            }
-        )
-        cells = [f"{_f(c)},{_f(p, 3)},{str(ok).lower()}" for _, c, p, ok in columns]
-        csv.append(f'{r.row.name},"{r.row.matrix}",{",".join(cells)},{str(r.order_ok).lower()}')
-        table.append(
-            f"{r.row.name:<6} {r.row.matrix:<12}"
-            + "".join(f" {_f(c):>9} {_f(p, 3):>6} {_verdict(ok):<4}" for _, c, p, ok in columns)
-            + f" {_verdict(r.order_ok)}"
-        )
-    table.append("")
-    table.append(f"worked example {PLASTIC_MATRIX}  (radius {_f(plastic['radius'])})")
-    for name, check in plastic["checks"].items():
-        table.append(
-            f"  {name:<13} computed {_f(check['computed']):>9}"
-            f"  published {_f(check['published'], 4):>7}  {_verdict(check['ok'])}"
-        )
-    table.append(
-        "  eigenvectors  right "
-        + "/".join(_f(x, 4) for x in plastic["right_eigenvector"])
-        + "  left "
-        + "/".join(_f(x, 4) for x in plastic["left_eigenvector"])
-        + f"  {_verdict(plastic['eigenvectors_ok'])}"
-    )
-    table += ["", f"overall: {_verdict(status == 0)}"]
+        return lines + ["", f"overall: {_verdict(status == 0)}"]
+
     return Report(status, payload, csv, table)
 
 
@@ -355,26 +378,32 @@ def cmd_golden(args) -> Report:
         ],
         "checks": [{"check": name, "ok": ok} for name, ok in checks],
     }
-    csv = ["n,q,gap_to_root"]
-    csv += [f"{n},{q[n]!r},{abs(q[n] - root)!r}" for n in range(1, n_max + 1)]
-    table = [
-        f"golden mean tree shift (matrix {GOLDEN_MATRIX}), depth {n_max}",
-        "p(0..4) = " + ", ".join(str(x) for x in p[:5]),
-        "A(0..4) = " + ", ".join(str(x) for x in a_seq[:5]),
-        f"supergolden root {root:.6f}  |q({n_max}) - root| {abs(q[-1] - root):.3e}",
-        f"h_acc({n_max}) {_f(h_acc)}  h2({n_max}) {_f(h2)}  b estimate {_f(b_est, 7)}",
-        "",
-        "n,q,gap_to_root",
-    ]
-    table += [f"{n},{_f(q[n], 10)},{abs(q[n] - root):.3e}" for n in range(1, n_max + 1)]
-    table.append("")
-    for c in bound_checks:
-        table.append(
-            f"A({c.level}) >= gamma^{c.exponent}: {_verdict(c.holds)}"
-            f"  (log margin {c.log_margin:.6f}, {c.precision_bits} bits)"
-        )
-    table.append("")
-    table += [f"check {name}: {_verdict(ok)}" for name, ok in checks]
+
+    def csv() -> list[str]:
+        return ["n,q,gap_to_root"] + [
+            f"{n},{q[n]!r},{abs(q[n] - root)!r}" for n in range(1, n_max + 1)
+        ]
+
+    def table() -> list[str]:
+        lines = [
+            f"golden mean tree shift (matrix {GOLDEN_MATRIX}), depth {n_max}",
+            "p(0..4) = " + ", ".join(str(x) for x in p[:5]),
+            "A(0..4) = " + ", ".join(str(x) for x in a_seq[:5]),
+            f"supergolden root {root:.6f}  |q({n_max}) - root| {abs(q[-1] - root):.3e}",
+            f"h_acc({n_max}) {_f(h_acc)}  h2({n_max}) {_f(h2)}  b estimate {_f(b_est, 7)}",
+            "",
+            "n,q,gap_to_root",
+        ]
+        lines += [f"{n},{_f(q[n], 10)},{abs(q[n] - root):.3e}" for n in range(1, n_max + 1)]
+        lines.append("")
+        for c in bound_checks:
+            lines.append(
+                f"A({c.level}) >= gamma^{c.exponent}: {_verdict(c.holds)}"
+                f"  (log margin {c.log_margin:.6f}, {c.precision_bits} bits)"
+            )
+        lines.append("")
+        return lines + [f"check {name}: {_verdict(ok)}" for name, ok in checks]
+
     return Report(status, payload, csv, table)
 
 
@@ -417,20 +446,24 @@ def cmd_kary(args) -> Report:
         "monotone_increasing": monotone,
         "sandwich_ok": status == 0,
     }
-    csv = ["k,n,h_acc,lower,upper,in_bounds"]
-    for r in rows:
-        csv.append(
+
+    def csv() -> list[str]:
+        return ["k,n,h_acc,lower,upper,in_bounds"] + [
             f"{r['arity']},{r['depth']},{_f(r['h_acc'])},{_f(r['lower'])},"
             f"{_f(r['upper'])},{str(r['in_bounds']).lower()}"
-        )
-    table = (
-        [f"arity sweep for matrix {M.to_row_string()}"]
-        + csv
-        + [
-            f"monotone increasing in k: {'yes' if monotone else 'no'}",
-            f"sandwich verdict: {_verdict(status == 0)}",
+            for r in rows
         ]
-    )
+
+    def table() -> list[str]:
+        return (
+            [f"arity sweep for matrix {M.to_row_string()}"]
+            + csv()
+            + [
+                f"monotone increasing in k: {'yes' if monotone else 'no'}",
+                f"sandwich verdict: {_verdict(status == 0)}",
+            ]
+        )
+
     return Report(status, payload, csv, table)
 
 
@@ -453,8 +486,8 @@ def _labels(tree: LabeledTree, fmt: str) -> str:
     that `_shown` needs to cut them the same way, which a lex tree reads
     off its word graph. One translation maps 0 and 1 to their digits and
     any other label to 0xFF, which the ASCII decoding then refuses. Its
-    copy of the labels is freed before the JSON dump, which sets the
-    memory peak.
+    copy of the labels is freed before the JSON text is written, which
+    sets the memory peak.
     """
     if fmt == "json":
         labels = tree.labels
@@ -504,16 +537,21 @@ def cmd_sturmian(args) -> Report:
             "labels": labels,
             "p_tau": p_tau,
         }
-        csv = ["n,p_tau"] + [f"{n},{c}" for n, c in enumerate(p_tau)]
-        table = (
-            [f"sturmian labeling, mode lex, depth {depth} ({tree.size} nodes)"]
-            + slope_and_word
-            + [
-                f"left edge = minimal sequence prefix: {_verdict(edge_ok)}  ({left})",
-                f"labels {_shown(labels)}",
-            ]
-            + csv
-        )
+
+        def csv() -> list[str]:
+            return ["n,p_tau"] + [f"{n},{c}" for n, c in enumerate(p_tau)]
+
+        def table() -> list[str]:
+            return (
+                [f"sturmian labeling, mode lex, depth {depth} ({tree.size} nodes)"]
+                + slope_and_word
+                + [
+                    f"left edge = minimal sequence prefix: {_verdict(edge_ok)}  ({left})",
+                    f"labels {_shown(labels)}",
+                ]
+                + csv()
+            )
+
         return Report(0 if edge_ok else 1, payload, csv, table)
 
     nodes = len(seeds) * node_count(2, depth)
@@ -547,19 +585,25 @@ def cmd_sturmian(args) -> Report:
         ],
         "summary": summary,
     }
-    csv = ["seed," + ",".join(f"p_tau_{n}" for n in range(n_blocks + 1))]
-    csv += [f"{seed}," + ",".join(str(c) for c in p_tau) for seed, p_tau, _ in per_seed]
-    table = (
-        [
-            f"sturmian labeling, mode random, depth {depth}, seeds "
-            + ",".join(str(s) for s in seeds)
+
+    def csv() -> list[str]:
+        return ["seed," + ",".join(f"p_tau_{n}" for n in range(n_blocks + 1))] + [
+            f"{seed}," + ",".join(str(c) for c in p_tau) for seed, p_tau, _ in per_seed
         ]
-        + slope_and_word
-        + csv
-        + [f"labels[{seed}] {_shown(labels)}" for seed, _, labels in per_seed]
-        + ["n,mean,min,max"]
-        + [f"{r['n']},{r['mean']:.2f},{r['min']},{r['max']}" for r in summary]
-    )
+
+    def table() -> list[str]:
+        return (
+            [
+                f"sturmian labeling, mode random, depth {depth}, seeds "
+                + ",".join(str(s) for s in seeds)
+            ]
+            + slope_and_word
+            + csv()
+            + [f"labels[{seed}] {_shown(labels)}" for seed, _, labels in per_seed]
+            + ["n,mean,min,max"]
+            + [f"{r['n']},{r['mean']:.2f},{r['min']},{r['max']}" for r in summary]
+        )
+
     return Report(0, payload, csv, table)
 
 
@@ -625,6 +669,74 @@ HANDLERS = {
 }
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(payload) -> str:
+    """The text of `json.dumps(payload, indent=2)` and a newline.
+
+    With `indent`, `json.dumps` runs its pure-Python encoder, a generator
+    per container; this writes the same bytes into one list of chunks,
+    escaping strings with the C escaper `json.dumps` uses. Dict keys must
+    be str. A list of finite floats and nulls, the bulk of a series, is
+    one join.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    chunks = []
+    append = chunks.append
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            append(quote(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            append(_NON_FINITE.get(text, text))
+        elif not isinstance(value, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        elif not value:
+            append("{}" if isinstance(value, dict) else "[]")
+        elif isinstance(value, dict):
+            opening, inner = "{", indent + "  "
+            for key, item in value.items():
+                append(opening + inner + quote(key) + ": ")
+                write(item, inner)
+                opening = ","
+            append(indent + "}")
+        elif (texts := _float_texts(value)) is not None:
+            inner = indent + "  "
+            append("[" + inner + ("," + inner).join(texts) + indent + "]")
+        else:
+            opening, inner = "[", indent + "  "
+            for item in value:
+                append(opening + inner)
+                write(item, inner)
+                opening = ","
+            append(indent + "]")
+
+    write(payload, "\n")
+    append("\n")
+    return "".join(chunks)
+
+
+def _float_texts(items: list) -> list[str] | None:
+    """The JSON texts of a list of finite floats and nulls, or None for a
+    list that holds anything else."""
+    try:
+        texts = ["null" if x is None else float.__repr__(x) for x in items]
+    except TypeError:  # an item other than a float or None
+        return None
+    return texts if _NON_FINITE.keys().isdisjoint(texts) else None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -634,11 +746,9 @@ def main(argv=None) -> int:
     try:
         report = HANDLERS[args.command](args)
         if args.format == "json":
-            import json
-
-            text = json.dumps(report.json, indent=2) + "\n"
+            text = _json_text(report.json)
         else:
-            text = "\n".join(getattr(report, args.format)) + "\n"
+            text = "\n".join(getattr(report, args.format)()) + "\n"
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(text)

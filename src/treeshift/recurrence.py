@@ -81,10 +81,15 @@ class TreeParams:
             raise ValueError("arity must be at least 2")
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        if self.arity >= _FLOAT_OVERFLOW:
+            raise ValueError(
+                f"arity {_shown(self.arity)} is too large: the entropy scale"
+                f" arity ** (n + 1) must fit in a float, which no depth n >= 0 allows"
+            )
         limit = _max_scale_exponent(self.arity)
         if self.n_max + 1 > limit:
             raise ValueError(
-                f"depth {self.n_max} is too deep for arity {self.arity}: the entropy"
+                f"depth {self.n_max} is too deep for arity {_shown(self.arity)}: the entropy"
                 f" scale arity ** (n + 1) must fit in a float, so n + 1 <= {limit}"
             )
 
@@ -96,6 +101,16 @@ class TreeParams:
 # float(v) overflows exactly from here on: the largest float plus half
 # its last unit, which rounds up to 2**1024
 _FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _shown(arity: int) -> str:
+    """An arity for an error line: itself up to 40 digits, else its digit
+    count, found without converting it to text, which may pass the
+    interpreter's digit limit."""
+    digits = int(arity.bit_length() * math.log10(2))
+    while 10**digits <= arity:
+        digits += 1
+    return str(arity) if digits <= 40 else f"<integer of {digits} digits>"
 
 
 def _max_scale_exponent(arity: int) -> int:

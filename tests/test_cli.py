@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import contextlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treeshift import cli, recurrence, spectral
 from treeshift.cli import main
@@ -221,25 +224,88 @@ def test_nested_json_matrix_exits_2_with_one_error_line(capsys, tmp_path, depth,
     assert (code, out, err) == (2, "", "error: invalid JSON matrix: nested too deeply\n")
 
 
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """The interpreter's int digit limit set to `limit` (None: left as it is)."""
+    if limit is None:
+        yield
+        return
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this interpreter has no int digit limit to lift")
+    saved = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(saved)
+
+
 @pytest.mark.parametrize("digit_limit", [None, 0])
 def test_json_entry_past_the_digit_limit_exits_2_with_a_short_error_line(capsys, digit_limit):
     # int() refuses 5,001 digits where a limit is set (3.11 on), and a
     # limit of 0 stands for an interpreter without one: both read alike
     text = "[[1" + "0" * 5000 + "]]"
-    if digit_limit is None:
+    with int_digit_limit(digit_limit):
         code, out, err = run_cli(capsys, "analyze", "-m", text)
-    else:
-        set_limit = getattr(sys, "set_int_max_str_digits", None)
-        if set_limit is None:
-            pytest.skip("this interpreter has no int digit limit to lift")
-        saved = sys.get_int_max_str_digits()
-        set_limit(digit_limit)
-        try:
-            code, out, err = run_cli(capsys, "analyze", "-m", text)
-        finally:
-            set_limit(saved)
     expected = "error: entry <integer of 5001 digits> is not 0 or 1 (row 1, column 1)\n"
     assert (code, out, err) == (2, "", expected)
+
+
+@pytest.mark.parametrize("digit_limit", [None, 0])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sturmian", "-n", "3", "--alpha-cf", "0,2,{}"), "--alpha-cf"),
+        (("sturmian", "-n", "3", "--seed", "1,{}"), "--seed"),
+        (("sturmian", "--mode", "random", "-n", "3", "--seed", "{}"), "--seed"),
+        (("kary", "-k", "2,{}"), "--arity"),
+    ],
+    ids=["alpha-cf", "lex-seed", "random-seed", "kary-arity"],
+)
+def test_int_term_past_the_digit_limit_is_named_by_its_digit_count(capsys, argv, flag, digit_limit):
+    # one line naming the flag and the term's size, on every interpreter,
+    # without int()'s advice to raise the limit
+    term = "1" * 5000
+    with int_digit_limit(digit_limit):
+        code, out, err = run_cli(capsys, *(a.format(term) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {flag} term of 5000 digits is past the limit of 4300\n")
+
+
+def test_int_term_at_the_digit_limit_is_read():
+    # 4,300 digits convert; one more, with a sign and separators, does not
+    assert cli._parse_int_list("2," + "9" * 4300, "--seed") == [2, 10**4300 - 1]
+    with pytest.raises(ValueError, match="^--seed term of 4301 digits is past the limit of 4300$"):
+        cli._parse_int_list(" -" + "9_" * 4300 + "9 ", "--seed")
+
+
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize(
+    "command", [("analyze", "-m", GOLDEN, "-k"), ("kary", "-k", "3,")], ids=["analyze", "kary"]
+)
+@pytest.mark.parametrize("arity, digits", [(FLOAT_OVERFLOW, 309), (10**400, 401)], ids=["309", "401"])
+def test_arity_past_the_float_range_is_refused_by_its_digit_count(capsys, command, arity, digits):
+    # no depth would do, so the arity itself is refused, and named by its size
+    argv = list(command)
+    argv[-1] += str(arity)
+    code, out, err = run_cli(capsys, *argv)
+    expected = (
+        f"error: arity <integer of {digits} digits> is too large: the entropy scale"
+        " arity ** (n + 1) must fit in a float, which no depth n >= 0 allows\n"
+    )
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_arity_of_over_40_digits_is_named_in_the_depth_refusal(capsys):
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-k", str(10**40), "-n", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: depth 7 is too deep for arity <integer of 41 digits>: ")
+    assert err.endswith("so n + 1 <= 7\n")
+    code, out, err = run_cli(capsys, "kary", "-k", f"2,{10**40 - 1}", "-n", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: depth 7 is too deep for arity {10**40 - 1}: ")
 
 
 def test_long_string_entry_exits_2_with_a_short_error_line(capsys):
@@ -294,11 +360,12 @@ def test_matrix_file_missing(capsys, tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_out_writes_file(capsys, tmp_path, argv):
-    target = tmp_path / "report.csv"
-    code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--out", str(target))
-    assert code == 0
-    code2, direct, _ = run_cli(capsys, *argv, "--format", "csv")
-    assert target.read_text() == direct
+    for fmt in ("table", "csv", "json"):
+        target = tmp_path / f"report.{fmt}"
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert (code, out) == (0, ""), fmt
+        code2, direct, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert target.read_text() == direct, fmt
 
 
 @pytest.mark.parametrize("name", ["", "missing/report.csv"], ids=["directory", "missing-directory"])
@@ -745,6 +812,63 @@ def test_unknown_flag(capsys):
 
 def test_missing_required_matrix(capsys):
     assert main(["analyze"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON writer and the lazy forms
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(10**1000, 10**1100) | st.integers(-(10**1100), -(10**1000)),
+    st.floats(),  # NaN and infinities included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    # quotes, backslashes, control characters, non-ASCII and lone surrogates
+    st.text(st.characters(blacklist_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\n')),
+)
+# a series: floats and nulls, all finite or not
+FLOAT_LISTS = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.none()) | st.lists(
+    st.floats() | st.none()
+)
+JSON_VALUES = st.recursive(
+    SCALARS | FLOAT_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_gives_the_bytes_of_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@given(st.lists(FLOAT_LISTS, min_size=1, max_size=3).map(tuple))
+def test_json_writer_gives_the_bytes_of_json_dumps_on_series(value):
+    assert cli._json_text({"series": value}) == json.dumps({"series": value}, indent=2) + "\n"
+
+
+def test_json_writer_refuses_what_json_dumps_refuses_and_keys_other_than_str():
+    for value in ([{"a": {1, 2}}], b"x"):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+    # json.dumps would write the key as "1"; no payload has such a key
+    with pytest.raises(TypeError):
+        cli._json_text({"a": [{1: 2}]})
+
+
+def test_analyze_json_builds_no_csv_rows(capsys, monkeypatch):
+    def fail(*args):
+        pytest.fail("the JSON form built the CSV rows")
+
+    monkeypatch.setattr(cli, "_series_csv", fail)
+    code, out, err = run_cli(capsys, "analyze", "-m", "011,111,101", "--exact", "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["series"]["p_log"]) == 16
 
 
 # ---------------------------------------------------------------------------

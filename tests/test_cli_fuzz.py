@@ -6,6 +6,8 @@ symbols (well-formed row strings, ragged rows or bad characters, JSON
 with entries other than 0 and 1, and junk), arities 0 to 5, depths
 from -1 up, seed lists and continued-fraction terms. Exit 0 and 1 write
 nothing to stderr; exit 2, a refused input, writes one `error: ` line.
+A JSON report, exit 0 or 1, is the text `json.dumps(..., indent=2)`
+gives for the value it parses to.
 Values are passed as `--flag=value`, so a value such as `-1,2` is never
 read as an option.
 """
@@ -98,3 +100,6 @@ def test_cli_exit_codes_and_stderr(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     else:
         assert lines == [], (argv, lines)
+        if argv[1] == "--format=json":
+            text = out.getvalue()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", argv

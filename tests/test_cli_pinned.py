@@ -13,7 +13,9 @@ terminal width. Every call in a process shares one parser, so the
 commands are also replayed in one process in shuffled orders. The
 numpy-free commands are replayed under every other CPython 3.10-3.13
 found on PATH as well, and must print the same bytes there, and four
-commands must print the same bytes under two hash seeds.
+commands must print the same bytes under two hash seeds. Every JSON
+report, here and in each replay, must be the text that interpreter's
+`json.dumps(..., indent=2)` gives for the value it parses to.
 """
 
 import contextlib
@@ -90,6 +92,20 @@ def test_output_matches_pinned_bytes(entry):
     assert capture(entry["argv"]) == entry
 
 
+def reads_back(stdout: str) -> bool:
+    """Whether a JSON report is `json.dumps(..., indent=2)` of what it parses to."""
+    return stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in COMMANDS if "json" in argv], ids=lambda argv: " ".join(argv)
+)
+def test_json_report_is_json_dumps_of_its_value(argv):
+    result = capture(argv)
+    assert result["code"] in (0, 1)
+    assert reads_back(result["stdout"])
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_shuffled_replay_in_one_process_matches_pinned_bytes(seed):
     # the parser is shared by every call in a process, so no call may
@@ -135,6 +151,9 @@ for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    if "json" in argv and code != 2:
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\\n", f"{argv}: not json.dumps bytes"
     results.append({"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
 json.dump(results, sys.stdout)
 """

@@ -72,6 +72,28 @@ def test_params_depth_limit_keeps_scale_finite():
     assert abs(series.h[-1] - series.h[-2]) < 1e-12
 
 
+def test_arity_past_the_float_range_is_refused_as_an_arity():
+    # from 2^1024 - 2^970 on, float(arity) itself overflows, so no depth
+    # would do; the arity is named by its digit count, not echoed
+    overflow = 2**1024 - 2**970
+    for arity, digits in ((overflow, 309), (10**400, 401), (2**20_000, 6021)):
+        with pytest.raises(ValueError) as caught:
+            TreeParams(arity, 0)
+        assert str(caught.value).startswith(f"arity <integer of {digits} digits> is too large: ")
+    TreeParams(overflow - 1, 0)
+    float(overflow - 1)
+    with pytest.raises(ValueError, match=r"^depth 1 is too deep for arity <integer of 309 digits>: .* n \+ 1 <= 1$"):
+        TreeParams(overflow - 1, 1)
+
+
+@given(st.one_of(st.integers(10**39, 10**308), st.integers(39, 308).map(lambda k: 10**k - 1)))
+def test_too_deep_arity_of_over_40_digits_is_named_by_its_digit_count(arity):
+    digits = len(str(arity))
+    shown = str(arity) if digits <= 40 else f"<integer of {digits} digits>"
+    with pytest.raises(ValueError, match=f"^depth 1022 is too deep for arity {shown}: "):
+        TreeParams(arity, 1022)
+
+
 def test_max_scale_exponent_matches_trial_conversion():
     assert [_max_scale_exponent(k) for k in (2, 3, 5)] == [1023, 646, 441]
     for k in range(2, 301):
