@@ -47,6 +47,7 @@ from .reference import (
 )
 from .spectral import NoConvergence, analyze_matrix, upper_bound
 from .sturmian import (
+    MAX_TREE_DEPTH,
     PrecisionExhausted,
     SturmianParams,
     build_factor_oracle,
@@ -64,10 +65,10 @@ WORD_PREFIX = 60
 LABEL_PREFIX = 255
 # A random sturmian report in JSON keeps every seed's labels, where table
 # and CSV keep one tree at a time: it may hold no more labels than one
-# tree of the deepest labeling, node_count(2, 24) = 2^25 - 1.
-JSON_LABEL_CAP = 2**25
+# tree of the deepest labeling.
+JSON_LABEL_CAP = node_count(2, MAX_TREE_DEPTH) + 1
 
-# integer terms of --seed, --alpha-cf and kary --arity: CPython's default
+# integer options and terms, and a slope's denominator: CPython's default
 # limit for converting text to int, applied whatever the interpreter's is
 INT_TERM_DIGITS = 4300
 
@@ -130,12 +131,28 @@ def _load_matrix(source: str) -> TransitionMatrix:
     return parse_matrix(text)
 
 
+def _within_digit_limit(text: str, what: str, error: type[Exception]) -> str:
+    """`text`, unless it is an integer of more than INT_TERM_DIGITS digits:
+    that raises `error` naming `what` by its digit count, where int() may
+    refuse it with advice for programmers or echo it whole."""
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if len(digits) > INT_TERM_DIGITS and digits.isdecimal():
+        raise error(f"{what} of {len(digits)} digits is past the limit of {INT_TERM_DIGITS}")
+    return text
+
+
+def _int_option(text: str) -> int:
+    """The argparse type of an integer option."""
+    return int(_within_digit_limit(text, "integer", argparse.ArgumentTypeError))
+
+
+_int_option.__name__ = "int"  # argparse names any other bad value "invalid int value"
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     terms = [tok for tok in text.split(",") if tok.strip() != ""]
-    for digits in (tok.strip().lstrip("+-").replace("_", "") for tok in terms):
-        if len(digits) > INT_TERM_DIGITS and digits.isdecimal():
-            # named by its size, where int() may refuse it with advice for programmers
-            raise ValueError(f"{flag} term of {len(digits)} digits is past the limit of {INT_TERM_DIGITS}")
+    for tok in terms:
+        _within_digit_limit(tok, f"{flag} term", ValueError)
     try:
         values = [int(tok) for tok in terms]
     except ValueError as exc:
@@ -164,13 +181,13 @@ def _series_json(series: EntropySeries, symbols: tuple[str, ...]) -> dict:
     return {
         "arity": series.arity,
         "mode": series.mode,
-        "symbols": list(symbols),
+        "symbols": symbols,
         "p_log": series.p_log,
         "h": series.h,
         "a": series.a,
         "h_acc": series.h_acc,
         "h2": series.h2,
-        "symbol_logs": [list(row) for row in series.symbol_logs],
+        "symbol_logs": series.symbol_logs,
         "exact": None,
     }
 
@@ -198,16 +215,16 @@ def cmd_analyze(args) -> Report:
         "spectral": {
             "radius": spectral.spectral_radius,
             "base_entropy": spectral.sft_entropy,
-            "left": list(spectral.left),
-            "right": list(spectral.right),
+            "left": spectral.left,
+            "right": spectral.right,
             "ratio": spectral.ratio,
             "irreducible": spectral.irreducible,
             "primitive": spectral.primitive,
             "period": spectral.period,
-            "row_sums": list(row_sums),
+            "row_sums": row_sums,
         },
         "upper_bound": bound,
-        "row_sum_window": list(window),
+        "row_sum_window": window,
         "tree_entropy": h_tree,
         "exact_log_deviation": deviation,
         "verdicts": [{"check": name, "ok": ok} for name, ok in verdicts],
@@ -472,10 +489,15 @@ def cmd_kary(args) -> Report:
 
 
 def _sturmian_params(args) -> SturmianParams:
-    if args.alpha_cf is not None:
-        terms = _parse_int_list(args.alpha_cf, "--alpha-cf")
-        return SturmianParams.from_continued_fraction(terms)
-    return SturmianParams.fibonacci()
+    if args.alpha_cf is None:
+        return SturmianParams.fibonacci()
+    params = SturmianParams.from_continued_fraction(_parse_int_list(args.alpha_cf, "--alpha-cf"))
+    # the slope is printed as numerator/denominator, and 0 < numerator < denominator
+    if params.alpha.denominator >= 10**INT_TERM_DIGITS:
+        raise ValueError(
+            f"--alpha-cf gives a slope whose denominator passes the limit of {INT_TERM_DIGITS} digits"
+        )
+    return params
 
 
 def _labels(tree: LabeledTree, fmt: str) -> str:
@@ -554,29 +576,22 @@ def cmd_sturmian(args) -> Report:
 
         return Report(0 if edge_ok else 1, payload, csv, table)
 
+    check_depth(depth)
     nodes = len(seeds) * node_count(2, depth)
     if args.format == "json" and nodes > JSON_LABEL_CAP:
         raise TooLarge(
             f"a JSON report of {len(seeds)} trees of depth {depth} holds {nodes} labels, "
             f"past the cap of {JSON_LABEL_CAP}"
         )
-    check_depth(depth)
     oracle = build_factor_oracle(params, depth)
     per_seed = []
     for seed in seeds:
         tree = label_tree_random(params, depth, seed, oracle)
         per_seed.append((seed, tree_complexity(tree, n_blocks), _labels(tree, args.format)))
-    summary = []
-    for n in range(n_blocks + 1):
-        values = [pt[n] for _, pt, _ in per_seed]
-        summary.append(
-            {
-                "n": n,
-                "mean": sum(values) / len(values),
-                "min": min(values),
-                "max": max(values),
-            }
-        )
+    summary = [
+        {"n": n, "mean": sum(values) / len(values), "min": min(values), "max": max(values)}
+        for n, values in enumerate(zip(*(p_tau for _, p_tau, _ in per_seed)))
+    ]
     payload = {
         **common,
         "seeds": [
@@ -633,29 +648,31 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[output], help="spectral data and entropy series of one matrix"
     )
     p.add_argument("-m", "--matrix", required=True, help=matrix_help)
-    p.add_argument("-k", "--arity", type=int, default=2)
-    p.add_argument("-n", "--depth", type=int, default=15)
+    p.add_argument("-k", "--arity", type=_int_option, default=2)
+    p.add_argument("-n", "--depth", type=_int_option, default=15)
     p.add_argument("--exact", action="store_true", help="cross-validate with exact integers")
 
     p = sub.add_parser("table", parents=[output], help="computed vs published benchmark table")
-    p.add_argument("-n", "--depth", type=int, default=15)
+    p.add_argument("-n", "--depth", type=_int_option, default=15)
 
     p = sub.add_parser("golden", parents=[output], help="golden mean recurrences and bounds")
-    p.add_argument("-n", "--depth", type=int, default=15)
+    p.add_argument("-n", "--depth", type=_int_option, default=15)
 
     p = sub.add_parser("kary", parents=[output], help="entropy estimates across arities")
     p.add_argument("-m", "--matrix", default=GOLDEN_MATRIX, help=matrix_help)
     p.add_argument("-k", "--arity", default="2,3,4,5", help="comma-separated arities")
-    p.add_argument("-n", "--depth", type=int, default=None, help="fixed depth (default: auto per arity)")
+    p.add_argument(
+        "-n", "--depth", type=_int_option, default=None, help="fixed depth (default: auto per arity)"
+    )
 
     p = sub.add_parser(
         "sturmian", parents=[output], help="Sturmian tree labelings and their complexity"
     )
     p.add_argument("--mode", choices=("lex", "random"), default="lex")
-    p.add_argument("-n", "--depth", type=int, default=15)
+    p.add_argument("-n", "--depth", type=_int_option, default=15)
     p.add_argument("--seed", default="0", help="comma-separated seeds (random mode)")
     p.add_argument("--alpha-cf", help="continued-fraction terms of the slope, e.g. 0,2,1,1,1")
-    p.add_argument("--blocks", type=int, default=6, help="largest block depth for p_tau")
+    p.add_argument("--blocks", type=_int_option, default=6, help="largest block depth for p_tau")
 
     return parser
 

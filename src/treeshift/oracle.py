@@ -23,7 +23,8 @@ reads only its counts builds no bytes. Exact counts without the blocks
 come from `exact_level` alone: it runs the same composition as a
 per-symbol dynamic program over exact integers, is also the exact
 recurrence of `recurrence.run`, and refuses trees of more than
-EXACT_NODE_BUDGET nodes.
+EXACT_NODE_BUDGET nodes. It grows its levels with `extend_exact`, the
+one budgeted loop that also grows the golden mean's scalar sequences.
 
 blocks_in_tree takes the census of a labeled tree by hash-consing
 (Filliatre and Conchon, "Type-safe modular hash-consing", 2006): level
@@ -117,10 +118,18 @@ def level_bounds(arity: int, level: int) -> tuple[int, int]:
     return node_count(arity, level - 1), node_count(arity, level)
 
 
-def check_exact_budget(arity: int, n: int) -> None:
-    """Refuse exact counts of the depth-n tree past EXACT_NODE_BUDGET nodes."""
+def extend_exact(seq: list, arity: int, n: int, step: Callable[[list], object]) -> list:
+    """Extend the exact sequence `seq` in place to index n and return it.
+
+    Each missing entry is `step(seq)`, appended in turn. The depth-n
+    tree of `arity` must have at most EXACT_NODE_BUDGET nodes, or
+    TooLarge is raised before any step.
+    """
     if node_count(arity, n) > EXACT_NODE_BUDGET:
         raise TooLarge(f"exact level {n} at arity {arity} has more than {EXACT_NODE_BUDGET} nodes")
+    while len(seq) <= n:
+        seq.append(step(seq))
+    return seq
 
 
 def exact_level(succ, arity: int, levels: list, n: int) -> tuple[int, ...]:
@@ -129,11 +138,10 @@ def exact_level(succ, arity: int, levels: list, n: int) -> tuple[int, ...]:
     `levels` holds the levels built so far from x(0), the all-ones
     tuple; each next one is x_i(m+1) = (sum_{j in succ[i]} x_j(m))^arity.
     """
-    check_exact_budget(arity, n)
-    while len(levels) <= n:
-        x = levels[-1]
-        levels.append(tuple(sum(x[j] for j in s) ** arity for s in succ))
-    return levels[n]
+    def step(seq: list) -> tuple[int, ...]:
+        return tuple(sum(map(seq[-1].__getitem__, s)) ** arity for s in succ)
+
+    return extend_exact(levels, arity, n, step)[n]
 
 
 class WordGraph(NamedTuple):
@@ -156,6 +164,9 @@ class WordGraph(NamedTuple):
 
     def expand(self, arity: int, depth: int, coins=None) -> bytes:
         """The breadth-first labels of the depth-`depth` tree the graph stands for.
+
+        A graph of a deeper tree gives the tree of its first depth + 1
+        levels: the nodes of those levels refer to no deeper ones.
 
         Level by level, each tree node's state picks one row of the
         children's labels and one row of the children's states, both

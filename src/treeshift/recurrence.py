@@ -64,7 +64,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .matrix import TransitionMatrix
-from .oracle import check_exact_budget, exact_level, node_count
+from .oracle import exact_level, extend_exact, node_count
 
 
 class LogOverflow(ValueError):
@@ -81,12 +81,12 @@ class TreeParams:
             raise ValueError("arity must be at least 2")
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        if self.arity >= _FLOAT_OVERFLOW:
+        limit = _max_scale_exponent(self.arity)
+        if limit == 0:  # exactly when arity >= _FLOAT_OVERFLOW
             raise ValueError(
                 f"arity {_shown(self.arity)} is too large: the entropy scale"
                 f" arity ** (n + 1) must fit in a float, which no depth n >= 0 allows"
             )
-        limit = _max_scale_exponent(self.arity)
         if self.n_max + 1 > limit:
             raise ValueError(
                 f"depth {self.n_max} is too deep for arity {_shown(self.arity)}: the entropy"
@@ -114,7 +114,8 @@ def _shown(arity: int) -> str:
 
 
 def _max_scale_exponent(arity: int) -> int:
-    """Largest e for which arity ** e converts to a finite float."""
+    """Largest e for which arity ** e converts to a finite float; 0 when
+    arity itself does not."""
     e = int(math.log(sys.float_info.max, arity)) + 1
     while arity**e >= _FLOAT_OVERFLOW:
         e -= 1
@@ -376,11 +377,7 @@ def golden_counts(n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    check_exact_budget(2, n_max)
-    p = [2, 5]
-    while len(p) <= n_max:
-        p.append(p[-1] ** 2 + p[-2] ** 4)
-    return p
+    return extend_exact([2, 5], 2, n_max, lambda p: p[-1] ** 2 + p[-2] ** 4)
 
 
 class UncertifiedFloat(ValueError):
@@ -489,11 +486,7 @@ def golden_zero_rooted_counts(n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    check_exact_budget(2, n_max)
-    a = [1, 4]
-    while len(a) <= n_max:
-        a.append((a[-1] + a[-2] ** 2) ** 2)
-    return a
+    return extend_exact([1, 4], 2, n_max, lambda a: (a[-1] + a[-2] ** 2) ** 2)
 
 
 class PowerBoundCheck(NamedTuple):

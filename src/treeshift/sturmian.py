@@ -33,16 +33,17 @@ the children: the lexicographic variant puts 0 left and 1 right, the
 random variant flips a seeded fair coin per such node in breadth-first
 order. Every root-to-node path is a factor by construction.
 
-Both variants start from one word graph, walked in Python: per level,
-one node per path word (at most level + 2, so at most 26), with its
-label, its two children's words and the first node that carries it. A
-random labeling keeps the graph with its factor oracle, so the seeds
-of one report share one walk. A lexicographic tree is that graph
-alone. Below a lex node the labels depend only on its level and path
-word, so the block census runs on that graph of a few hundred nodes,
-in pure Python, and the table and CSV outputs read the first labels
-and the left edge off it; the full label buffer is expanded from the
-graph only when it is read, as JSON output does. A random tree is the
+Both variants start from one word graph, walked in Python when the
+factor oracle is built: per level, one node per path word (at most
+level + 2, so at most 26), with its label, its two children's words and
+the first node that carries it. The oracle keeps the graph, so the
+seeds of one random report share one walk, and a shallower tree reads
+the graph's first levels, which are its own graph. A lexicographic tree
+is that graph alone. Below a lex node the labels depend only on its
+level and path word, so the block census runs on that graph of a few
+hundred nodes, in pure Python, and the table and CSV outputs read the
+first labels and the left edge off it; the full label buffer is
+expanded from the graph only when it is read, as JSON output does. A random tree is the
 same graph expanded at once with its coins: a tree node's state is its
 path word and its swap bit, each state picks the row of its children's
 labels and states, and numpy gathers those rows for every node of a
@@ -192,16 +193,16 @@ class FactorOracle:
     most length + 1, the empty word included, and both methods read it:
     a factor w of length at most `length` has as successors the symbols
     c for which w + c is in it. A word that is no factor raises
-    KeyError, a length outside 0 .. `length` IndexError. `_graphs` keeps
-    the word graph of each depth labeled from the oracle; it takes no
-    part in equality.
+    KeyError, a length outside 0 .. `length` IndexError. `graph` is the
+    word graph of the depth-`length` tree, walked from the factors when
+    the oracle is built; it takes no part in equality.
     """
 
     def __init__(self, alpha: Fraction, length: int, factors: frozenset[str]):
         self.alpha = alpha
         self.length = length
         self.factors = factors
-        self._graphs: dict = {}
+        self.graph = _word_graph(self, length)
 
     def __eq__(self, other):
         if type(other) is not FactorOracle:
@@ -238,8 +239,9 @@ def build_factor_oracle(params: SturmianParams, length: int) -> FactorOracle:
     would add nothing. A window that would pass HARVEST_BUDGET symbols
     raises TooLarge instead. A slope given exactly, with period q, shows
     all its factors within q + length + 1 symbols, so a window that long
-    without full counts raises ComplexityViolation. One oracle serves
-    every tree of its slope up to depth `length`: pass it to
+    without full counts raises ComplexityViolation. The oracle walks the
+    word graph of the depth-`length` tree once, when it is built, and
+    serves every tree of its slope up to that depth: pass it to
     `label_tree_random` to label several seeds without rebuilding it.
     """
     if length < 0:
@@ -281,10 +283,10 @@ def check_depth(depth: int) -> None:
 def label_tree_lex(params: SturmianParams, depth: int) -> LabeledTree:
     """Label the binary tree, splitting right-special nodes as 0 left, 1 right.
 
-    The tree is given its WordGraph alone, from `_word_graph`.
+    The tree is given its WordGraph alone, the one its factor oracle walked.
     """
     check_depth(depth)
-    return LabeledTree(2, depth, graph=_word_graph(build_factor_oracle(params, depth), depth))
+    return LabeledTree(2, depth, graph=build_factor_oracle(params, depth).graph)
 
 
 def label_tree_random(
@@ -295,12 +297,12 @@ def label_tree_random(
     One fair bit is drawn per right-special node in breadth-first
     order; bit 0 assigns (0 left, 1 right), bit 1 the reverse. The
     same seed always reproduces the same tree. The labels are expanded
-    from the lex word graph with these coins, and the tree keeps no
-    graph: below a node its subtree depends on the coins, not only on
-    its path word. `oracle` is a `build_factor_oracle(params, length)`
-    with length at least `depth`, built here to the depth when not
-    given; it keeps the graph, so seeds that share the oracle walk it
-    once.
+    from the first levels of the oracle's word graph with these coins,
+    and the tree keeps no graph: below a node its subtree depends on the
+    coins, not only on its path word. `oracle` is a
+    `build_factor_oracle(params, length)` with length at least `depth`,
+    built here to the depth when not given; seeds that share the oracle
+    share its one walk of the graph.
     """
     check_depth(depth)
     if oracle is None:
@@ -309,12 +311,10 @@ def label_tree_random(
         raise ValueError(f"the oracle was built for slope {oracle.alpha}, not {params.alpha}")
     elif oracle.length < depth:
         raise ValueError(f"the oracle was built for length {oracle.length}, below depth {depth}")
-    if depth not in oracle._graphs:
-        oracle._graphs[depth] = _word_graph(oracle, depth)
     import random
 
     rng = random.Random(seed)
-    labels = oracle._graphs[depth].expand(2, depth, lambda m: _coin_bits(rng, m))
+    labels = oracle.graph.expand(2, depth, lambda m: _coin_bits(rng, m))
     return LabeledTree(2, depth, labels)
 
 

@@ -272,6 +272,49 @@ def test_int_term_past_the_digit_limit_is_named_by_its_digit_count(capsys, argv,
     assert (code, out, err) == (2, "", f"error: {flag} term of 5000 digits is past the limit of 4300\n")
 
 
+@pytest.mark.parametrize("digit_limit", [None, 0])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("analyze", "-m", GOLDEN, "-k"), "-k/--arity"),
+        (("analyze", "-m", GOLDEN, "-n"), "-n/--depth"),
+        (("table", "-n"), "-n/--depth"),
+        (("golden", "-n"), "-n/--depth"),
+        (("kary", "-n"), "-n/--depth"),
+        (("sturmian", "-n"), "-n/--depth"),
+        (("sturmian", "--blocks"), "--blocks"),
+    ],
+    ids=["analyze-arity", "analyze-depth", "table-depth", "golden-depth", "kary-depth",
+         "sturmian-depth", "sturmian-blocks"],
+)
+def test_int_option_past_the_digit_limit_is_named_by_its_digit_count(capsys, argv, flag, digit_limit):
+    # argparse's usage line and one error line naming the value's size,
+    # where `type=int` echoed all 5,000 digits as an invalid int value
+    with int_digit_limit(digit_limit):
+        code, out, err = run_cli(capsys, *argv, "-" + "1" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: treeshift {argv[0]} ")
+    assert err.endswith(
+        f"\ntreeshift {argv[0]}: error: argument {flag}: "
+        "integer of 5000 digits is past the limit of 4300\n"
+    )
+    assert len(err) < 400
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", ""])
+def test_int_option_keeps_argparse_text_for_other_bad_values(capsys, value):
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-k", value)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: treeshift analyze ")
+    assert err.endswith(f"\ntreeshift analyze: error: argument -k/--arity: invalid int value: {value!r}\n")
+
+
+def test_int_option_at_the_digit_limit_is_read(capsys):
+    code, out, err = run_cli(capsys, "analyze", "-m", GOLDEN, "-k", "9" * 4300)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: arity <integer of 4300 digits> is too large: ")
+
+
 def test_int_term_at_the_digit_limit_is_read():
     # 4,300 digits convert; one more, with a sign and separators, does not
     assert cli._parse_int_list("2," + "9" * 4300, "--seed") == [2, 10**4300 - 1]
@@ -679,7 +722,7 @@ def test_sturmian_random_expands_the_word_graph_once_per_seed(capsys, monkeypatc
 
 
 def test_sturmian_random_walks_the_word_graph_once_for_all_seeds(capsys, monkeypatch):
-    # the seeds share one factor oracle, which keeps the graph walked for the first
+    # the seeds share one factor oracle, which walks the graph once, when it is built
     from treeshift import sturmian
 
     walks = []
@@ -694,6 +737,35 @@ def test_sturmian_random_walks_the_word_graph_once_for_all_seeds(capsys, monkeyp
     code, out, _ = run_cli(capsys, "sturmian", *args)
     assert code == 0 and len(out.splitlines()) == 4
     assert walks == [16]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_sturmian_lex_walks_the_word_graph_once(capsys, monkeypatch, fmt):
+    # the tree takes the graph its factor oracle walked
+    from treeshift import sturmian
+
+    walks = []
+    real = sturmian._word_graph
+
+    def counted(oracle, depth):
+        walks.append(depth)
+        return real(oracle, depth)
+
+    monkeypatch.setattr(sturmian, "_word_graph", counted)
+    code, out, _ = run_cli(capsys, "sturmian", "-n", "16", "--blocks", "4", "--format", fmt)
+    assert code == 0 and out
+    assert walks == [16]
+
+
+@pytest.mark.parametrize("depth", [25, 20000])
+def test_sturmian_random_json_past_the_depth_cap_names_the_depth(capsys, depth):
+    # the depth is checked before the label cap, which would build and
+    # print a label count of up to thousands of digits
+    start = time.perf_counter()
+    args = ("--mode", "random", "-n", str(depth), "--format", "json")
+    code, out, err = run_cli(capsys, "sturmian", *args)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: depth {depth} is above the cap of 24\n")
 
 
 def test_sturmian_random_json_past_the_label_cap_is_refused_before_labeling(capsys, monkeypatch):
@@ -785,6 +857,33 @@ def test_sturmian_slope_with_late_runs_labels(capsys, depth):
     code, out, err = run_cli(capsys, "sturmian", "-n", depth, "--alpha-cf", terms)
     assert (code, err) == (0, "")
     assert f"mode lex, depth {depth} " in out
+
+
+SLOPE_PAST_DIGIT_LIMIT = "error: --alpha-cf gives a slope whose denominator passes the limit of 4300 digits\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_sturmian_slope_past_the_digit_limit_is_refused(capsys, fmt):
+    # each term is under the limit, the denominator of their convergent is not
+    big = "9" * 3000
+    code, out, err = run_cli(capsys, "sturmian", "-n", "3", "--alpha-cf", f"0,{big},{big}", "--format", fmt)
+    assert (code, out, err) == (2, "", SLOPE_PAST_DIGIT_LIMIT)
+
+
+def test_sturmian_slope_at_the_digit_limit_labels(capsys):
+    # [0; 2, 1, ..., 1, a] with the largest last term a whose convergent's
+    # denominator keeps 4,300 digits, and the next one
+    head = [0, 2] + [1] * 30
+    q_prev, q = 0, 1
+    for term in head[1:]:
+        q_prev, q = q, term * q + q_prev
+    last = (10**4300 - 1 - q_prev) // q
+    terms = ",".join(map(str, head))
+    code, out, err = run_cli(capsys, "sturmian", "-n", "3", "--alpha-cf", f"{terms},{last}", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["alpha"][1] == last * q + q_prev == 10**4300 - 1 - (10**4300 - 1 - q_prev) % q
+    code, out, err = run_cli(capsys, "sturmian", "-n", "3", "--alpha-cf", f"{terms},{last + 1}")
+    assert (code, out, err) == (2, "", SLOPE_PAST_DIGIT_LIMIT)
 
 
 def test_sturmian_slope_past_the_harvest_budget_is_refused(capsys):

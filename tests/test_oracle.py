@@ -20,6 +20,7 @@ from treeshift.oracle import (
     check_subadditivity,
     enumerate_configs,
     exact_level,
+    extend_exact,
     level_bounds,
     node_count,
     verify_phi_identity,
@@ -219,6 +220,21 @@ def test_exact_counts_refuse_past_one_node_budget(produce):
         produce(21)
     assert time.perf_counter() - start < 1.0
     assert produce(20) > 0
+
+
+def test_extend_exact_refuses_past_the_budget_before_any_step():
+    def step(seq):
+        raise AssertionError("a step ran")
+
+    with pytest.raises(TooLarge, match="exact level 21 at arity 2 has more than 2097151 nodes"):
+        extend_exact([1], 2, 21, step)
+    with pytest.raises(TooLarge, match="exact level 13 at arity 3 has more than 2097151 nodes"):
+        extend_exact([1], 3, 13, step)
+    # a sequence already long enough takes no step either; a shorter one
+    # is extended in place
+    seq = [1, 2]
+    assert extend_exact(seq, 2, 1, step) is seq
+    assert extend_exact(seq, 2, 4, lambda s: 3 * s[-1]) is seq == [1, 2, 6, 18, 54]
 
 
 def test_census_sorts_rebuilt_blocks_and_refuses_duplicates_on_read():

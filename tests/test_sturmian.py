@@ -429,7 +429,7 @@ def test_one_oracle_serves_every_depth():
 
 
 def test_walked_word_graphs_take_no_part_in_oracle_equality():
-    # the oracle keeps the graph of each depth labeled from it
+    # the oracle keeps the word graph it walked when it was built
     oracle = build_factor_oracle(FIB, 12)
     label_tree_random(FIB, 12, 0, oracle)
     assert oracle == build_factor_oracle(FIB, 12)
